@@ -21,7 +21,6 @@ from .density_ratio import (
 )
 from .errors import DegeneracyError
 from .metrics import (
-    BinningConfig,
     ProbabilitySet,
     ReliabilityBins,
     bin_indices,
@@ -61,7 +60,6 @@ from .transcal import (
     apply_control_variate,
     iwece_objective,
     optimize_transcal,
-    parallel_control_variate,
     renyi_diagnostic,
     serial_control_variate,
     transcal_objective,
@@ -71,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineScaleParam",
-    "BinningConfig",
     "ControlVariateCoefficients",
     "DegeneracyError",
     "DomainClassifier",
@@ -106,7 +103,6 @@ __all__ = [
     "metric_report",
     "nll",
     "optimize_transcal",
-    "parallel_control_variate",
     "per_sample_residuals",
     "reliability_bins",
     "renyi_diagnostic",

@@ -12,6 +12,7 @@ are exactly one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from .density_ratio import (
     train_domain_classifier,
     upsample_balance,
 )
-from .metrics import metric_report
+from .metrics import ProbabilitySet, metric_report
 from .scaling import (
+    AffineScaleParam,
+    TemperatureParam,
     apply_affine_scaling,
     fit_cpcs_temperature,
     fit_matrix_scaling,
@@ -33,35 +36,75 @@ from .scaling import (
     softmax_with_temperature,
 )
 from .synthshift import GeneratedTask, ShiftScenario, generate
-from .transcal import EstimatorMode, optimize_transcal, renyi_diagnostic
+from .transcal import EstimatorMode, TransCalSolution, optimize_transcal, renyi_diagnostic
 
 __all__ = [
     "ALL_METHODS",
     "DEFAULT_METHODS",
+    "METHODS",
+    "Method",
+    "apply_fit",
     "default_grid",
     "run_grid",
     "run_single",
 ]
 
-DEFAULT_METHODS = ("uncalibrated", "temp", "cpcs", "transcal", "oracle")
-ALL_METHODS = (
-    "uncalibrated",
-    "temp",
-    "vector",
-    "matrix",
-    "cpcs",
-    "transcal",
-    "transcal-no-bias",
-    "transcal-no-variance",
-    "oracle",
-)
-_NEEDS_WEIGHTS = ("cpcs", "transcal", "transcal-no-bias", "transcal-no-variance")
 
-_TRANSCAL_VARIANTS = {
-    "transcal": (EstimatorMode.CV_SERIAL, False),
-    "transcal-no-bias": (EstimatorMode.CV_SERIAL, True),
-    "transcal-no-variance": (EstimatorMode.PLAIN_IWECE, False),
+@dataclass(frozen=True)
+class Method:
+    """One calibration method as ``bench`` and the ``calibrate`` command run it.
+
+    ``fit(logits, labels, weights, bins)`` returns a ``TemperatureParam``,
+    an ``AffineScaleParam`` or a ``TransCalSolution``. ``needs_weights``
+    methods need importance weights for the fitting rows; the others
+    ignore ``weights``. An ``on_target`` method fits on labelled target
+    data.
+    """
+
+    fit: Callable
+    needs_weights: bool = False
+    on_target: bool = False
+
+
+# Entries look the layer functions up in this module's globals at call time,
+# so a function replaced here (as the benchmark's tracer does) is the one
+# both bench and the CLI run.
+def _transcal(mode: EstimatorMode, freeze_lambda: bool) -> Method:
+    return Method(
+        lambda logits, labels, weights, bins: optimize_transcal(
+            logits, labels, weights, mode=mode, bins=bins, freeze_lambda=freeze_lambda
+        ),
+        needs_weights=True,
+    )
+
+
+METHODS = {
+    "uncalibrated": Method(lambda logits, labels, weights, bins: TemperatureParam(t=1.0)),
+    "temp": Method(lambda logits, labels, weights, bins: fit_temperature_nll(logits, labels)),
+    "vector": Method(lambda logits, labels, weights, bins: fit_vector_scaling(logits, labels)),
+    "matrix": Method(lambda logits, labels, weights, bins: fit_matrix_scaling(logits, labels)),
+    "cpcs": Method(
+        lambda logits, labels, weights, bins: fit_cpcs_temperature(logits, labels, weights),
+        needs_weights=True,
+    ),
+    "transcal": _transcal(EstimatorMode.CV_SERIAL, False),
+    "transcal-no-bias": _transcal(EstimatorMode.CV_SERIAL, True),
+    "transcal-no-variance": _transcal(EstimatorMode.PLAIN_IWECE, False),
+    "oracle": Method(
+        lambda logits, labels, weights, bins: fit_oracle_temperature(logits, labels),
+        on_target=True,
+    ),
 }
+ALL_METHODS = tuple(METHODS)
+DEFAULT_METHODS = ("uncalibrated", "temp", "cpcs", "transcal", "oracle")
+
+
+def apply_fit(fitted, logits: np.ndarray) -> ProbabilitySet:
+    """Push logits through a map returned by a ``METHODS`` entry's ``fit``."""
+    if isinstance(fitted, AffineScaleParam):
+        return apply_affine_scaling(logits, fitted)
+    t = fitted.t_star.t if isinstance(fitted, TransCalSolution) else fitted.t
+    return softmax_with_temperature(logits, t)
 
 
 def default_grid(
@@ -90,15 +133,6 @@ def default_grid(
     return grid
 
 
-@dataclass
-class PipelineArtifacts:
-    """Intermediate fit products of one run, for callers that need them."""
-
-    task: GeneratedTask
-    classifier: DomainClassifier | None
-    weights: WeightVector | None
-
-
 def estimate_task_weights(task: GeneratedTask, seed: int) -> tuple[DomainClassifier, WeightVector]:
     """Feature-only weight pipeline: balance splits, train, score validation."""
     balanced_source, balanced_target = upsample_balance(task.source_train, task.target, seed)
@@ -107,46 +141,29 @@ def estimate_task_weights(task: GeneratedTask, seed: int) -> tuple[DomainClassif
 
 
 def _fit_entry(method: str, task: GeneratedTask, weights: WeightVector | None, bins: int) -> dict:
-    val_logits = task.source_val_logits
-    val_labels = task.source_val_labels
-    entry: dict = {"method": method}
-
-    if method in ("vector", "matrix"):
-        fit = fit_vector_scaling if method == "vector" else fit_matrix_scaling
-        param = fit(val_logits, val_labels)
-        entry["converged"] = bool(param.converged)
-        entry["iterations"] = int(param.iterations)
-        entry["final_loss"] = float(param.final_loss)
-        target_probs = apply_affine_scaling(task.target_logits, param)
-        source_probs = apply_affine_scaling(val_logits, param)
+    spec = METHODS[method]
+    if spec.on_target:
+        fitted = spec.fit(task.target_logits, task.target_labels, None, bins)
     else:
-        if method == "uncalibrated":
-            t = 1.0
-        elif method == "temp":
-            t = fit_temperature_nll(val_logits, val_labels).t
-        elif method == "cpcs":
-            t = fit_cpcs_temperature(val_logits, val_labels, weights).t
-        elif method == "oracle":
-            t = fit_oracle_temperature(task.target_logits, task.target_labels).t
-        elif method in _TRANSCAL_VARIANTS:
-            mode, freeze = _TRANSCAL_VARIANTS[method]
-            solution = optimize_transcal(
-                val_logits, val_labels, weights, mode=mode, bins=bins, freeze_lambda=freeze
-            )
-            t = solution.t_star.t
-            entry["lambda_star"] = solution.lambda_star
-            entry["objective_value"] = solution.objective_value
-            entry["max_weight_transformed"] = solution.diagnostics["max_weight_transformed"]
-            if solution.coefficients is not None:
-                entry["flags"] = list(solution.coefficients.flags)
-        else:
-            raise ValueError(f"unknown method {method!r}; choose from {ALL_METHODS}")
-        entry["temperature"] = float(t)
-        target_probs = softmax_with_temperature(task.target_logits, t)
-        source_probs = softmax_with_temperature(val_logits, t)
-
+        fitted = spec.fit(task.source_val_logits, task.source_val_labels, weights, bins)
+    entry: dict = {"method": method}
+    if isinstance(fitted, AffineScaleParam):
+        entry["converged"] = bool(fitted.converged)
+        entry["iterations"] = int(fitted.iterations)
+        entry["final_loss"] = float(fitted.final_loss)
+    elif isinstance(fitted, TransCalSolution):
+        entry["temperature"] = float(fitted.t_star.t)
+        entry["lambda_star"] = fitted.lambda_star
+        entry["objective_value"] = fitted.objective_value
+        entry["max_weight_transformed"] = fitted.diagnostics["max_weight_transformed"]
+        if fitted.coefficients is not None:
+            entry["flags"] = list(fitted.coefficients.flags)
+    else:
+        entry["temperature"] = float(fitted.t)
+    target_probs = apply_fit(fitted, task.target_logits)
+    source_probs = apply_fit(fitted, task.source_val_logits)
     entry["target"] = metric_report(target_probs, task.target_labels, bins)
-    entry["source_val"] = metric_report(source_probs, val_labels, bins)
+    entry["source_val"] = metric_report(source_probs, task.source_val_labels, bins)
     return entry
 
 
@@ -160,7 +177,7 @@ def run_single(
 ) -> dict:
     """Run the full pipeline once and score every method on the target split."""
     for method in methods:
-        if method not in ALL_METHODS:
+        if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {ALL_METHODS}")
     task = generate(scenario, n_source, n_target, seed)
     weights = None
@@ -170,7 +187,7 @@ def run_single(
         "n_target": int(n_target),
         "true_temperature": float(scenario.distortion_temperature),
     }
-    if any(m in _NEEDS_WEIGHTS for m in methods):
+    if any(METHODS[m].needs_weights for m in methods):
         classifier, weights = estimate_task_weights(task, seed)
         record["weights"] = {
             "max": float(weights.values.max()),
@@ -198,6 +215,8 @@ def run_grid(
     reruns.
     """
     scenarios = default_grid() if scenarios is None else scenarios
+    if len(seeds) == 0 or len(scenarios) == 0 or len(methods) == 0:
+        raise ValueError("the benchmark needs at least one seed, one scenario and one method")
     records = []
     by_scenario: dict = {}
     for name, scenario in scenarios:

@@ -38,36 +38,11 @@ from .matrixio import (
     save_matrix,
 )
 from .metrics import ProbabilitySet, metric_report, reliability_bins, weighted_ece
-from .scaling import (
-    apply_affine_scaling,
-    fit_cpcs_temperature,
-    fit_matrix_scaling,
-    fit_oracle_temperature,
-    fit_temperature_nll,
-    fit_vector_scaling,
-    softmax_with_temperature,
-)
+from .scaling import AffineScaleParam
 from .synthshift import ShiftScenario, generate
-from .transcal import EstimatorMode, optimize_transcal, renyi_diagnostic
+from .transcal import TransCalSolution, renyi_diagnostic
 
 SCHEMA_VERSION = 1
-
-_WEIGHTED_METHODS = ("cpcs", "transcal", "transcal-no-bias", "transcal-no-variance")
-_TRANSCAL_VARIANTS = {
-    "transcal": (EstimatorMode.CV_SERIAL, False),
-    "transcal-no-bias": (EstimatorMode.CV_SERIAL, True),
-    "transcal-no-variance": (EstimatorMode.PLAIN_IWECE, False),
-}
-_METHOD_CHOICES = (
-    "temp",
-    "vector",
-    "matrix",
-    "cpcs",
-    "transcal",
-    "transcal-no-bias",
-    "transcal-no-variance",
-    "oracle",
-)
 
 
 def _float_list(text: str) -> list[float]:
@@ -219,64 +194,45 @@ def _resolve_weights(args) -> WeightVector:
 def _cmd_calibrate(args) -> int:
     logits = load_matrix(args.logits)
     labels = load_labels(args.labels)
-    method = args.method
+    method = benchmod.METHODS[args.method]
 
     weights = None
-    if method in _WEIGHTED_METHODS:
+    if method.needs_weights:
         weights = _resolve_weights(args)
     elif args.weights:
-        raise ValueError(f"method {method!r} does not take importance weights")
+        raise ValueError(f"method {args.method!r} does not take importance weights")
 
-    fit: dict = {"method": method}
-    affine = None
-    temperature = None
-    if method in ("vector", "matrix"):
-        fitter = fit_vector_scaling if method == "vector" else fit_matrix_scaling
-        affine = fitter(logits, labels)
+    fitted = method.fit(logits, labels, weights, args.bins)
+    fit: dict = {"method": args.method}
+    if isinstance(fitted, AffineScaleParam):
         fit.update(
-            scale=affine.scale,
-            bias=affine.bias,
-            iterations=affine.iterations,
-            converged=affine.converged,
-            initial_loss=affine.initial_loss,
-            final_loss=affine.final_loss,
+            scale=fitted.scale,
+            bias=fitted.bias,
+            iterations=fitted.iterations,
+            converged=fitted.converged,
+            initial_loss=fitted.initial_loss,
+            final_loss=fitted.final_loss,
         )
-    elif method in _TRANSCAL_VARIANTS:
-        mode, freeze = _TRANSCAL_VARIANTS[method]
-        solution = optimize_transcal(
-            logits, labels, weights, mode=mode, bins=args.bins, freeze_lambda=freeze
-        )
-        temperature = solution.t_star.t
+    elif isinstance(fitted, TransCalSolution):
         fit.update(
-            temperature=temperature,
-            degenerate=solution.t_star.degenerate,
-            lambda_star=solution.lambda_star,
-            objective_value=solution.objective_value,
-            mode=solution.mode.value,
-            diagnostics=solution.diagnostics,
+            temperature=fitted.t_star.t,
+            degenerate=fitted.t_star.degenerate,
+            lambda_star=fitted.lambda_star,
+            objective_value=fitted.objective_value,
+            mode=fitted.mode.value,
+            diagnostics=fitted.diagnostics,
         )
-        if solution.coefficients is not None:
-            fit["coefficients"] = dataclasses.asdict(solution.coefficients)
+        if fitted.coefficients is not None:
+            fit["coefficients"] = dataclasses.asdict(fitted.coefficients)
     else:
-        if method == "temp":
-            param = fit_temperature_nll(logits, labels)
-        elif method == "cpcs":
-            param = fit_cpcs_temperature(logits, labels, weights)
-        else:  # oracle: logits and labels come from the target split
-            param = fit_oracle_temperature(logits, labels)
-        temperature = param.t
-        fit.update(temperature=param.t, degenerate=param.degenerate)
+        fit.update(temperature=fitted.t, degenerate=fitted.degenerate)
 
     report: dict = {"num_bins": args.bins, "fit": fit}
 
     if args.apply or args.probs_out or args.apply_labels:
         if not args.apply:
             raise ValueError("--probs-out and --apply-labels require --apply LOGITS_FILE")
-        apply_logits = load_matrix(args.apply)
-        if affine is not None:
-            probs = apply_affine_scaling(apply_logits, affine)
-        else:
-            probs = softmax_with_temperature(apply_logits, temperature)
+        probs = benchmod.apply_fit(fitted, load_matrix(args.apply))
         applied: dict = {"num_samples": probs.num_samples}
         if args.probs_out:
             save_matrix(args.probs_out, probs.probs)
@@ -349,9 +305,6 @@ def _cmd_bench(args) -> int:
         scales=tuple(args.scales),
         temperatures=tuple(args.t_trues),
     )
-    for method in args.methods:
-        if method not in benchmod.ALL_METHODS:
-            raise ValueError(f"unknown method {method!r}; choose from {benchmod.ALL_METHODS}")
     payload = benchmod.run_grid(
         scenarios=scenarios,
         seeds=tuple(args.seeds),
@@ -400,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("calibrate", help="fit a calibration method on held-out logits")
-    p.add_argument("--method", required=True, choices=_METHOD_CHOICES)
+    p.add_argument("--method", required=True, choices=benchmod.ALL_METHODS)
     p.add_argument("--logits", required=True, help="fitting logits (target split for oracle)")
     p.add_argument("--labels", required=True, help="fitting labels (target split for oracle)")
     p.add_argument("--weights", help="importance weight file for weighted methods")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .metrics import check_weights
+
 __all__ = [
     "DomainClassifier",
     "DomainClassifierConfig",
@@ -110,11 +112,7 @@ class WeightVector:
     max_weight: float = math.nan
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.shape[0] < 1:
-            raise ValueError("weight values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0.0):
-            raise ValueError("weight values must be finite and non-negative")
+        self.values = check_weights(self.values)
         if self.kind not in ("raw", "lambda_transformed"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if math.isnan(self.max_weight):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BinningConfig",
     "ProbabilitySet",
     "ReliabilityBins",
     "bin_indices",
@@ -34,22 +33,9 @@ PROB_CLAMP = 1e-12
 ROW_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BinningConfig:
-    """Equal-width binning of the confidence axis."""
-
-    num_bins: int = 15
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.num_bins, (int, np.integer)) or self.num_bins < 1:
-            raise ValueError(f"num_bins must be a positive integer, got {self.num_bins!r}")
-
-
-def _num_bins(bins: BinningConfig | int) -> int:
-    if isinstance(bins, BinningConfig):
-        return int(bins.num_bins)
+def _num_bins(bins: int) -> int:
     if not isinstance(bins, (int, np.integer)) or bins < 1:
-        raise ValueError(f"bins must be a positive integer or BinningConfig, got {bins!r}")
+        raise ValueError(f"bins must be a positive integer, got {bins!r}")
     return int(bins)
 
 
@@ -151,7 +137,11 @@ class ReliabilityBins:
         return value
 
 
-def _check_labels(labels: np.ndarray, num_classes: int, n: int) -> np.ndarray:
+def check_labels(labels: np.ndarray, num_classes: int, n: int) -> np.ndarray:
+    """Validate class labels: shape (n,), integer-valued, in [0, num_classes).
+
+    Returns them as int64.
+    """
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
@@ -166,18 +156,24 @@ def _check_labels(labels: np.ndarray, num_classes: int, n: int) -> np.ndarray:
     return labels
 
 
-def _check_weights(weights: np.ndarray, n: int) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n,):
-        raise ValueError(f"weights must have shape ({n},), got {weights.shape}")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights contain non-finite entries")
-    if np.any(weights < 0.0):
-        raise ValueError("weights must be non-negative")
-    return weights
+def check_weights(weights, n: int | None = None) -> np.ndarray:
+    """Validate importance weights given as an array or anything with ``.values``.
+
+    Returns a non-empty 1-d float64 array of finite, non-negative values,
+    of length ``n`` when ``n`` is given. What an all-zero vector means is
+    left to the caller.
+    """
+    values = np.asarray(getattr(weights, "values", weights), dtype=np.float64)
+    if values.ndim != 1 or values.shape[0] < 1:
+        raise ValueError("weights must be a non-empty 1-d array")
+    if n is not None and values.shape[0] != n:
+        raise ValueError(f"weights must have length {n}, got {values.shape[0]}")
+    if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+        raise ValueError("weights must be finite and non-negative")
+    return values
 
 
-def bin_indices(confidences: np.ndarray, bins: BinningConfig | int = 15) -> np.ndarray:
+def bin_indices(confidences: np.ndarray, bins: int = 15) -> np.ndarray:
     """Map confidences in [0, 1] to 0-based bin indices.
 
     Bin m (0-based) covers (m/B, (m + 1)/B]; exactly 0 maps to bin 0.
@@ -192,7 +188,7 @@ def bin_indices(confidences: np.ndarray, bins: BinningConfig | int = 15) -> np.n
 def reliability_bins(
     probs: ProbabilitySet,
     labels: np.ndarray,
-    bins: BinningConfig | int = 15,
+    bins: int = 15,
     weights: np.ndarray | None = None,
 ) -> ReliabilityBins:
     """Bin predictions by confidence and summarize accuracy per bin.
@@ -203,7 +199,7 @@ def reliability_bins(
         Predictions to evaluate.
     labels : array_like of shape (n,)
         Integer class labels in [0, K).
-    bins : BinningConfig or int
+    bins : int
         Number of equal-width confidence bins.
     weights : array_like of shape (n,), optional
         Non-negative per-sample weights; unit weights when omitted.
@@ -217,11 +213,11 @@ def reliability_bins(
     """
     num_bins = _num_bins(bins)
     n = probs.num_samples
-    labels = _check_labels(labels, probs.num_classes, n)
+    labels = check_labels(labels, probs.num_classes, n)
     if weights is None:
         weights = np.ones(n, dtype=np.float64)
     else:
-        weights = _check_weights(weights, n)
+        weights = check_weights(weights, n)
 
     correct = (probs.predictions == labels).astype(np.float64)
     idx = bin_indices(probs.confidences, num_bins)
@@ -252,7 +248,7 @@ def reliability_bins(
     )
 
 
-def ece(probs: ProbabilitySet, labels: np.ndarray, bins: BinningConfig | int = 15) -> float:
+def ece(probs: ProbabilitySet, labels: np.ndarray, bins: int = 15) -> float:
     """Expected calibration error with equal-width right-closed bins.
 
     Sum over bins of (bin count / n) times the absolute gap between bin
@@ -265,7 +261,7 @@ def weighted_ece(
     probs: ProbabilitySet,
     labels: np.ndarray,
     weights: np.ndarray,
-    bins: BinningConfig | int = 15,
+    bins: int = 15,
 ) -> float:
     """Importance-weighted expected calibration error.
 
@@ -273,8 +269,6 @@ def weighted_ece(
     bin's weight share of the total weight. With unit weights this equals
     ``ece`` exactly (identical code path).
     """
-    n = probs.num_samples
-    weights = _check_weights(weights, n)
     return reliability_bins(probs, labels, bins, weights=weights).ece
 
 
@@ -285,7 +279,7 @@ def nll(probs: ProbabilitySet, labels: np.ndarray, mean: bool = False) -> float:
     probabilities are clamped below at ``PROB_CLAMP`` before the log.
     """
     n = probs.num_samples
-    labels = _check_labels(labels, probs.num_classes, n)
+    labels = check_labels(labels, probs.num_classes, n)
     p = probs.probs[np.arange(n), labels]
     p = np.maximum(p, PROB_CLAMP)
     total = -float(np.sum(np.log(p)))
@@ -298,7 +292,7 @@ def brier(probs: ProbabilitySet, labels: np.ndarray) -> float:
     """Brier score: mean over samples of the per-class squared error / K."""
     n = probs.num_samples
     k = probs.num_classes
-    labels = _check_labels(labels, k, n)
+    labels = check_labels(labels, k, n)
     diff = probs.probs.copy()
     diff[np.arange(n), labels] -= 1.0
     per_sample = (diff * diff).sum(axis=1) / k
@@ -312,17 +306,17 @@ def per_sample_residuals(probs: ProbabilitySet, labels: np.ndarray) -> np.ndarra
     error; each value lies in [0, 1].
     """
     n = probs.num_samples
-    labels = _check_labels(labels, probs.num_classes, n)
+    labels = check_labels(labels, probs.num_classes, n)
     correct = (probs.predictions == labels).astype(np.float64)
     return np.abs(correct - probs.confidences)
 
 
 def metric_report(
-    probs: ProbabilitySet, labels: np.ndarray, bins: BinningConfig | int = 15
+    probs: ProbabilitySet, labels: np.ndarray, bins: int = 15
 ) -> dict:
     """All scalar metrics for one evaluation split, as a JSON-ready dict."""
     n = probs.num_samples
-    labels = _check_labels(labels, probs.num_classes, n)
+    labels = check_labels(labels, probs.num_classes, n)
     accuracy = float((probs.predictions == labels).mean())
     return {
         "num_samples": int(n),

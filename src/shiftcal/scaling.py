@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError
-from .metrics import ProbabilitySet, nll
+from .metrics import ProbabilitySet, check_labels, check_weights, nll
 
 __all__ = [
     "AffineScaleParam",
@@ -85,11 +85,6 @@ def _check_logits(logits: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits contain non-finite entries")
     return logits
-
-
-def _weight_values(weights) -> np.ndarray:
-    # Accept a bare array or anything carrying a .values array.
-    return np.asarray(getattr(weights, "values", weights), dtype=np.float64)
 
 
 def softmax_with_temperature(logits: np.ndarray, temperature: float) -> ProbabilitySet:
@@ -164,8 +159,8 @@ def fit_temperature_nll(logits: np.ndarray, labels: np.ndarray) -> TemperaturePa
     returns the upper temperature bound with the degenerate flag set.
     """
     logits = _check_logits(logits)
-    labels = np.asarray(labels)
-    if np.all(logits == logits[0]) and np.all(labels == labels.flat[0]):
+    labels = check_labels(labels, logits.shape[1], logits.shape[0])
+    if np.all(logits == logits[0]) and np.all(labels == labels[0]):
         return TemperatureParam(t=T_MAX, degenerate=True)
 
     def objective(t: float) -> float:
@@ -194,15 +189,11 @@ def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> Tem
     """
     logits = _check_logits(logits)
     n, k = logits.shape
-    w = _weight_values(weights)
-    if w.shape != (n,):
-        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-        raise ValueError("weights must be finite and non-negative")
+    labels = check_labels(labels, k, n)
+    w = check_weights(weights, n)
     w_total = float(w.sum())
     if w_total <= 0.0:
         raise ValueError("weights sum to zero")
-    labels = np.asarray(labels)
     onehot_rows = np.arange(n)
 
     def objective(t: float) -> float:
@@ -237,9 +228,7 @@ def _softmax_ce(transformed: np.ndarray, labels: np.ndarray) -> tuple[float, np.
 def _fit_affine(logits: np.ndarray, labels: np.ndarray, kind: str, config: ScalingFitConfig) -> AffineScaleParam:
     logits = _check_logits(logits)
     n, k = logits.shape
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n,) or labels.min() < 0 or labels.max() >= k:
-        raise ValueError("labels must have shape (n,) with values in [0, K)")
+    labels = check_labels(labels, k, n)
     if kind == "vector":
         scale = np.ones(k)
     else:

@@ -5,12 +5,12 @@ the weighted calibration error, optionally corrected by control variates
 with known expectations. Two variates are available, the transformed
 importance weights (expectation 1 under the source marginal) and the
 correctness indicator (expectation equal to the mean confidence when the
-model is calibrated). They can be applied singly, jointly (one linear
-system), or serially (the second stage adjusts the residuals of the
-first). The temperature and the weight-flattening exponent lambda are
-optimized jointly over [T_MIN, T_MAX] x [0, 1] by a coarse log grid
-followed by simplex refinement; the objective is piecewise smooth at best
-(argmax, binning, absolute values), so the search is derivative-free.
+model is calibrated). They are applied serially: the second stage adjusts
+the residuals of the first. The temperature and the weight-flattening
+exponent lambda are optimized jointly over [T_MIN, T_MAX] x [0, 1] by a
+coarse log grid followed by simplex refinement; the objective is piecewise
+smooth at best (argmax, binning, absolute values), so the search is
+derivative-free.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 
 from .density_ratio import WeightVector
 from .errors import DegeneracyError
-from .metrics import bin_indices, per_sample_residuals
+from .metrics import bin_indices, check_labels, check_weights, per_sample_residuals
 from .scaling import T_MAX, T_MIN, SEARCH_TOL, TemperatureParam, softmax_with_temperature
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "apply_control_variate",
     "iwece_objective",
     "optimize_transcal",
-    "parallel_control_variate",
     "renyi_diagnostic",
     "serial_control_variate",
     "transcal_objective",
@@ -46,12 +45,13 @@ _MAX_REFINE_EVALS = 500
 
 
 class EstimatorMode(enum.Enum):
-    """Variance-reduction configuration for the weighted-error estimate."""
+    """Variance reduction for the weighted-error estimate.
+
+    ``PLAIN_IWECE`` uses no control variates; ``CV_SERIAL`` applies the
+    weight variate, then the correctness variate to its residuals.
+    """
 
     PLAIN_IWECE = "plain_iwece"
-    CV_WEIGHTS_ONLY = "cv_weights_only"
-    CV_CORRECTNESS_ONLY = "cv_correctness_only"
-    CV_PARALLEL = "cv_parallel"
     CV_SERIAL = "cv_serial"
 
 
@@ -60,7 +60,7 @@ class ControlVariateCoefficients:
     """Fitted control-variate coefficients and the moments behind them.
 
     ``eta2`` and the t2 moments are None for single-variate corrections.
-    ``flags`` records degeneracies (constant variates, singular systems).
+    ``flags`` records degeneracies (constant variates).
     """
 
     eta1: float
@@ -175,75 +175,6 @@ def serial_control_variate(
     return estimate, coeffs
 
 
-def parallel_control_variate(
-    u_samples: np.ndarray,
-    t1_samples: np.ndarray,
-    tau1: float,
-    t2_samples: np.ndarray,
-    tau2: float,
-) -> tuple[float, ControlVariateCoefficients]:
-    """Joint two-variate correction from the 2 x 2 stationarity system.
-
-    Solves
-        Var(t1) eta1 + Cov(t1, t2) eta2 = -Cov(u, t1)
-        Cov(t1, t2) eta1 + Var(t2) eta2 = -Cov(u, t2)
-    and returns mean(u) + eta1 (mean(t1) - tau1) + eta2 (mean(t2) - tau2).
-    A singular system falls back to the single-variate correction on t1
-    (flagged); if t1 is constant too, the plain mean is returned.
-    """
-    u = _check_samples(u_samples, "u_samples")
-    t1 = _check_samples(t1_samples, "t1_samples")
-    t2 = _check_samples(t2_samples, "t2_samples")
-    if u.shape != t1.shape or u.shape != t2.shape:
-        raise ValueError("sample arrays must share one length")
-    cov_u1, var1 = _moments(u, t1)
-    cov_u2, var2 = _moments(u, t2)
-    cov12, _ = _moments(t1, t2)
-    det = var1 * var2 - cov12 * cov12
-    if det <= 1e-12 * var1 * var2 or var1 == 0.0 or var2 == 0.0:
-        est, _, c1 = apply_control_variate(u, t1, tau1)
-        coeffs = ControlVariateCoefficients(
-            eta1=c1.eta1,
-            eta2=None,
-            cov_u_t1=cov_u1,
-            var_t1=var1,
-            cov_u_t2=cov_u2,
-            var_t2=var2,
-            cov_t1_t2=cov12,
-            flags=c1.flags + ("singular_system_fallback",),
-        )
-        return est, coeffs
-    system = np.array([[var1, cov12], [cov12, var2]])
-    rhs = np.array([-cov_u1, -cov_u2])
-    eta1, eta2 = np.linalg.solve(system, rhs)
-    estimate = (
-        float(u.mean())
-        + eta1 * (float(t1.mean()) - float(tau1))
-        + eta2 * (float(t2.mean()) - float(tau2))
-    )
-    coeffs = ControlVariateCoefficients(
-        eta1=float(eta1),
-        eta2=float(eta2),
-        cov_u_t1=cov_u1,
-        var_t1=var1,
-        cov_u_t2=cov_u2,
-        var_t2=var2,
-        cov_t1_t2=cov12,
-    )
-    return estimate, coeffs
-
-
-def _weight_array(weights, n: int | None = None) -> np.ndarray:
-    values = np.asarray(getattr(weights, "values", weights), dtype=np.float64)
-    if values.ndim != 1 or values.shape[0] < 1:
-        raise ValueError("weights must be a non-empty 1-d array")
-    if n is not None and values.shape[0] != n:
-        raise ValueError(f"weights must have length {n}, got {values.shape[0]}")
-    if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-        raise ValueError("weights must be finite and non-negative")
-    return values
-
-
 def iwece_objective(logits: np.ndarray, labels: np.ndarray, weights, t: float) -> float:
     """Mean weighted per-sample residual (1/n) sum_i w_i |r_i - c_i(t)|.
 
@@ -252,7 +183,7 @@ def iwece_objective(logits: np.ndarray, labels: np.ndarray, weights, t: float) -
     sampling.
     """
     probs = softmax_with_temperature(logits, t)
-    w = _weight_array(weights, probs.num_samples)
+    w = check_weights(weights, probs.num_samples)
     residuals = per_sample_residuals(probs, labels)
     return float(np.mean(w * residuals))
 
@@ -267,9 +198,7 @@ class _ObjectiveContext:
         if not np.all(np.isfinite(logits)):
             raise ValueError("logits contain non-finite entries")
         n = logits.shape[0]
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (n,) or labels.min() < 0 or labels.max() >= logits.shape[1]:
-            raise ValueError("labels must have shape (n,) with values in [0, K)")
+        labels = check_labels(labels, logits.shape[1], n)
         if weight_values.shape[0] != n:
             raise ValueError(f"weights must have length {n}, got {weight_values.shape[0]}")
         if num_bins < 1:
@@ -315,17 +244,7 @@ class _ObjectiveContext:
         u, wl, conf = self.samples(t, lam)
         if mode is EstimatorMode.PLAIN_IWECE:
             return float(u.mean()), None
-        if mode is EstimatorMode.CV_WEIGHTS_ONLY:
-            estimate, _, coeffs = apply_control_variate(u, wl, 1.0)
-            return estimate, coeffs
-        if mode is EstimatorMode.CV_CORRECTNESS_ONLY:
-            estimate, _, coeffs = apply_control_variate(u, self.correct, float(conf.mean()))
-            return estimate, coeffs
-        if mode is EstimatorMode.CV_PARALLEL:
-            return parallel_control_variate(u, wl, 1.0, self.correct, float(conf.mean()))
-        if mode is EstimatorMode.CV_SERIAL:
-            return serial_control_variate(u, wl, self.correct, float(conf.mean()))
-        raise ValueError(f"unknown estimator mode {mode!r}")
+        return serial_control_variate(u, wl, self.correct, float(conf.mean()))
 
     def value(self, t: float, lam: float, mode: EstimatorMode) -> float:
         return self.components(t, lam, mode)[0]
@@ -347,7 +266,7 @@ def transcal_objective(
     control-variate correction is applied.
     """
     mode = EstimatorMode(mode) if not isinstance(mode, EstimatorMode) else mode
-    values = _weight_array(weights)
+    values = check_weights(weights)
     ctx = _ObjectiveContext(logits, labels, values, int(bins))
     if not (0.0 <= float(lam) <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
@@ -377,13 +296,13 @@ def optimize_transcal(
     mode = EstimatorMode(mode) if not isinstance(mode, EstimatorMode) else mode
     if isinstance(weights, WeightVector) and weights.kind != "raw":
         raise ValueError("optimize_transcal expects raw (untransformed) weights")
-    values = _weight_array(weights)
+    values = check_weights(weights)
     if float(values.max()) == 0.0:
         raise DegeneracyError(
             "importance weights are all zero; the density-ratio stage "
             "produced a degenerate weight vector"
         )
-    ctx = _ObjectiveContext(logits, np.asarray(labels), values, int(bins))
+    ctx = _ObjectiveContext(logits, labels, values, int(bins))
 
     t_grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _T_GRID_SIZE))
     lam_grid = np.array([1.0]) if freeze_lambda else np.linspace(0.0, 1.0, _LAMBDA_GRID_SIZE)
@@ -462,7 +381,7 @@ def renyi_diagnostic(weights, alpha: float) -> float:
     importance-weighted estimates. Unit weights give exactly 1. Returns
     +inf when the power moment overflows.
     """
-    values = _weight_array(weights)
+    values = check_weights(weights)
     alpha = float(alpha)
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")

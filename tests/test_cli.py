@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import shiftcal
+from shiftcal import bench
 from shiftcal.cli import main
-from shiftcal.matrixio import RAW_MAGIC, load_matrix, save_matrix
+from shiftcal.matrixio import RAW_MAGIC, load_labels, load_matrix, save_labels, save_matrix
 
 
 def run(*argv):
@@ -276,6 +277,46 @@ class TestCalibrate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("method", bench.ALL_METHODS)
+    def test_every_method_fits_and_applies(self, task_dir, tmp_path, method):
+        spec = bench.METHODS[method]
+        split = "target" if spec.on_target else "source_val"
+        base = [
+            "calibrate", "--method", method,
+            "--logits", task_dir / f"{split}_logits.csv",
+            "--labels", task_dir / f"{split}_labels.csv",
+            "--apply", task_dir / "target_logits.csv",
+            "--apply-labels", task_dir / "target_labels.csv",
+            "--probs-out", tmp_path / "probs.csv", "--out", tmp_path / "fit.json",
+        ]
+        with_weights = base + ["--weights", task_dir / "true_weights.csv"]
+        # weights are required exactly by the methods that need them
+        right, wrong = (with_weights, base) if spec.needs_weights else (base, with_weights)
+        assert run(*wrong) == 2
+        assert run(*right) == 0
+        report = read_json(tmp_path / "fit.json")
+        assert report["applied"]["metrics"]["num_samples"] == 400
+        if "temperature" in report["fit"]:
+            probs = load_matrix(tmp_path / "probs.csv")
+            logits = load_matrix(task_dir / "target_logits.csv")
+            rows = np.arange(probs.shape[0])
+            assert np.array_equal(probs[rows, logits.argmax(axis=1)], probs.max(axis=1))
+        if method == "uncalibrated":
+            assert report["fit"]["temperature"] == 1.0
+
+    def test_cpcs_rejects_negative_label(self, task_dir, tmp_path):
+        labels = load_labels(task_dir / "source_val_labels.csv")
+        labels[0] = -1
+        bad = tmp_path / "labels.csv"
+        save_labels(bad, labels)
+        code = run(
+            "calibrate", "--method", "cpcs",
+            "--logits", task_dir / "source_val_logits.csv",
+            "--labels", bad, "--weights", task_dir / "true_weights.csv",
+            "--out", tmp_path / "fit.json",
+        )
+        assert code == 2
+
 
 class TestEvaluate:
     def test_report_shape_and_weighted_ece(self, task_dir, tmp_path):
@@ -386,6 +427,20 @@ class TestBench:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--seeds", "--shifts", "--scales", "--t-trues"])
+    def test_empty_grid_argument_exits_two(self, tmp_path, flag):
+        grid = {"--seeds": "0", "--shifts": "0", "--scales": "1", "--t-trues": "1"}
+        grid[flag] = ""
+        out = tmp_path / "b.json"
+        args = [item for pair in grid.items() for item in pair]
+        assert run("bench", *args, "--n-source", 50, "--n-target", 50, "--out", out) == 2
+        assert not out.exists()
+
+    def test_run_grid_rejects_empty_methods(self):
+        scenarios = bench.default_grid(shifts=(0.0,), scales=(1.0,), temperatures=(1.0,))
+        with pytest.raises(ValueError):
+            bench.run_grid(scenarios=scenarios, seeds=(0,), n_source=50, n_target=50, methods=())
+
 
 class TestErrorPaths:
     def test_missing_file_exits_two(self, tmp_path):
@@ -446,3 +501,11 @@ class TestInstalledEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "t" / "manifest.json").is_file()
+
+
+class TestReadme:
+    def test_method_table_lists_the_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("Methods accepted by `calibrate --method`:")[1].split("\n\n")[1]
+        rows = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+        assert tuple(rows) == bench.ALL_METHODS

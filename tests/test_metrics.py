@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shiftcal import (
-    BinningConfig,
     ProbabilitySet,
     bin_indices,
     brier,
@@ -56,15 +55,11 @@ class TestBinIndices:
             want = [brute_bin_index(float(c), b) for c in conf]
             assert got.tolist() == want
 
-    def test_accepts_binning_config(self):
-        cfg = BinningConfig(num_bins=4)
-        assert bin_indices(np.array([0.3]), cfg)[0] == 1
-
     def test_rejects_bad_bin_counts(self):
         with pytest.raises(ValueError):
             bin_indices(np.array([0.5]), 0)
         with pytest.raises(ValueError):
-            BinningConfig(num_bins=-3)
+            bin_indices(np.array([0.5]), -3)
 
 
 class TestProbabilitySet:

@@ -170,6 +170,28 @@ class TestCpcs:
             fit_cpcs_temperature(logits, labels, np.zeros(2))
 
 
+class TestTemperatureFitsValidateLabels:
+    # numpy would read a -1 label as the last class; tied logits take the
+    # fit's early-return path, which must validate too
+    BAD_LABELS = {
+        "negative": np.full(4, -1),
+        "equal_to_k": np.full(4, 2),
+        "one_short": np.zeros(3, dtype=int),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_LABELS))
+    def test_cpcs_rejects_bad_labels(self, case):
+        logits = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.5], [0.3, 0.1]])
+        with pytest.raises(ValueError):
+            fit_cpcs_temperature(logits, self.BAD_LABELS[case], np.ones(4))
+
+    @pytest.mark.parametrize("case", sorted(BAD_LABELS))
+    def test_nll_rejects_bad_labels_on_tied_logits(self, case):
+        logits = np.tile(np.array([[0.3, -0.1]]), (4, 1))
+        with pytest.raises(ValueError):
+            fit_temperature_nll(logits, self.BAD_LABELS[case])
+
+
 class TestAffineScaling:
     def test_vector_identity_when_already_calibrated(self):
         # labels drawn from the softmax itself leave little to improve

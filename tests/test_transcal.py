@@ -11,7 +11,6 @@ from shiftcal import (
     iwece_objective,
     lambda_transform,
     optimize_transcal,
-    parallel_control_variate,
     renyi_diagnostic,
     serial_control_variate,
     softmax_with_temperature,
@@ -118,55 +117,6 @@ class TestSerialControlVariate:
         assert a == b
 
 
-class TestParallelControlVariate:
-    def test_uncorrelated_second_variate_reduces_to_single(self):
-        # exact zero sample covariances: Cov(u, t2) = Cov(t1, t2) = 0
-        u = np.array([1.0, 2.0, 1.0, 2.0])
-        t1 = np.array([3.0, 5.0, 3.0, 5.0])
-        t2 = np.array([7.0, 7.0, 9.0, 9.0])
-        estimate, coeffs = parallel_control_variate(u, t1, 4.0, t2, 8.0)
-        single, _, c1 = apply_control_variate(u, t1, 4.0)
-        assert coeffs.eta2 == 0.0
-        assert coeffs.eta1 == c1.eta1
-        assert estimate == single
-
-    def test_singular_system_falls_back_to_first_variate(self):
-        rng = np.random.default_rng(7)
-        u = rng.standard_normal(30)
-        t1 = rng.standard_normal(30)
-        t2 = 2.0 * t1
-        estimate, coeffs = parallel_control_variate(u, t1, 0.0, t2, 0.0)
-        single, _, _ = apply_control_variate(u, t1, 0.0)
-        assert estimate == single
-        assert "singular_system_fallback" in coeffs.flags
-        assert coeffs.eta2 is None
-
-    def test_matches_direct_two_by_two_solve(self):
-        rng = np.random.default_rng(11)
-        u = rng.standard_normal(100)
-        t1 = 0.6 * u + rng.standard_normal(100)
-        t2 = -0.4 * u + rng.standard_normal(100)
-        estimate, coeffs = parallel_control_variate(u, t1, 0.1, t2, -0.2)
-        du, d1, d2 = u - u.mean(), t1 - t1.mean(), t2 - t2.mean()
-        system = np.array(
-            [[(d1 * d1).mean(), (d1 * d2).mean()], [(d1 * d2).mean(), (d2 * d2).mean()]]
-        )
-        rhs = -np.array([(du * d1).mean(), (du * d2).mean()])
-        eta = np.linalg.solve(system, rhs)
-        want = u.mean() + eta[0] * (t1.mean() - 0.1) + eta[1] * (t2.mean() + 0.2)
-        assert abs(estimate - want) < 1e-12
-
-    def test_variance_not_worse_than_single_in_population_fit(self):
-        rng = np.random.default_rng(13)
-        u = rng.standard_normal(500)
-        t1 = 0.5 * u + rng.standard_normal(500)
-        t2 = 0.3 * u + rng.standard_normal(500)
-        _, coeffs = parallel_control_variate(u, t1, 0.0, t2, 0.0)
-        adj2 = u + coeffs.eta1 * t1 + coeffs.eta2 * t2
-        _, adj1, _ = apply_control_variate(u, t1, 0.0)
-        assert np.var(adj2) <= np.var(adj1) + 1e-12
-
-
 class TestIweceObjective:
     def test_pinned_tied_logits(self):
         logits = np.array([[0.0, 0.0]])
@@ -208,15 +158,6 @@ class TestTranscalObjective:
         u, wl, conf, correct = oracle_u(logits, labels, weights, t, lam)
         want, _ = serial_control_variate(u, wl, correct, float(conf.mean()))
         got = transcal_objective(logits, labels, weights, t, lam, mode="cv_serial")
-        assert abs(got - want) < 1e-12
-
-    def test_weights_only_mode_matches_single_variate(self):
-        rng = np.random.default_rng(29)
-        logits, labels, weights = sampled_task(rng, n=170)
-        t, lam = 2.2, 0.8
-        u, wl, _, _ = oracle_u(logits, labels, weights, t, lam)
-        want, _, _ = apply_control_variate(u, wl, 1.0)
-        got = transcal_objective(logits, labels, weights, t, lam, mode="cv_weights_only")
         assert abs(got - want) < 1e-12
 
     def test_lambda_zero_ignores_weights(self):
