@@ -29,6 +29,8 @@ __all__ = [
 
 DOMAIN_TAGS = ("source_train", "source_val", "target")
 H_CLAMP = 1e-6
+# backtracking halves a Newton step at most this many times before the fit gives up
+MAX_HALVINGS = 60
 
 
 @dataclass
@@ -39,11 +41,7 @@ class FeatureSet:
     domain: str
 
     def __post_init__(self) -> None:
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError("features must be a non-empty 2-d array")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("features contain non-finite entries")
+        self.features = _as_features(self.features)
         if self.domain not in DOMAIN_TAGS:
             raise ValueError(f"domain must be one of {DOMAIN_TAGS}, got {self.domain!r}")
 
@@ -62,18 +60,17 @@ class DomainClassifierConfig:
 
     ``l2_strength`` of None selects 1/n with n the pooled sample count.
     The fit stops when the gradient norm drops below
-    ``gradient_tolerance`` or after ``max_iterations`` update attempts.
+    ``gradient_tolerance`` or after ``max_iterations`` Newton steps.
     """
 
     l2_strength: float | None = None
-    learning_rate: float = 0.1
     max_iterations: int = 5000
     gradient_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.l2_strength is not None and self.l2_strength < 0.0:
             raise ValueError("l2_strength must be non-negative")
-        if self.learning_rate <= 0.0 or self.max_iterations < 1 or self.gradient_tolerance <= 0.0:
+        if self.max_iterations < 1 or self.gradient_tolerance <= 0.0:
             raise ValueError("invalid domain classifier configuration")
 
 
@@ -120,6 +117,7 @@ class WeightVector:
 
 
 def _as_features(obj) -> np.ndarray:
+    """The one validation path for feature matrices: 2-d, non-empty, finite."""
     if isinstance(obj, FeatureSet):
         return obj.features
     x = np.ascontiguousarray(obj, dtype=np.float64)
@@ -156,14 +154,20 @@ def train_domain_classifier(
     target_features,
     config: DomainClassifierConfig | None = None,
 ) -> DomainClassifier:
-    """Train the source-vs-target discriminator by full-batch gradient descent.
+    """Train the source-vs-target discriminator by damped Newton (IRLS) steps.
 
     Source rows carry domain label 1, target rows 0. Features are
     standardized to zero mean and unit variance using the pooled inputs;
     the statistics are stored on the classifier so new points are mapped
     through the same transform. The loss is mean binary cross-entropy plus
-    an L2 penalty on the weights (bias unpenalized). The learning rate
-    halves whenever a step would increase the loss.
+    an L2 penalty on the weights (bias unpenalized).
+
+    Each step solves the (d+1)x(d+1) system H delta = g for the Newton
+    direction (least squares when H is singular) and halves the step
+    length until the loss is finite and does not rise. The fit converges
+    when the gradient norm drops below ``gradient_tolerance``; it stops
+    unconverged after ``max_iterations`` steps, or when no step length
+    down to 2**-MAX_HALVINGS gives an acceptable loss.
     """
     config = config or DomainClassifierConfig()
     source = _as_features(source_features)
@@ -173,49 +177,62 @@ def train_domain_classifier(
 
     x = np.vstack([source, target])
     y = np.concatenate([np.ones(source.shape[0]), np.zeros(target.shape[0])])
-    n = x.shape[0]
+    n, d = x.shape
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
     xs = (x - mean) / std
     l2 = config.l2_strength if config.l2_strength is not None else 1.0 / n
 
-    def loss_and_grad(w: np.ndarray, b: float) -> tuple[float, np.ndarray, float]:
-        margins = xs @ w + b
+    def loss_at(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        # theta packs the feature weights with the bias last
+        w = theta[:d]
+        margins = xs @ w + theta[d]
         # log(1 + exp(m)) - y*m, numerically stable for large |m|
         loss = float(np.mean(np.logaddexp(0.0, margins) - y * margins))
-        loss += 0.5 * l2 * float(w @ w)
-        residual = (expit(margins) - y) / n
-        grad_w = xs.T @ residual + l2 * w
-        grad_b = float(residual.sum())
-        return loss, grad_w, grad_b
+        return loss + 0.5 * l2 * float(w @ w), margins
 
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    lr = config.learning_rate
-    loss, grad_w, grad_b = loss_and_grad(w, b)
+    penalty = np.full(d + 1, l2)
+    penalty[d] = 0.0
+    theta = np.zeros(d + 1)
+    loss, margins = loss_at(theta)
     converged = False
     iterations = 0
     for _ in range(config.max_iterations):
         iterations += 1
-        grad_norm = math.sqrt(float(grad_w @ grad_w) + grad_b * grad_b)
-        if grad_norm < config.gradient_tolerance:
+        p = expit(margins)
+        residual = (p - y) / n
+        grad = np.append(xs.T @ residual, residual.sum()) + penalty * theta
+        if math.sqrt(float(grad @ grad)) < config.gradient_tolerance:
             converged = True
             break
-        cand_w = w - lr * grad_w
-        cand_b = b - lr * grad_b
-        cand_loss, cand_grad_w, cand_grad_b = loss_and_grad(cand_w, cand_b)
-        if cand_loss > loss:
-            lr *= 0.5
-            if lr < 1e-30:
+        curvature = p * (1.0 - p) / n
+        weighted = xs.T * curvature
+        hess = np.empty((d + 1, d + 1))
+        hess[:d, :d] = weighted @ xs
+        hess[:d, d] = hess[d, :d] = weighted.sum(axis=1)
+        hess[d, d] = curvature.sum()
+        hess += np.diag(penalty)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        alpha = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            cand = theta - alpha * step
+            # an overflowing trial step is expected here and rejected below
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand_loss, cand_margins = loss_at(cand)
+            if math.isfinite(cand_loss) and cand_loss <= loss:
                 break
-            continue
-        w, b = cand_w, cand_b
-        loss, grad_w, grad_b = cand_loss, cand_grad_w, cand_grad_b
+            alpha *= 0.5
+        else:
+            break  # no step length gave a finite, non-increasing loss
+        theta, loss, margins = cand, cand_loss, cand_margins
 
     return DomainClassifier(
-        weights=w,
-        bias=b,
+        weights=theta[:d],
+        bias=float(theta[d]),
         feature_mean=mean,
         feature_std=std,
         l2_strength=float(l2),

@@ -8,9 +8,11 @@ from shiftcal import (
     WeightVector,
     estimate_weights,
     lambda_transform,
+    generate,
     train_domain_classifier,
     upsample_balance,
 )
+from shiftcal.bench import default_grid
 from shiftcal.density_ratio import H_CLAMP
 
 
@@ -19,6 +21,15 @@ def two_blobs(rng, n, separation=4.0, dim=3):
     target = rng.standard_normal((n, dim))
     target[:, 0] += separation
     return source, target
+
+
+def regularized_gradient(clf, source, target):
+    """Gradient of mean BCE + l2/2 ||w||^2 at the fitted (weights, bias)."""
+    x = (np.vstack([source, target]) - clf.feature_mean) / clf.feature_std
+    y = np.concatenate([np.ones(len(source)), np.zeros(len(target))])
+    p = 1.0 / (1.0 + np.exp(-(x @ clf.weights + clf.bias)))
+    grad_w = x.T @ (p - y) / len(y) + clf.l2_strength * clf.weights
+    return np.append(grad_w, np.mean(p - y))
 
 
 class TestFeatureSet:
@@ -91,8 +102,8 @@ class TestTrainDomainClassifier:
         assert np.all(h_source < 1.0)
 
     def test_gradient_convergence_on_well_conditioned_problem(self):
-        # a stronger penalty makes the loss strongly convex, so full-batch
-        # descent drives the gradient below tolerance well within budget
+        # a stronger penalty makes the loss strongly convex, so Newton
+        # steps drive the gradient below tolerance well within budget
         rng = np.random.default_rng(11)
         source, target = two_blobs(rng, 400)
         clf = train_domain_classifier(
@@ -158,9 +169,72 @@ class TestTrainDomainClassifier:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            DomainClassifierConfig(learning_rate=-1.0)
+            DomainClassifierConfig(gradient_tolerance=0.0)
         with pytest.raises(ValueError):
             DomainClassifierConfig(max_iterations=0)
+
+
+class TestNewtonSolve:
+    @staticmethod
+    def _assert_at_optimum(clf, source, target):
+        grad = regularized_gradient(clf, source, target)
+        assert clf.converged
+        assert np.linalg.norm(grad) < DomainClassifierConfig().gradient_tolerance
+        assert clf.iterations <= 20
+
+    def test_two_blobs_reach_the_optimum_in_few_steps(self):
+        source, target = two_blobs(np.random.default_rng(11), 400)
+        clf = train_domain_classifier(source, target)
+        self._assert_at_optimum(clf, source, target)
+
+    def test_default_grid_task_reaches_the_optimum_in_few_steps(self):
+        scenario = dict(default_grid())["shift1.5_scale1.2_t2"]
+        task = generate(scenario, 2000, 2000, seed=3)
+        source, target = upsample_balance(task.source_train, task.target, seed=3)
+        clf = train_domain_classifier(source, target)
+        self._assert_at_optimum(clf, source, target)
+
+    @staticmethod
+    def _assert_finite(clf, features):
+        assert np.all(np.isfinite(clf.weights))
+        assert np.isfinite(clf.bias)
+        assert np.isfinite(clf.final_loss)
+        assert np.all(np.isfinite(estimate_weights(clf, features).values))
+
+    def test_unpenalized_separable_blobs_stay_finite(self):
+        source, target = two_blobs(np.random.default_rng(47), 100, separation=20.0)
+        clf = train_domain_classifier(source, target, DomainClassifierConfig(l2_strength=0.0))
+        self._assert_finite(clf, np.vstack([source, target]))
+
+    def test_unpenalized_constant_column_stays_finite(self):
+        # the standardized constant column is all zeros, so with no penalty
+        # the Hessian is singular and the step falls back to least squares
+        rng = np.random.default_rng(53)
+        source = np.hstack([rng.standard_normal((50, 1)), np.ones((50, 1))])
+        target = np.hstack([rng.standard_normal((50, 1)) + 1.0, np.ones((50, 1))])
+        clf = train_domain_classifier(source, target, DomainClassifierConfig(l2_strength=0.0))
+        self._assert_finite(clf, source)
+        assert clf.weights[1] == 0.0
+
+    def test_overflowing_step_is_rejected(self, monkeypatch):
+        # a direction that overflows the margins gives a NaN or infinite
+        # loss at every step length; the fit must stop where it stands
+        monkeypatch.setattr(np.linalg, "solve", lambda hess, grad: np.full_like(grad, 1e308))
+        source, target = two_blobs(np.random.default_rng(61), 50)
+        clf = train_domain_classifier(source, target)
+        assert not clf.converged
+        assert clf.iterations == 1
+        assert clf.final_loss == pytest.approx(np.log(2.0))
+        self._assert_finite(clf, source)
+
+    @pytest.mark.parametrize("l2_strength", [None, 0.0])
+    def test_one_row_per_domain_stays_finite(self, l2_strength):
+        rng = np.random.default_rng(59)
+        source, target = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
+        clf = train_domain_classifier(
+            source, target, DomainClassifierConfig(l2_strength=l2_strength)
+        )
+        self._assert_finite(clf, rng.standard_normal((5, 3)))
 
 
 class TestEstimateWeights:
