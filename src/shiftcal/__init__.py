@@ -13,9 +13,7 @@ from .density_ratio import (
     DomainClassifier,
     DomainClassifierConfig,
     FeatureSet,
-    WeightVector,
     estimate_weights,
-    lambda_transform,
     train_domain_classifier,
     upsample_balance,
 )
@@ -34,7 +32,6 @@ from .metrics import (
 )
 from .scaling import (
     AffineScaleParam,
-    ScalingFitConfig,
     TemperatureParam,
     apply_affine_scaling,
     fit_cpcs_temperature,
@@ -78,11 +75,9 @@ __all__ = [
     "GeneratedTask",
     "ProbabilitySet",
     "ReliabilityBins",
-    "ScalingFitConfig",
     "ShiftScenario",
     "TemperatureParam",
     "TransCalSolution",
-    "WeightVector",
     "__version__",
     "apply_affine_scaling",
     "apply_control_variate",
@@ -99,7 +94,6 @@ __all__ = [
     "generate",
     "iwece_objective",
     "label_stream_seed",
-    "lambda_transform",
     "metric_report",
     "nll",
     "optimize_transcal",

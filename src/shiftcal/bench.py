@@ -18,7 +18,6 @@ import numpy as np
 
 from .density_ratio import (
     DomainClassifier,
-    WeightVector,
     estimate_weights,
     train_domain_classifier,
     upsample_balance,
@@ -133,14 +132,20 @@ def default_grid(
     return grid
 
 
-def estimate_task_weights(task: GeneratedTask, seed: int) -> tuple[DomainClassifier, WeightVector]:
-    """Feature-only weight pipeline: balance splits, train, score validation."""
-    balanced_source, balanced_target = upsample_balance(task.source_train, task.target, seed)
+def estimate_task_weights(
+    source, target, eval_features, seed: int
+) -> tuple[DomainClassifier, np.ndarray]:
+    """Feature-only weight pipeline: balance the splits, train, score ``eval_features``.
+
+    Shared by ``run_single`` and the ``weights`` and ``calibrate`` commands.
+    Both balanced splits have max(n_source, n_target) rows.
+    """
+    balanced_source, balanced_target = upsample_balance(source, target, seed)
     classifier = train_domain_classifier(balanced_source, balanced_target)
-    return classifier, estimate_weights(classifier, task.source_val)
+    return classifier, estimate_weights(classifier, eval_features)
 
 
-def _fit_entry(method: str, task: GeneratedTask, weights: WeightVector | None, bins: int) -> dict:
+def _fit_entry(method: str, task: GeneratedTask, weights: np.ndarray | None, bins: int) -> dict:
     spec = METHODS[method]
     if spec.on_target:
         fitted = spec.fit(task.target_logits, task.target_labels, None, bins)
@@ -188,11 +193,13 @@ def run_single(
         "true_temperature": float(scenario.distortion_temperature),
     }
     if any(METHODS[m].needs_weights for m in methods):
-        classifier, weights = estimate_task_weights(task, seed)
+        classifier, weights = estimate_task_weights(
+            task.source_train, task.target, task.source_val, seed
+        )
         record["weights"] = {
-            "max": float(weights.values.max()),
-            "mean": float(weights.values.mean()),
-            "renyi_2": renyi_diagnostic(weights.values, 1.0),
+            "max": float(weights.max()),
+            "mean": float(weights.mean()),
+            "renyi_2": renyi_diagnostic(weights, 1.0),
             "classifier_converged": bool(classifier.converged),
         }
     record["methods"] = {m: _fit_entry(m, task, weights, bins) for m in methods}

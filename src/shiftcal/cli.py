@@ -22,12 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as benchmod
-from .density_ratio import (
-    WeightVector,
-    estimate_weights,
-    train_domain_classifier,
-    upsample_balance,
-)
 from .errors import DegeneracyError
 from .matrixio import (
     dump_json,
@@ -37,7 +31,7 @@ from .matrixio import (
     save_labels,
     save_matrix,
 )
-from .metrics import ProbabilitySet, metric_report, reliability_bins, weighted_ece
+from .metrics import ProbabilitySet, check_weights, metric_report, reliability_bins, weighted_ece
 from .scaling import AffineScaleParam
 from .synthshift import ShiftScenario, generate
 from .transcal import TransCalSolution, renyi_diagnostic
@@ -59,11 +53,11 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _load_weight_vector(path) -> WeightVector:
+def _load_weights(path) -> np.ndarray:
     values = load_matrix(path)
     if values.shape[1] != 1:
         raise ValueError(f"{path}: weights must be a single-column file")
-    return WeightVector(values=values[:, 0], kind="raw")
+    return check_weights(values[:, 0])
 
 
 def _write_report(path, kind: str, payload: dict) -> None:
@@ -140,10 +134,8 @@ def _cmd_weights(args) -> int:
     source = load_matrix(args.source_features)
     target = load_matrix(args.target_features)
     eval_features = load_matrix(args.eval_features)
-    balanced_source, balanced_target = upsample_balance(source, target, args.seed)
-    classifier = train_domain_classifier(balanced_source, balanced_target)
-    weights = estimate_weights(classifier, eval_features)
-    save_matrix(args.out, weights.values.reshape(-1, 1))
+    classifier, weights = benchmod.estimate_task_weights(source, target, eval_features, args.seed)
+    save_matrix(args.out, weights.reshape(-1, 1))
     if args.report:
         _write_report(
             args.report,
@@ -151,7 +143,7 @@ def _cmd_weights(args) -> int:
             {
                 "num_source": int(source.shape[0]),
                 "num_target": int(target.shape[0]),
-                "num_balanced": int(balanced_source.shape[0]),
+                "num_balanced": max(source.shape[0], target.shape[0]),
                 "num_eval": int(eval_features.shape[0]),
                 "seed": args.seed,
                 "classifier": {
@@ -162,9 +154,9 @@ def _cmd_weights(args) -> int:
                 },
                 "weights": {
                     "file": str(args.out),
-                    "max": float(weights.values.max()),
-                    "mean": float(weights.values.mean()),
-                    "min": float(weights.values.min()),
+                    "max": float(weights.max()),
+                    "mean": float(weights.mean()),
+                    "min": float(weights.min()),
                 },
             },
         )
@@ -175,20 +167,21 @@ def _cmd_weights(args) -> int:
 # ---------------------------------------------------------------- calibrate
 
 
-def _resolve_weights(args) -> WeightVector:
+def _resolve_weights(args) -> np.ndarray:
     if args.weights:
-        return _load_weight_vector(args.weights)
+        return _load_weights(args.weights)
     trio = (args.source_features, args.target_features, args.eval_features)
     if not all(trio):
         raise ValueError(
             f"method {args.method!r} needs --weights, or --source-features, "
             "--target-features and --eval-features to estimate them"
         )
-    balanced_source, balanced_target = upsample_balance(
-        load_matrix(args.source_features), load_matrix(args.target_features), args.seed
-    )
-    classifier = train_domain_classifier(balanced_source, balanced_target)
-    return estimate_weights(classifier, load_matrix(args.eval_features))
+    return benchmod.estimate_task_weights(
+        load_matrix(args.source_features),
+        load_matrix(args.target_features),
+        load_matrix(args.eval_features),
+        args.seed,
+    )[1]
 
 
 def _cmd_calibrate(args) -> int:
@@ -263,8 +256,8 @@ def _cmd_evaluate(args) -> int:
         "confidence": table.confidence,
     }
     if args.weights:
-        weights = _load_weight_vector(args.weights)
-        report["weighted_ece"] = weighted_ece(probs, labels, weights.values, args.bins)
+        weights = _load_weights(args.weights)
+        report["weighted_ece"] = weighted_ece(probs, labels, weights, args.bins)
     _write_report(args.out, "evaluation", report)
     print(args.out)
     return 0
@@ -274,8 +267,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    weights = _load_weight_vector(args.weights)
-    values = weights.values
+    values = _load_weights(args.weights)
     top = float(values.max())
     # histogram edges span [0, max] exactly; degenerate all-zero vectors use [0, 1]
     edges = np.linspace(0.0, top if top > 0.0 else 1.0, args.histogram_bins + 1)

@@ -14,15 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .metrics import check_weights
-
 __all__ = [
     "DomainClassifier",
     "DomainClassifierConfig",
     "FeatureSet",
-    "WeightVector",
     "estimate_weights",
-    "lambda_transform",
     "train_domain_classifier",
     "upsample_balance",
 ]
@@ -99,23 +95,6 @@ class DomainClassifier:
         return expit(standardized @ self.weights + self.bias)
 
 
-@dataclass
-class WeightVector:
-    """Importance weights plus provenance of the lambda transform."""
-
-    values: np.ndarray
-    kind: str = "raw"
-    lambda_used: float | None = None
-    max_weight: float = math.nan
-
-    def __post_init__(self) -> None:
-        self.values = check_weights(self.values)
-        if self.kind not in ("raw", "lambda_transformed"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if math.isnan(self.max_weight):
-            self.max_weight = float(self.values.max())
-
-
 def _as_features(obj) -> np.ndarray:
     """The one validation path for feature matrices: 2-d, non-empty, finite."""
     if isinstance(obj, FeatureSet):
@@ -179,8 +158,9 @@ def train_domain_classifier(
     y = np.concatenate([np.ones(source.shape[0]), np.zeros(target.shape[0])])
     n, d = x.shape
     mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
+    # a constant column can get a rounding-sized std (3.5e-16 for 0.1), which
+    # would blow up any new value in it; such columns keep unit scale
+    std = np.where(x.max(axis=0) == x.min(axis=0), 1.0, x.std(axis=0))
     xs = (x - mean) / std
     l2 = config.l2_strength if config.l2_strength is not None else 1.0 / n
 
@@ -242,31 +222,13 @@ def train_domain_classifier(
     )
 
 
-def estimate_weights(classifier: DomainClassifier, features) -> WeightVector:
+def estimate_weights(classifier: DomainClassifier, features) -> np.ndarray:
     """Density-ratio weights w(x) = (1 - H(x)) / H(x) on evaluation features.
 
+    Returns a 1-d float64 array with one weight per row of ``features``.
     H is clamped to [1e-6, 1 - 1e-6] before the ratio, bounding the
     weights away from 0 and infinity.
     """
     h = classifier.predict_source_probability(features)
     h = np.clip(h, H_CLAMP, 1.0 - H_CLAMP)
-    values = (1.0 - h) / h
-    return WeightVector(values=values, kind="raw", lambda_used=None)
-
-
-def lambda_transform(weights: WeightVector, lam: float) -> WeightVector:
-    """Elementwise power w^lam with lam in [0, 1].
-
-    lam = 1 returns the raw weights unchanged; lam = 0 flattens them to 1.
-    Whenever the raw maximum is at least 1, the transformed maximum cannot
-    exceed it. Only raw vectors may be transformed.
-    """
-    if not isinstance(weights, WeightVector):
-        raise ValueError("lambda_transform expects a WeightVector")
-    if weights.kind != "raw":
-        raise ValueError("weights were already lambda-transformed")
-    lam = float(lam)
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    values = np.power(weights.values, lam)
-    return WeightVector(values=values, kind="lambda_transformed", lambda_used=lam)
+    return (1.0 - h) / h

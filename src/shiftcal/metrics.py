@@ -157,13 +157,13 @@ def check_labels(labels: np.ndarray, num_classes: int, n: int) -> np.ndarray:
 
 
 def check_weights(weights, n: int | None = None) -> np.ndarray:
-    """Validate importance weights given as an array or anything with ``.values``.
+    """Validate importance weights given as a 1-d array-like.
 
     Returns a non-empty 1-d float64 array of finite, non-negative values,
     of length ``n`` when ``n`` is given. What an all-zero vector means is
     left to the caller.
     """
-    values = np.asarray(getattr(weights, "values", weights), dtype=np.float64)
+    values = np.asarray(weights, dtype=np.float64)
     if values.ndim != 1 or values.shape[0] < 1:
         raise ValueError("weights must be a non-empty 1-d array")
     if n is not None and values.shape[0] != n:

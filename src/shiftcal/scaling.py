@@ -17,7 +17,6 @@ from .metrics import ProbabilitySet, check_labels, check_weights, nll
 
 __all__ = [
     "AffineScaleParam",
-    "ScalingFitConfig",
     "T_MAX",
     "T_MIN",
     "TemperatureParam",
@@ -34,6 +33,10 @@ T_MIN = 0.05
 T_MAX = 100.0
 SEARCH_TOL = 1e-4
 _GRID_SIZE = 50
+# full-batch gradient descent for vector and matrix scaling
+AFFINE_LEARNING_RATE = 0.01
+AFFINE_MAX_ITERATIONS = 2000
+AFFINE_MIN_IMPROVEMENT = 1e-8
 
 
 @dataclass
@@ -46,19 +49,6 @@ class TemperatureParam:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t) and self.t > 0.0):
             raise ValueError(f"temperature must be positive and finite, got {self.t!r}")
-
-
-@dataclass
-class ScalingFitConfig:
-    """Full-batch gradient descent settings for vector and matrix scaling."""
-
-    learning_rate: float = 0.01
-    max_iterations: int = 2000
-    min_improvement: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0 or self.max_iterations < 1 or self.min_improvement < 0.0:
-            raise ValueError("invalid scaling fit configuration")
 
 
 @dataclass
@@ -87,6 +77,17 @@ def _check_logits(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
+def _softmax_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted exponentials of the rows of ``z`` and their row sums.
+
+    Overwrites ``z``: subtracts each row's max, exponentiates in place and
+    returns ``(z, z.sum(axis=1, keepdims=True))``. The softmax is ``z / sums``.
+    """
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    return z, z.sum(axis=1, keepdims=True)
+
+
 def softmax_with_temperature(logits: np.ndarray, temperature: float) -> ProbabilitySet:
     """Softmax of logits / temperature; the row argmax is that of the raw logits.
 
@@ -97,10 +98,8 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> Probabil
     t = float(temperature)
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
-    z = logits / t
-    z -= z.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
+    p, sums = _softmax_terms(logits / t)
+    p /= sums
     predictions = np.argmax(logits, axis=1)
     confidences = p[np.arange(p.shape[0]), predictions]
     return ProbabilitySet(probs=p, predictions=predictions, confidences=confidences)
@@ -197,7 +196,7 @@ def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> Tem
     onehot_rows = np.arange(n)
 
     def objective(t: float) -> float:
-        p = softmax_with_temperature(logits, t).probs.copy()
+        p = softmax_with_temperature(logits, t).probs
         p[onehot_rows, labels] -= 1.0
         per_sample = (p * p).sum(axis=1) / k
         return float(np.dot(w, per_sample)) / w_total
@@ -208,6 +207,10 @@ def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> Tem
 
 def _softmax_ce(transformed: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of softmax(transformed) and its gradient in the logits.
+
+    This is the one log-softmax. It does not reuse ``_softmax_terms``: the
+    loss needs ``shifted - log(denom)`` bit for bit, which taking the log of
+    the normalized exponentials would not reproduce.
 
     Overflow is not a programming error here: a non-finite loss is the
     divergence signal the caller turns into DegeneracyError.
@@ -225,7 +228,7 @@ def _softmax_ce(transformed: np.ndarray, labels: np.ndarray) -> tuple[float, np.
     return loss, grad
 
 
-def _fit_affine(logits: np.ndarray, labels: np.ndarray, kind: str, config: ScalingFitConfig) -> AffineScaleParam:
+def _fit_affine(logits: np.ndarray, labels: np.ndarray, kind: str) -> AffineScaleParam:
     logits = _check_logits(logits)
     n, k = logits.shape
     labels = check_labels(labels, k, n)
@@ -235,19 +238,19 @@ def _fit_affine(logits: np.ndarray, labels: np.ndarray, kind: str, config: Scali
         scale = np.eye(k)
     bias = np.zeros(k)
 
-    lr = config.learning_rate
+    lr = AFFINE_LEARNING_RATE
     prev_loss = math.inf
     initial_loss = math.nan
     converged = False
     iterations = 0
-    for it in range(config.max_iterations):
+    for it in range(AFFINE_MAX_ITERATIONS):
         transformed = logits * scale + bias if kind == "vector" else logits @ scale.T + bias
         loss, grad = _softmax_ce(transformed, labels)
         if not math.isfinite(loss):
             raise DegeneracyError(f"{kind} scaling diverged: non-finite loss at iteration {it}")
         if it == 0:
             initial_loss = loss
-        if prev_loss - loss < config.min_improvement and it > 0:
+        if prev_loss - loss < AFFINE_MIN_IMPROVEMENT and it > 0:
             converged = True
             break
         prev_loss = loss
@@ -273,18 +276,14 @@ def _fit_affine(logits: np.ndarray, labels: np.ndarray, kind: str, config: Scali
     )
 
 
-def fit_vector_scaling(
-    logits: np.ndarray, labels: np.ndarray, config: ScalingFitConfig | None = None
-) -> AffineScaleParam:
+def fit_vector_scaling(logits: np.ndarray, labels: np.ndarray) -> AffineScaleParam:
     """Fit per-class scale and bias by full-batch gradient descent on NLL."""
-    return _fit_affine(logits, labels, "vector", config or ScalingFitConfig())
+    return _fit_affine(logits, labels, "vector")
 
 
-def fit_matrix_scaling(
-    logits: np.ndarray, labels: np.ndarray, config: ScalingFitConfig | None = None
-) -> AffineScaleParam:
+def fit_matrix_scaling(logits: np.ndarray, labels: np.ndarray) -> AffineScaleParam:
     """Fit a full K x K transform and bias by full-batch gradient descent on NLL."""
-    return _fit_affine(logits, labels, "matrix", config or ScalingFitConfig())
+    return _fit_affine(logits, labels, "matrix")
 
 
 def apply_affine_scaling(logits: np.ndarray, param: AffineScaleParam) -> ProbabilitySet:
@@ -300,9 +299,8 @@ def apply_affine_scaling(logits: np.ndarray, param: AffineScaleParam) -> Probabi
         transformed = logits @ param.scale.T + param.bias
     else:
         raise ValueError(f"unknown affine scaling kind {param.kind!r}")
-    z = transformed - transformed.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
+    p, sums = _softmax_terms(transformed)
+    p /= sums
     predictions = np.argmax(p, axis=1)
     confidences = p[np.arange(p.shape[0]), predictions]
     return ProbabilitySet(probs=p, predictions=predictions, confidences=confidences)

@@ -22,10 +22,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .density_ratio import WeightVector
 from .errors import DegeneracyError
 from .metrics import bin_indices, check_labels, check_weights, per_sample_residuals
-from .scaling import T_MAX, T_MIN, SEARCH_TOL, TemperatureParam, softmax_with_temperature
+from .scaling import (
+    SEARCH_TOL,
+    T_MAX,
+    T_MIN,
+    TemperatureParam,
+    _check_logits,
+    _softmax_terms,
+    softmax_with_temperature,
+)
 
 __all__ = [
     "ControlVariateCoefficients",
@@ -145,9 +152,10 @@ def serial_control_variate(
     with the correctness indicator against ``mean_confidence``, the value
     correctness would average to under perfect calibration. Constant
     correctness (all right or all wrong) skips stage two with a flag.
+    ``weights`` is a 1-d array of the (possibly lambda-flattened) weights,
+    one per sample.
     """
-    w = np.asarray(getattr(weights, "values", weights), dtype=np.float64)
-    est1, adjusted, c1 = apply_control_variate(u_samples, w, 1.0)
+    est1, adjusted, c1 = apply_control_variate(u_samples, weights, 1.0)
     r = _check_samples(correctness, "correctness")
     cov2, var2 = _moments(adjusted, r)
     if var2 == 0.0:
@@ -192,11 +200,9 @@ class _ObjectiveContext:
     """Precomputed arrays for repeated (t, lambda) objective evaluations."""
 
     def __init__(self, logits: np.ndarray, labels: np.ndarray, weight_values: np.ndarray, num_bins: int):
-        logits = np.ascontiguousarray(logits, dtype=np.float64)
-        if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2:
+        logits = _check_logits(logits)
+        if logits.shape[1] < 2:
             raise ValueError("logits must be a 2-d array with at least two classes")
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("logits contain non-finite entries")
         n = logits.shape[0]
         labels = check_labels(labels, logits.shape[1], n)
         if weight_values.shape[0] != n:
@@ -212,10 +218,9 @@ class _ObjectiveContext:
         self._rows = np.arange(n)
 
     def confidences(self, t: float) -> np.ndarray:
-        z = self.logits / t
-        z = z - z.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        return p[self._rows, self.predictions] / p.sum(axis=1)
+        # normalizing only the gathered entries is cheaper than the full matrix
+        e, sums = _softmax_terms(self.logits / t)
+        return e[self._rows, self.predictions] / sums[:, 0]
 
     def samples(self, t: float, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-sample weighted binned-gap contributions at (t, lambda).
@@ -294,8 +299,6 @@ def optimize_transcal(
     is deterministic and every evaluation is recorded in the trace.
     """
     mode = EstimatorMode(mode) if not isinstance(mode, EstimatorMode) else mode
-    if isinstance(weights, WeightVector) and weights.kind != "raw":
-        raise ValueError("optimize_transcal expects raw (untransformed) weights")
     values = check_weights(weights)
     if float(values.max()) == 0.0:
         raise DegeneracyError(

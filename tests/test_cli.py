@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -466,6 +467,28 @@ class TestErrorPaths:
         code = run("diagnose", "--weights", wide, "--out", tmp_path / "d.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["calibrate", "evaluate", "diagnose"])
+    def test_negative_weight_exits_two(self, task_dir, tmp_path, capsys, command):
+        weights = load_matrix(task_dir / "true_weights.csv")
+        weights[1, 0] = -1.0
+        bad = tmp_path / "bad.csv"
+        save_matrix(bad, weights)
+        probs = tmp_path / "probs.csv"
+        save_matrix(probs, np.full((weights.shape[0], 2), 0.5))
+        argv = {
+            "calibrate": (
+                "calibrate", "--method", "cpcs",
+                "--logits", task_dir / "source_val_logits.csv",
+                "--labels", task_dir / "source_val_labels.csv",
+            ),
+            "evaluate": ("evaluate", "--probs", probs, "--labels", task_dir / "source_val_labels.csv"),
+            "diagnose": ("diagnose",),
+        }[command]
+        code = run(*argv, "--weights", bad, "--out", tmp_path / "report.json")
+        assert code == 2
+        assert "weights must be finite and non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestInstalledEntryPoint:
     def test_console_script_runs(self, tmp_path):
@@ -509,3 +532,12 @@ class TestReadme:
         table = readme.split("Methods accepted by `calibrate --method`:")[1].split("\n\n")[1]
         rows = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
         assert tuple(rows) == bench.ALL_METHODS
+
+    def test_quick_start_runs_and_lands_where_the_prose_says(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Quick start")[1]
+        code = section.split("```python\n")[1].split("```")[0]
+        stated = re.search(r"lands\s+at (\d+\.\d+)", section).group(1)
+        exec(compile(code, "README.md", "exec"), {})
+        t_star = float(capsys.readouterr().out.split()[0])
+        assert f"{t_star:.2f}" == stated

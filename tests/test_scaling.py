@@ -6,8 +6,6 @@ import pytest
 from shiftcal import (
     DegeneracyError,
     ProbabilitySet,
-    ScalingFitConfig,
-    WeightVector,
     apply_affine_scaling,
     brier,
     fit_cpcs_temperature,
@@ -18,7 +16,7 @@ from shiftcal import (
     nll,
     softmax_with_temperature,
 )
-from shiftcal.scaling import SEARCH_TOL, T_MAX, T_MIN, TemperatureParam, _GRID_SIZE
+from shiftcal.scaling import AFFINE_MAX_ITERATIONS, SEARCH_TOL, T_MAX, T_MIN, TemperatureParam, _GRID_SIZE
 
 
 def random_logits(rng, n, k, scale=3.0):
@@ -142,7 +140,7 @@ class TestCpcs:
         labels = rng.integers(0, 4, size=300)
         w = rng.random(300) + 0.2
         a = fit_cpcs_temperature(logits, labels, w)
-        b = fit_cpcs_temperature(logits, labels, WeightVector(values=w))
+        b = fit_cpcs_temperature(logits, labels, w.tolist())
         assert a.t == b.t
 
     def test_weights_steer_the_fit(self):
@@ -215,7 +213,7 @@ class TestAffineScaling:
         labels = (rng.random(2000)[:, None] < cum).argmax(axis=1)
         param = fit_vector_scaling(logits, labels)
         assert param.final_loss < param.initial_loss
-        assert param.iterations <= ScalingFitConfig().max_iterations
+        assert param.iterations <= AFFINE_MAX_ITERATIONS
 
     def test_matrix_shapes_and_improvement(self):
         rng = np.random.default_rng(41)
@@ -249,12 +247,6 @@ class TestAffineScaling:
     def test_rejects_mismatched_labels(self):
         with pytest.raises(ValueError):
             fit_vector_scaling(np.array([[1.0, 0.0]]), np.array([2]))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ScalingFitConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            ScalingFitConfig(max_iterations=0)
 
 
 class TestDegeneracySignaling:
