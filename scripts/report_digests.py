@@ -1,0 +1,165 @@
+"""Digest every file the CLI writes over a fixed set of runs.
+
+Usage::
+
+    PYTHONPATH=src python scripts/report_digests.py OUT_DIR > digests.txt
+
+OUT_DIR must be empty or absent. The script calls ``shiftcal.cli.main``
+in-process (whichever ``shiftcal`` the import path finds) for:
+
+* ``gen-synth`` as CSV at K = 3 and K = 10, and as f32 at K = 3;
+* ``weights --report``;
+* ``calibrate --apply --apply-labels --probs-out`` for every method in
+  ``bench.ALL_METHODS`` on each task, weighted methods both with the true
+  weight file and with inline feature files;
+* ``evaluate`` with and without weights, and ``diagnose``;
+* ``bench --seeds 0,1`` with every method on a small grid;
+* a list of bad inputs, each printed with its exit code and stderr.
+
+It prints ``sha256  relative/path`` for every file under OUT_DIR, then one
+line per bad input. OUT_DIR is replaced by ``OUT_DIR`` in stderr, but
+reports that record file paths still hold it, so two trees compare only
+when both runs use the same OUT_DIR path. To check that a change leaves
+the reports unchanged, run it on both trees and diff::
+
+    PYTHONPATH=../base/src python scripts/report_digests.py /tmp/digests > base.txt
+    rm -rf /tmp/digests
+    PYTHONPATH=src python scripts/report_digests.py /tmp/digests > head.txt
+    diff base.txt head.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import shiftcal
+from shiftcal import bench, cli
+
+# name, gen-synth flags, matrix suffix
+TASKS = (
+    ("k3", ["--dimension", "4", "--classes", "3", "--n-source", "600", "--n-target", "400"], ".csv"),
+    ("k10", ["--dimension", "10", "--classes", "10", "--n-source", "1000", "--n-target", "500"], ".csv"),
+    ("k3f32", ["--dimension", "4", "--classes", "3", "--n-source", "600", "--n-target", "400",
+               "--format", "f32"], ".f32"),
+)
+
+
+def run(out: Path, argv: list) -> tuple[int, str]:
+    """Exit code and stderr of one CLI call; argparse errors count as exits."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue().replace(str(out), "OUT_DIR")
+
+
+def checked(out: Path, argv: list) -> None:
+    code, err = run(out, argv)
+    if code != 0:
+        raise SystemExit(f"{' '.join(map(str, argv))} exited {code}: {err}")
+
+
+def good_runs(out: Path) -> None:
+    for name, flags, ext in TASKS:
+        d = out / name
+        checked(out, ["gen-synth", "--out", d, "--seed", "3", *flags])
+        features = [
+            "--source-features", d / f"source_train_features{ext}",
+            "--target-features", d / f"target_features{ext}",
+            "--eval-features", d / f"source_val_features{ext}",
+        ]
+        checked(out, ["weights", *features, "--out", d / "est_weights.csv", "--report", d / "weights.json"])
+        for method in bench.ALL_METHODS:
+            spec = bench.METHODS[method]
+            split = "target" if spec.on_target else "source_val"
+            fit = ["calibrate", "--method", method,
+                   "--logits", d / f"{split}_logits{ext}", "--labels", d / f"{split}_labels.csv"]
+            variants = {"": []}
+            if spec.needs_weights:
+                variants = {"-wfile": ["--weights", d / "true_weights.csv"], "-inline": features}
+            for tag, extra in variants.items():
+                stem = d / f"{method}{tag}"
+                checked(out, [*fit, *extra,
+                              "--apply", d / f"target_logits{ext}",
+                              "--apply-labels", d / "target_labels.csv",
+                              "--probs-out", f"{stem}_probs{ext}", "--out", f"{stem}.json"])
+        # source-validation probabilities, so the weight files line up for evaluate
+        checked(out, ["calibrate", "--method", "temp",
+                      "--logits", d / f"source_val_logits{ext}", "--labels", d / "source_val_labels.csv",
+                      "--apply", d / f"source_val_logits{ext}", "--probs-out", d / f"val_probs{ext}",
+                      "--out", d / "val_fit.json"])
+        scored = ["evaluate", "--probs", d / f"val_probs{ext}", "--labels", d / "source_val_labels.csv"]
+        checked(out, [*scored, "--out", d / "eval.json"])
+        checked(out, [*scored, "--weights", d / "true_weights.csv", "--out", d / "eval_weighted.json"])
+        checked(out, [*scored, "--weights", d / "est_weights.csv", "--bins", "10",
+                      "--out", d / "eval_est.json"])
+        checked(out, ["diagnose", "--weights", d / "true_weights.csv", "--out", d / "diag.json"])
+        checked(out, ["diagnose", "--weights", d / "est_weights.csv", "--alphas", "0.5,2,4",
+                      "--histogram-bins", "7", "--out", d / "diag_est.json"])
+    checked(out, ["bench", "--out", out / "bench.json", "--seeds", "0,1",
+                  "--methods", ",".join(bench.ALL_METHODS), "--n-source", "600", "--n-target", "600",
+                  "--shifts", "0,1.5", "--scales", "1,1.2", "--t-trues", "2"])
+
+
+def bad_runs(out: Path) -> list[tuple[str, int, str]]:
+    d = out / "k3"
+    bad = out / "bad"
+    bad.mkdir()
+    negative = np.ones((120, 1))
+    negative[1, 0] = -1.0
+    np.savetxt(bad / "negative.csv", negative, fmt="%.17g")
+    np.savetxt(bad / "zeros.csv", np.zeros((120, 1)), fmt="%.17g")
+    np.savetxt(bad / "wide.csv", np.ones((4, 2)), fmt="%.17g", delimiter=",")
+    fit = ["calibrate", "--logits", d / "source_val_logits.csv", "--labels", d / "source_val_labels.csv"]
+    weights = ["--weights", d / "true_weights.csv"]
+    cases = {
+        "diagnose-histogram-bins-0": ["diagnose", *weights, "--histogram-bins", "0"],
+        "diagnose-histogram-bins-neg": ["diagnose", *weights, "--histogram-bins", "-1"],
+        "diagnose-negative-weight": ["diagnose", "--weights", bad / "negative.csv"],
+        "diagnose-wide-weights": ["diagnose", "--weights", bad / "wide.csv"],
+        "temp-with-weights": [*fit, "--method", "temp", *weights],
+        "temp-with-features": [*fit, "--method", "temp", "--source-features", d / "source_train_features.csv"],
+        "cpcs-weights-and-features": [*fit, "--method", "cpcs", *weights, "--source-features", "/nonexistent"],
+        "cpcs-negative-weight": [*fit, "--method", "cpcs", "--weights", bad / "negative.csv"],
+        "transcal-no-weights": [*fit, "--method", "transcal"],
+        "transcal-zero-weights": [*fit, "--method", "transcal", "--weights", bad / "zeros.csv"],
+        "transcal-bins-0": [*fit, "--method", "transcal", *weights, "--bins", "0"],
+        "probs-out-without-apply": [*fit, "--method", "temp", "--probs-out", bad / "p.csv"],
+        "evaluate-missing-file": ["evaluate", "--probs", bad / "nope.csv", "--labels", bad / "nope.csv"],
+    }
+    results = []
+    for name, argv in cases.items():
+        code, err = run(out, [*argv, "--out", bad / f"{name}.json"])
+        results.append((name, code, err))
+    return results
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    if out.exists() and any(out.iterdir()):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 2
+    out.mkdir(parents=True, exist_ok=True)
+    print(f"shiftcal from {Path(shiftcal.__file__).parent}", file=sys.stderr)
+    good_runs(out)
+    bad = bad_runs(out)
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
+    for name, code, err in bad:
+        print(f"bad {name}: exit {code}: {' | '.join(err.strip().splitlines())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

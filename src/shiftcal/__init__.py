@@ -12,7 +12,6 @@ from .bench import default_grid, run_grid, run_single
 from .density_ratio import (
     DomainClassifier,
     DomainClassifierConfig,
-    FeatureSet,
     estimate_weights,
     train_domain_classifier,
     upsample_balance,
@@ -55,7 +54,6 @@ from .transcal import (
     EstimatorMode,
     TransCalSolution,
     apply_control_variate,
-    iwece_objective,
     optimize_transcal,
     renyi_diagnostic,
     serial_control_variate,
@@ -71,7 +69,6 @@ __all__ = [
     "DomainClassifier",
     "DomainClassifierConfig",
     "EstimatorMode",
-    "FeatureSet",
     "GeneratedTask",
     "ProbabilitySet",
     "ReliabilityBins",
@@ -92,7 +89,6 @@ __all__ = [
     "fit_temperature_nll",
     "fit_vector_scaling",
     "generate",
-    "iwece_objective",
     "label_stream_seed",
     "metric_report",
     "nll",

@@ -91,9 +91,9 @@ def _cmd_gen_synth(args) -> int:
         writer(out / name, payload)
         files[stem] = name
 
-    put("source_train_features", save_matrix, task.source_train.features)
-    put("source_val_features", save_matrix, task.source_val.features)
-    put("target_features", save_matrix, task.target.features)
+    put("source_train_features", save_matrix, task.source_train)
+    put("source_val_features", save_matrix, task.source_val)
+    put("target_features", save_matrix, task.target)
     put("source_train_logits", save_matrix, task.source_train_logits)
     put("source_val_logits", save_matrix, task.source_val_logits)
     put("target_logits", save_matrix, task.target_logits)
@@ -116,8 +116,8 @@ def _cmd_gen_synth(args) -> int:
         "n_source": args.n_source,
         "n_target": args.n_target,
         "val_fraction": args.val_fraction,
-        "n_source_train": task.source_train.num_samples,
-        "n_source_val": task.source_val.num_samples,
+        "n_source_train": task.source_train.shape[0],
+        "n_source_val": task.source_val.shape[0],
         "format": args.format,
         "files": files,
         "notes": "target_labels are for evaluation only; no fitting step reads them",
@@ -167,10 +167,19 @@ def _cmd_weights(args) -> int:
 # ---------------------------------------------------------------- calibrate
 
 
+def _feature_files(args) -> tuple:
+    return (args.source_features, args.target_features, args.eval_features)
+
+
 def _resolve_weights(args) -> np.ndarray:
+    trio = _feature_files(args)
     if args.weights:
+        if any(trio):
+            raise ValueError(
+                "pass either --weights or the --source-features, --target-features "
+                "and --eval-features files, not both"
+            )
         return _load_weights(args.weights)
-    trio = (args.source_features, args.target_features, args.eval_features)
     if not all(trio):
         raise ValueError(
             f"method {args.method!r} needs --weights, or --source-features, "
@@ -192,7 +201,7 @@ def _cmd_calibrate(args) -> int:
     weights = None
     if method.needs_weights:
         weights = _resolve_weights(args)
-    elif args.weights:
+    elif args.weights or any(_feature_files(args)):
         raise ValueError(f"method {args.method!r} does not take importance weights")
 
     fitted = method.fit(logits, labels, weights, args.bins)
@@ -267,6 +276,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    if args.histogram_bins < 1:
+        raise ValueError(f"--histogram-bins must be at least 1, got {args.histogram_bins}")
     values = _load_weights(args.weights)
     top = float(values.max())
     # histogram edges span [0, max] exactly; degenerate all-zero vectors use [0, 1]

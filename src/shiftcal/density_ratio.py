@@ -17,37 +17,14 @@ from scipy.special import expit
 __all__ = [
     "DomainClassifier",
     "DomainClassifierConfig",
-    "FeatureSet",
     "estimate_weights",
     "train_domain_classifier",
     "upsample_balance",
 ]
 
-DOMAIN_TAGS = ("source_train", "source_val", "target")
 H_CLAMP = 1e-6
 # backtracking halves a Newton step at most this many times before the fit gives up
 MAX_HALVINGS = 60
-
-
-@dataclass
-class FeatureSet:
-    """A feature matrix tagged with the split it came from."""
-
-    features: np.ndarray
-    domain: str
-
-    def __post_init__(self) -> None:
-        self.features = _as_features(self.features)
-        if self.domain not in DOMAIN_TAGS:
-            raise ValueError(f"domain must be one of {DOMAIN_TAGS}, got {self.domain!r}")
-
-    @property
-    def num_samples(self) -> int:
-        return int(self.features.shape[0])
-
-    @property
-    def dimension(self) -> int:
-        return int(self.features.shape[1])
 
 
 @dataclass
@@ -97,8 +74,6 @@ class DomainClassifier:
 
 def _as_features(obj) -> np.ndarray:
     """The one validation path for feature matrices: 2-d, non-empty, finite."""
-    if isinstance(obj, FeatureSet):
-        return obj.features
     x = np.ascontiguousarray(obj, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("features must be a non-empty 2-d array")

@@ -60,8 +60,8 @@ def save_matrix(path, values) -> None:
         payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
         path.write_bytes(header + payload)
         return
-    lines = [",".join(f"{v:.17g}" for v in row) for row in arr]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    with path.open("w", encoding="ascii", newline="\n") as fh:
+        np.savetxt(fh, arr, fmt="%.17g", delimiter=",")
 
 
 def load_matrix(path) -> np.ndarray:

@@ -58,19 +58,11 @@ class ProbabilitySet:
     confidences: np.ndarray
 
     @classmethod
-    def from_probabilities(
-        cls, probs: np.ndarray, predictions: np.ndarray | None = None
-    ) -> "ProbabilitySet":
+    def from_probabilities(cls, probs: np.ndarray) -> "ProbabilitySet":
         """Validate a probability matrix and attach argmax statistics.
 
-        Parameters
-        ----------
-        probs : array_like of shape (n, K)
-            Rows must be finite, lie in [0, 1] and sum to 1 within 1e-9.
-        predictions : array_like of shape (n,), optional
-            Externally supplied predicted classes. Each must attain the
-            row maximum of ``probs``; by default the first row maximum is
-            used.
+        Rows of ``probs`` (shape (n, K)) must be finite, lie in [0, 1] and
+        sum to 1 within 1e-9. The prediction is the first row maximum.
         """
         probs = np.ascontiguousarray(probs, dtype=np.float64)
         if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] < 1:
@@ -86,19 +78,8 @@ class ProbabilitySet:
                 f"probability rows must sum to 1 within {ROW_SUM_TOL:g} "
                 f"(worst deviation {worst:.3g})"
             )
-        row_max = probs.max(axis=1)
-        n = probs.shape[0]
-        if predictions is None:
-            predictions = np.argmax(probs, axis=1)
-        else:
-            predictions = np.asarray(predictions, dtype=np.int64)
-            if predictions.shape != (n,):
-                raise ValueError("predictions must have shape (n,)")
-            if np.any(predictions < 0) or np.any(predictions >= probs.shape[1]):
-                raise ValueError("predictions out of class range")
-            if np.any(probs[np.arange(n), predictions] != row_max):
-                raise ValueError("supplied predictions do not attain the row maximum")
-        confidences = probs[np.arange(n), predictions]
+        predictions = np.argmax(probs, axis=1)
+        confidences = probs[np.arange(probs.shape[0]), predictions]
         return cls(probs=probs, predictions=predictions, confidences=confidences)
 
     @property
@@ -116,8 +97,7 @@ class ReliabilityBins:
 
     ``counts`` holds the (possibly weighted) mass per bin; ``accuracy`` and
     ``confidence`` are NaN for empty bins, which contribute nothing to
-    ``ece``. ``recompute_ece`` re-derives the scalar from the stored bins
-    with the same accumulation order used during construction.
+    ``ece``.
     """
 
     num_bins: int
@@ -125,16 +105,6 @@ class ReliabilityBins:
     accuracy: np.ndarray
     confidence: np.ndarray
     ece: float
-
-    def recompute_ece(self) -> float:
-        total = 0.0
-        for m in range(self.num_bins):
-            total += float(self.counts[m])
-        value = 0.0
-        for m in range(self.num_bins):
-            if self.counts[m] > 0.0:
-                value += (self.counts[m] / total) * abs(self.accuracy[m] - self.confidence[m])
-        return value
 
 
 def check_labels(labels: np.ndarray, num_classes: int, n: int) -> np.ndarray:

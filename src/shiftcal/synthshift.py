@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density_ratio import FeatureSet
-
 __all__ = [
     "GeneratedTask",
     "ShiftScenario",
@@ -89,13 +87,11 @@ class ShiftScenario:
         shift_magnitude: float = 0.0,
         variance_scale: float = 1.0,
         distortion_temperature: float = 1.0,
-        class_variance: float = 1.0,
-        shift_direction: np.ndarray | None = None,
     ) -> "ShiftScenario":
         """Scenario with class mean k at spacing * e_k and shift along e_0.
 
-        ``shift_direction`` overrides the default first-axis direction; it
-        is normalized before scaling by ``shift_magnitude``.
+        Components have unit variance; build the dataclass directly for
+        another ``class_variance`` or shift direction.
         """
         if num_classes > dimension:
             raise ValueError(
@@ -105,18 +101,11 @@ class ShiftScenario:
         means = np.zeros((num_classes, dimension))
         for k in range(num_classes):
             means[k, k] = spacing
-        if shift_direction is None:
-            direction = np.zeros(dimension)
-            direction[0] = 1.0
-        else:
-            direction = np.asarray(shift_direction, dtype=np.float64)
-            norm = float(np.linalg.norm(direction))
-            if norm == 0.0:
-                raise ValueError("shift_direction must be non-zero")
-            direction = direction / norm
+        direction = np.zeros(dimension)
+        direction[0] = 1.0
         return cls(
             class_means=means,
-            class_variance=class_variance,
+            class_variance=1.0,
             shift=shift_magnitude * direction,
             variance_scale=variance_scale,
             distortion_temperature=distortion_temperature,
@@ -161,27 +150,25 @@ class ShiftScenario:
 class GeneratedTask:
     """One sampled task: features, logits, labels and oracle weights.
 
-    ``target_labels`` exists for evaluation only; no fitting operation in
-    this package accepts it. ``true_weights`` holds the closed-form ratio
-    q(x)/p(x) on the source validation split.
+    ``source_train``, ``source_val`` and ``target`` are the splits' float64
+    feature matrices of shape (n, d). ``target_labels`` exists for
+    evaluation only; no fitting operation in this package accepts it.
+    ``true_weights`` holds the closed-form ratio q(x)/p(x) on the source
+    validation split.
     """
 
     scenario: ShiftScenario
     seed: int
-    source_train: FeatureSet
+    source_train: np.ndarray
     source_train_logits: np.ndarray
     source_train_labels: np.ndarray
-    source_val: FeatureSet
+    source_val: np.ndarray
     source_val_logits: np.ndarray
     source_val_labels: np.ndarray
-    target: FeatureSet
+    target: np.ndarray
     target_logits: np.ndarray
     target_labels: np.ndarray
     true_weights: np.ndarray
-
-    def regenerate_target_labels(self) -> np.ndarray:
-        """Re-sample target labels from the shared conditional; matches exactly."""
-        return sample_labels(self.scenario, self.target.features, label_stream_seed(self.seed, "target"))
 
 
 def _as_points(x, dimension: int) -> np.ndarray:
@@ -198,7 +185,7 @@ def _as_points(x, dimension: int) -> np.ndarray:
 
 def sample_labels(scenario: ShiftScenario, features, seed) -> np.ndarray:
     """Draw labels from the shared conditional, reproducibly for a given seed."""
-    x = features.features if isinstance(features, FeatureSet) else _as_points(features, scenario.dimension)
+    x = _as_points(features, scenario.dimension)
     posterior = np.exp(scenario.log_posterior(x))
     cumulative = np.cumsum(posterior, axis=1)
     cumulative[:, -1] = 1.0
@@ -217,11 +204,12 @@ def generate(
     """Sample a full task: source train/val splits, target split, oracle weights.
 
     The source sample is split in order, the first (1 - val_fraction)
-    share for training and the remainder for validation. Feature draws
-    consume the task seed's main stream; labels come from per-split
-    derived streams (see ``label_stream_seed``) so they can be regenerated
-    from features alone. Logits are distortion_temperature times the
-    shared conditional's log-posterior.
+    share for training and the remainder for validation; each split is a
+    plain float64 array. Feature draws consume the task seed's main stream;
+    labels come from per-domain derived streams (see ``label_stream_seed``),
+    so ``sample_labels`` on the target features, or on the stacked source
+    train and validation features, reproduces them exactly. Logits are
+    distortion_temperature times the shared conditional's log-posterior.
     """
     if n_source < 2 or n_target < 1:
         raise ValueError("need n_source >= 2 and n_target >= 1")
@@ -258,13 +246,13 @@ def generate(
     return GeneratedTask(
         scenario=scenario,
         seed=int(seed),
-        source_train=FeatureSet(x_train, "source_train"),
+        source_train=x_train,
         source_train_logits=logits_source[:n_train],
         source_train_labels=y_source[:n_train],
-        source_val=FeatureSet(x_val, "source_val"),
+        source_val=x_val,
         source_val_logits=logits_source[n_train:],
         source_val_labels=y_source[n_train:],
-        target=FeatureSet(x_target, "target"),
+        target=x_target,
         target_logits=logits_target,
         target_labels=y_target,
         true_weights=true_w,

@@ -23,23 +23,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DegeneracyError
-from .metrics import bin_indices, check_labels, check_weights, per_sample_residuals
-from .scaling import (
-    SEARCH_TOL,
-    T_MAX,
-    T_MIN,
-    TemperatureParam,
-    _check_logits,
-    _softmax_terms,
-    softmax_with_temperature,
-)
+from .metrics import _num_bins, bin_indices, check_labels, check_weights
+from .scaling import SEARCH_TOL, T_MAX, T_MIN, TemperatureParam, _check_logits, _softmax_terms
 
 __all__ = [
     "ControlVariateCoefficients",
     "EstimatorMode",
     "TransCalSolution",
     "apply_control_variate",
-    "iwece_objective",
     "optimize_transcal",
     "renyi_diagnostic",
     "serial_control_variate",
@@ -183,36 +174,18 @@ def serial_control_variate(
     return estimate, coeffs
 
 
-def iwece_objective(logits: np.ndarray, labels: np.ndarray, weights, t: float) -> float:
-    """Mean weighted per-sample residual (1/n) sum_i w_i |r_i - c_i(t)|.
-
-    The bin-free weighted surrogate: with weights drawn as the true
-    density ratio it estimates the mean target residual by importance
-    sampling.
-    """
-    probs = softmax_with_temperature(logits, t)
-    w = check_weights(weights, probs.num_samples)
-    residuals = per_sample_residuals(probs, labels)
-    return float(np.mean(w * residuals))
-
-
 class _ObjectiveContext:
     """Precomputed arrays for repeated (t, lambda) objective evaluations."""
 
-    def __init__(self, logits: np.ndarray, labels: np.ndarray, weight_values: np.ndarray, num_bins: int):
+    def __init__(self, logits: np.ndarray, labels: np.ndarray, weights, bins: int):
         logits = _check_logits(logits)
         if logits.shape[1] < 2:
             raise ValueError("logits must be a 2-d array with at least two classes")
         n = logits.shape[0]
         labels = check_labels(labels, logits.shape[1], n)
-        if weight_values.shape[0] != n:
-            raise ValueError(f"weights must have length {n}, got {weight_values.shape[0]}")
-        if num_bins < 1:
-            raise ValueError("num_bins must be positive")
+        self.weights = check_weights(weights, n)
+        self.num_bins = _num_bins(bins)
         self.logits = logits
-        self.n = n
-        self.num_bins = int(num_bins)
-        self.weights = weight_values
         self.predictions = np.argmax(logits, axis=1)
         self.correct = (self.predictions == labels).astype(np.float64)
         self._rows = np.arange(n)
@@ -271,8 +244,7 @@ def transcal_objective(
     control-variate correction is applied.
     """
     mode = EstimatorMode(mode) if not isinstance(mode, EstimatorMode) else mode
-    values = check_weights(weights)
-    ctx = _ObjectiveContext(logits, labels, values, int(bins))
+    ctx = _ObjectiveContext(logits, labels, weights, bins)
     if not (0.0 <= float(lam) <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     if not (float(t) > 0.0 and math.isfinite(float(t))):
@@ -299,13 +271,13 @@ def optimize_transcal(
     is deterministic and every evaluation is recorded in the trace.
     """
     mode = EstimatorMode(mode) if not isinstance(mode, EstimatorMode) else mode
-    values = check_weights(weights)
+    ctx = _ObjectiveContext(logits, labels, weights, bins)
+    values = ctx.weights
     if float(values.max()) == 0.0:
         raise DegeneracyError(
             "importance weights are all zero; the density-ratio stage "
             "produced a degenerate weight vector"
         )
-    ctx = _ObjectiveContext(logits, labels, values, int(bins))
 
     t_grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _T_GRID_SIZE))
     lam_grid = np.array([1.0]) if freeze_lambda else np.linspace(0.0, 1.0, _LAMBDA_GRID_SIZE)

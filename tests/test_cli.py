@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -238,16 +240,27 @@ class TestCalibrate:
         rows = load_matrix(probs)
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_weights_rejected_for_unweighted_method(self, task_dir, tmp_path):
+    def test_weights_rejected_for_unweighted_method(self, task_dir, tmp_path, capsys):
         wfile = tmp_path / "w.csv"
         save_matrix(wfile, np.ones((120, 1)))
-        code = run(
-            "calibrate", "--method", "temp",
-            "--logits", task_dir / "source_val_logits.csv",
-            "--labels", task_dir / "source_val_labels.csv",
-            "--weights", wfile, "--out", tmp_path / "fit.json",
+        cases = (
+            ("temp", ["--weights", wfile], "does not take importance weights"),
+            ("temp", ["--source-features", task_dir / "source_train_features.csv"],
+             "does not take importance weights"),
+            # weights and feature files together are ambiguous, even when a file is missing
+            ("cpcs", ["--weights", wfile, "--source-features", tmp_path / "nonexistent.csv"],
+             "pass either --weights or the --source-features"),
         )
-        assert code == 2
+        for method, extra, message in cases:
+            code = run(
+                "calibrate", "--method", method,
+                "--logits", task_dir / "source_val_logits.csv",
+                "--labels", task_dir / "source_val_labels.csv",
+                *extra, "--out", tmp_path / "fit.json",
+            )
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "fit.json").exists()
 
     def test_weighted_method_without_weights_or_features(self, task_dir, tmp_path):
         code = run(
@@ -488,6 +501,45 @@ class TestErrorPaths:
         assert code == 2
         assert "weights must be finite and non-negative" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_histogram_bins_below_one_exit_two(self, task_dir, tmp_path, capsys, bins):
+        out = tmp_path / "d.json"
+        code = run(
+            "diagnose", "--weights", task_dir / "true_weights.csv",
+            "--histogram-bins", bins, "--out", out,
+        )
+        assert code == 2
+        assert f"--histogram-bins must be at least 1, got {bins}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestMatrixIO:
+    @pytest.mark.parametrize("shape", [(-1, 1), (-1, 4)], ids=["one_column", "four_columns"])
+    def test_csv_bytes_match_a_pure_python_writer(self, tmp_path, shape):
+        rng = np.random.default_rng(29)
+        spread = rng.standard_normal(396) * 10.0 ** rng.integers(-300, 301, size=396)
+        edge = [0.0, -0.0, 5e-324, 1e-320, np.finfo(np.float64).max, -np.finfo(np.float64).max, 0.1, 1 / 3]
+        values = np.concatenate([edge, spread]).reshape(shape)
+        want = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values.tolist())
+        path = tmp_path / "m.csv"
+        save_matrix(path, values)
+        assert path.read_bytes() == want.encode("ascii")
+        back = load_matrix(path)
+        assert np.array_equal(back, values)
+        assert np.array_equal(np.signbit(back), np.signbit(values))
+
+
+class TestPublicApi:
+    def test_every_exported_name_resolves(self):
+        modules = [shiftcal] + [
+            importlib.import_module(f"shiftcal.{info.name}")
+            for info in pkgutil.iter_modules(shiftcal.__path__)
+            if info.name != "__main__"
+        ]
+        for module in modules:
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name!r}"
 
 
 class TestInstalledEntryPoint:

@@ -4,7 +4,6 @@ import pytest
 from shiftcal import (
     DomainClassifier,
     DomainClassifierConfig,
-    FeatureSet,
     estimate_weights,
     generate,
     train_domain_classifier,
@@ -32,15 +31,14 @@ def regularized_gradient(clf, source, target):
 
 class TestFeatureSet:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FeatureSet(np.ones((2, 2)), "elsewhere")
-        with pytest.raises(ValueError):
-            FeatureSet(np.array([1.0, 2.0]), "target")
-        with pytest.raises(ValueError):
-            FeatureSet(np.array([[np.inf, 1.0]]), "target")
-        fs = FeatureSet(np.ones((3, 2)), "source_val")
-        assert fs.num_samples == 3
-        assert fs.dimension == 2
+        """Both entry points reject 1-d, non-finite or empty feature matrices on either side."""
+        good = np.ones((3, 2))
+        for bad in (np.array([1.0, 2.0]), np.array([[np.inf, 1.0]]), np.array([[1.0, np.nan]]), np.ones((0, 2))):
+            for source, target in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError, match="features"):
+                    upsample_balance(source, target, seed=0)
+                with pytest.raises(ValueError, match="features"):
+                    train_domain_classifier(source, target)
 
 
 class TestUpsampleBalance:
@@ -73,14 +71,6 @@ class TestUpsampleBalance:
         oa3, _ = upsample_balance(a, b, seed=12)
         assert np.array_equal(oa1, oa2)
         assert not np.array_equal(oa1, oa3)
-
-    def test_accepts_feature_sets(self):
-        rng = np.random.default_rng(9)
-        a = FeatureSet(rng.standard_normal((10, 2)), "source_train")
-        b = FeatureSet(rng.standard_normal((10, 2)), "target")
-        oa, ob = upsample_balance(a, b, seed=0)
-        assert np.array_equal(oa, a.features)
-        assert np.array_equal(ob, b.features)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):

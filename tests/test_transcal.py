@@ -7,7 +7,6 @@ from shiftcal import (
     DegeneracyError,
     EstimatorMode,
     apply_control_variate,
-    iwece_objective,
     optimize_transcal,
     renyi_diagnostic,
     serial_control_variate,
@@ -116,29 +115,6 @@ class TestSerialControlVariate:
         assert a == b
 
 
-class TestIweceObjective:
-    def test_pinned_tied_logits(self):
-        logits = np.array([[0.0, 0.0]])
-        # tie resolves to class 0, so label 1 is a miss at confidence 1/2
-        for t in (0.3, 1.0, 7.3):
-            assert iwece_objective(logits, np.array([1]), np.array([2.0]), t) == 1.0
-
-    def test_pinned_asymmetric_case(self):
-        logits = np.array([[0.0, math.log(3.0)]])
-        got = iwece_objective(logits, np.array([1]), np.array([2.0]), 1.0)
-        assert abs(got - 0.5) < 1e-12
-
-    def test_equals_mean_weighted_residual(self):
-        rng = np.random.default_rng(17)
-        logits, labels, weights = sampled_task(rng)
-        probs = softmax_with_temperature(logits, 1.7)
-        correct = (probs.predictions == labels).astype(float)
-        residuals = np.abs(correct - probs.confidences)
-        want = np.mean(weights * residuals)
-        got = iwece_objective(logits, labels, weights, 1.7)
-        assert abs(got - want) < 1e-14
-
-
 class TestTranscalObjective:
     def test_plain_mode_matches_brute_force_samples(self):
         rng = np.random.default_rng(19)
@@ -196,6 +172,21 @@ class TestTranscalObjective:
             transcal_objective(logits, labels, w, 1.0, 1.5)
         with pytest.raises(ValueError):
             transcal_objective(logits[:, :1], labels, w, 1.0, 0.5)
+
+    def test_bins_and_weight_length_checked_like_the_metrics(self):
+        logits = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.5]])
+        labels = np.array([0, 1, 1])
+        w = np.ones(3)
+        fits = (
+            lambda weights, bins: transcal_objective(logits, labels, weights, 1.0, 0.5, bins=bins),
+            lambda weights, bins: optimize_transcal(logits, labels, weights, bins=bins),
+        )
+        for fit in fits:
+            for bins in (2.5, 0, -1):
+                with pytest.raises(ValueError, match="bins must be a positive integer"):
+                    fit(w, bins)
+            with pytest.raises(ValueError, match="weights must have length 3, got 2"):
+                fit(np.ones(2), 15)
 
 
 class TestOptimizeTranscal:
