@@ -118,6 +118,7 @@ def bad_runs(out: Path) -> list[tuple[str, int, str]]:
     np.savetxt(bad / "negative.csv", negative, fmt="%.17g")
     np.savetxt(bad / "zeros.csv", np.zeros((120, 1)), fmt="%.17g")
     np.savetxt(bad / "wide.csv", np.ones((4, 2)), fmt="%.17g", delimiter=",")
+    (bad / "ragged.csv").write_text("0.5,0.5\n0.25,0.25,0.5\n", encoding="ascii")
     fit = ["calibrate", "--logits", d / "source_val_logits.csv", "--labels", d / "source_val_labels.csv"]
     weights = ["--weights", d / "true_weights.csv"]
     cases = {
@@ -125,6 +126,7 @@ def bad_runs(out: Path) -> list[tuple[str, int, str]]:
         "diagnose-histogram-bins-neg": ["diagnose", *weights, "--histogram-bins", "-1"],
         "diagnose-negative-weight": ["diagnose", "--weights", bad / "negative.csv"],
         "diagnose-wide-weights": ["diagnose", "--weights", bad / "wide.csv"],
+        "diagnose-empty-alphas": ["diagnose", *weights, "--alphas", ","],
         "temp-with-weights": [*fit, "--method", "temp", *weights],
         "temp-with-features": [*fit, "--method", "temp", "--source-features", d / "source_train_features.csv"],
         "cpcs-weights-and-features": [*fit, "--method", "cpcs", *weights, "--source-features", "/nonexistent"],
@@ -132,8 +134,10 @@ def bad_runs(out: Path) -> list[tuple[str, int, str]]:
         "transcal-no-weights": [*fit, "--method", "transcal"],
         "transcal-zero-weights": [*fit, "--method", "transcal", "--weights", bad / "zeros.csv"],
         "transcal-bins-0": [*fit, "--method", "transcal", *weights, "--bins", "0"],
+        "temp-bins-0": [*fit, "--method", "temp", "--bins", "0"],
         "probs-out-without-apply": [*fit, "--method", "temp", "--probs-out", bad / "p.csv"],
         "evaluate-missing-file": ["evaluate", "--probs", bad / "nope.csv", "--labels", bad / "nope.csv"],
+        "evaluate-ragged-probs": ["evaluate", "--probs", bad / "ragged.csv", "--labels", d / "target_labels.csv"],
     }
     results = []
     for name, argv in cases.items():

@@ -31,7 +31,7 @@ from .matrixio import (
     save_labels,
     save_matrix,
 )
-from .metrics import ProbabilitySet, check_weights, metric_report, reliability_bins, weighted_ece
+from .metrics import ProbabilitySet, _num_bins, check_weights, metric_report, reliability_bins, weighted_ece
 from .scaling import AffineScaleParam
 from .synthshift import ShiftScenario, generate
 from .transcal import TransCalSolution, renyi_diagnostic
@@ -194,6 +194,7 @@ def _resolve_weights(args) -> np.ndarray:
 
 
 def _cmd_calibrate(args) -> int:
+    _num_bins(args.bins)
     logits = load_matrix(args.logits)
     labels = load_labels(args.labels)
     method = benchmod.METHODS[args.method]
@@ -278,6 +279,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_diagnose(args) -> int:
     if args.histogram_bins < 1:
         raise ValueError(f"--histogram-bins must be at least 1, got {args.histogram_bins}")
+    if not args.alphas:
+        raise ValueError("--alphas must list at least one order")
     values = _load_weights(args.weights)
     top = float(values.max())
     # histogram edges span [0, max] exactly; degenerate all-zero vectors use [0, 1]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,27 @@ def _as_matrix(values) -> np.ndarray:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
+    return arr
+
+
+def _load_text(path, kind: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` as a 2-d array on an ASCII handle; parse errors name the path.
+
+    ``comments=None``: a ``#`` line is a parse error, not a skipped line.
+    Blank lines are skipped, and a file with no data is an error.
+    """
+    with Path(path).open(encoding="ascii") as fh, warnings.catch_warnings():
+        # loadtxt warns on an empty file; the size check below reports it instead
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy 1.x reads "1.7" as the integer 1 with only a DeprecationWarning;
+        # as an error it is a parse failure like any other
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            arr = np.loadtxt(fh, comments=None, ndmin=2, **kwargs)
+        except (ValueError, DeprecationWarning) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if arr.size == 0:
+        raise ValueError(f"{path}: empty {kind} file")
     return arr
 
 
@@ -83,17 +105,7 @@ def load_matrix(path) -> np.ndarray:
             raise ValueError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
         data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
         return data.astype(np.float64).reshape(rows, cols)
-    text = path.read_text(encoding="ascii")
-    rows = [line for line in text.split("\n") if line]
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    width = rows[0].count(",") + 1
-    out = np.empty((len(rows), width))
-    for i, line in enumerate(rows):
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ValueError(f"{path}: row {i} has {len(parts)} columns, expected {width}")
-        out[i] = [float(p) for p in parts]
+    out = _load_text(path, "matrix", delimiter=",")
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{path}: matrix contains non-finite entries")
     return out
@@ -127,14 +139,10 @@ def save_labels(path, labels) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    text = Path(path).read_text(encoding="ascii")
-    rows = [line for line in text.split("\n") if line]
-    if not rows:
-        raise ValueError(f"{path}: empty label file")
-    try:
-        return np.array([int(r) for r in rows], dtype=np.int64)
-    except ValueError as exc:
-        raise ValueError(f"{path}: labels must be integers ({exc})") from None
+    labels = _load_text(path, "label", dtype=np.int64)
+    if labels.shape[1] != 1:
+        raise ValueError(f"{path}: labels must be a single column, got {labels.shape[1]}")
+    return labels[:, 0]
 
 
 def _sanitize(value):

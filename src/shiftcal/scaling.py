@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .errors import DegeneracyError
 from .metrics import ProbabilitySet, check_labels, check_weights, nll
@@ -33,10 +34,6 @@ T_MIN = 0.05
 T_MAX = 100.0
 SEARCH_TOL = 1e-4
 _GRID_SIZE = 50
-# full-batch gradient descent for vector and matrix scaling
-AFFINE_LEARNING_RATE = 0.01
-AFFINE_MAX_ITERATIONS = 2000
-AFFINE_MIN_IMPROVEMENT = 1e-8
 
 
 @dataclass
@@ -208,22 +205,22 @@ def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> Tem
 def _softmax_ce(transformed: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of softmax(transformed) and its gradient in the logits.
 
-    This is the one log-softmax. It does not reuse ``_softmax_terms``: the
-    loss needs ``shifted - log(denom)`` bit for bit, which taking the log of
-    the normalized exponentials would not reproduce.
+    Overwrites ``transformed``. The label's shifted logit is taken before
+    ``_softmax_terms`` exponentiates the rows in place, so the loss is
+    ``log(row sum) - shifted label logit`` and never the log of an
+    underflowed probability.
 
     Overflow is not a programming error here: a non-finite loss is the
     divergence signal the caller turns into DegeneracyError.
     """
     n = transformed.shape[0]
+    rows = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = transformed - transformed.max(axis=1, keepdims=True)
-        expz = np.exp(shifted)
-        denom = expz.sum(axis=1, keepdims=True)
-        log_probs = shifted - np.log(denom)
-        loss = -float(log_probs[np.arange(n), labels].sum()) / n
-        grad = expz / denom
-        grad[np.arange(n), labels] -= 1.0
+        label_shifted = transformed[rows, labels] - transformed.max(axis=1)
+        grad, sums = _softmax_terms(transformed)
+        loss = float((np.log(sums[:, 0]) - label_shifted).sum()) / n
+        grad /= sums
+        grad[rows, labels] -= 1.0
         grad /= n
     return loss, grad
 
@@ -232,57 +229,45 @@ def _fit_affine(logits: np.ndarray, labels: np.ndarray, kind: str) -> AffineScal
     logits = _check_logits(logits)
     n, k = logits.shape
     labels = check_labels(labels, k, n)
-    if kind == "vector":
-        scale = np.ones(k)
-    else:
-        scale = np.eye(k)
-    bias = np.zeros(k)
+    vector = kind == "vector"
+    identity = np.ones(k) if vector else np.eye(k)
+    x0 = np.concatenate([identity.ravel(), np.zeros(k)])
 
-    lr = AFFINE_LEARNING_RATE
-    prev_loss = math.inf
-    initial_loss = math.nan
-    converged = False
-    iterations = 0
-    for it in range(AFFINE_MAX_ITERATIONS):
-        transformed = logits * scale + bias if kind == "vector" else logits @ scale.T + bias
+    def unpack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return x[:-k].reshape(identity.shape), x[-k:]
+
+    def loss_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        scale, bias = unpack(x)
+        transformed = logits * scale + bias if vector else logits @ scale.T + bias
         loss, grad = _softmax_ce(transformed, labels)
-        if not math.isfinite(loss):
-            raise DegeneracyError(f"{kind} scaling diverged: non-finite loss at iteration {it}")
-        if it == 0:
-            initial_loss = loss
-        if prev_loss - loss < AFFINE_MIN_IMPROVEMENT and it > 0:
-            converged = True
-            break
-        prev_loss = loss
-        if kind == "vector":
-            scale = scale - lr * (grad * logits).sum(axis=0)
-        else:
-            scale = scale - lr * (grad.T @ logits)
-        bias = bias - lr * grad.sum(axis=0)
-        iterations = it + 1
+        grad_scale = (grad * logits).sum(axis=0) if vector else grad.T @ logits
+        return loss, np.concatenate([grad_scale.ravel(), grad.sum(axis=0)])
 
-    transformed = logits * scale + bias if kind == "vector" else logits @ scale.T + bias
-    final_loss, _ = _softmax_ce(transformed, labels)
-    if not math.isfinite(final_loss):
+    initial_loss, _ = loss_and_grad(x0)
+    if not math.isfinite(initial_loss):
+        raise DegeneracyError(f"{kind} scaling diverged: non-finite loss at the identity map")
+    result = minimize(loss_and_grad, x0, jac=True, method="L-BFGS-B")
+    if not math.isfinite(result.fun):
         raise DegeneracyError(f"{kind} scaling diverged: non-finite final loss")
+    scale, bias = unpack(result.x)
     return AffineScaleParam(
         scale=scale,
         bias=bias,
         kind=kind,
-        iterations=iterations,
-        converged=converged,
+        iterations=int(result.nit),
+        converged=bool(result.success),
         initial_loss=initial_loss,
-        final_loss=final_loss,
+        final_loss=float(result.fun),
     )
 
 
 def fit_vector_scaling(logits: np.ndarray, labels: np.ndarray) -> AffineScaleParam:
-    """Fit per-class scale and bias by full-batch gradient descent on NLL."""
+    """Fit per-class scale and bias minimizing NLL (L-BFGS-B from the identity map)."""
     return _fit_affine(logits, labels, "vector")
 
 
 def fit_matrix_scaling(logits: np.ndarray, labels: np.ndarray) -> AffineScaleParam:
-    """Fit a full K x K transform and bias by full-batch gradient descent on NLL."""
+    """Fit a full K x K transform and bias minimizing NLL (L-BFGS-B from the identity map)."""
     return _fit_affine(logits, labels, "matrix")
 
 

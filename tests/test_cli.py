@@ -5,6 +5,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -502,15 +503,27 @@ class TestErrorPaths:
         assert "weights must be finite and non-negative" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("bins", [0, -1])
-    def test_histogram_bins_below_one_exit_two(self, task_dir, tmp_path, capsys, bins):
-        out = tmp_path / "d.json"
-        code = run(
-            "diagnose", "--weights", task_dir / "true_weights.csv",
-            "--histogram-bins", bins, "--out", out,
-        )
+    @pytest.mark.parametrize("case", ["0", "-1", "calibrate_bins_0", "empty_alphas"])
+    def test_histogram_bins_below_one_exit_two(self, task_dir, tmp_path, capsys, case):
+        # the same holds for the other count arguments: calibrate --bins and diagnose --alphas
+        weights = ("--weights", task_dir / "true_weights.csv")
+        argv, message = {
+            "0": (("diagnose", *weights, "--histogram-bins", 0), "--histogram-bins must be at least 1, got 0"),
+            "-1": (("diagnose", *weights, "--histogram-bins", -1), "--histogram-bins must be at least 1, got -1"),
+            "calibrate_bins_0": (
+                (
+                    "calibrate", "--method", "temp", "--bins", 0,
+                    "--logits", task_dir / "source_val_logits.csv",
+                    "--labels", task_dir / "source_val_labels.csv",
+                ),
+                "bins must be a positive integer, got 0",
+            ),
+            "empty_alphas": (("diagnose", *weights, "--alphas", ","), "--alphas must list at least one order"),
+        }[case]
+        out = tmp_path / "report.json"
+        code = run(*argv, "--out", out)
         assert code == 2
-        assert f"--histogram-bins must be at least 1, got {bins}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -528,6 +541,56 @@ class TestMatrixIO:
         back = load_matrix(path)
         assert np.array_equal(back, values)
         assert np.array_equal(np.signbit(back), np.signbit(values))
+
+    @pytest.mark.parametrize(
+        "loader, text, message",
+        [
+            (load_matrix, "# written by hand\n1,2\n", "could not convert string '# written by hand'"),
+            (load_labels, "0\n# trailer\n", "the number of columns changed"),
+            (load_matrix, "1,2\n3,4,5\n", "the number of columns changed from 2 to 3"),
+            (load_labels, "0 1\n", "labels must be a single column"),
+            (load_matrix, "", "empty matrix file"),
+            (load_labels, "\n\n", "empty label file"),
+            (load_labels, "1.5\n", "could not convert string '1.5'"),
+        ],
+        ids=[
+            "matrix_comment",
+            "labels_comment",
+            "matrix_ragged",
+            "labels_two_columns",
+            "matrix_empty",
+            "labels_blank",
+            "labels_float",
+        ],
+    )
+    def test_bad_text_raises_value_error_naming_the_path(self, tmp_path, recwarn, loader, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError) as info:
+            loader(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
+        assert not recwarn.list
+
+    def test_integer_via_float_deprecation_is_a_parse_error(self, tmp_path, monkeypatch):
+        # numpy 1.x loadtxt truncates "1.7" to 1 for an integer dtype and only warns
+        def truncating_loadtxt(fh, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return np.array([[1], [0]], dtype=np.int64)
+
+        path = tmp_path / "labels.csv"
+        path.write_text("1.7\n0.2\n", encoding="ascii")
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        with pytest.raises(ValueError, match="Parsing an integer via a float") as info:
+            load_labels(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("loader", [load_matrix, load_labels], ids=["matrix", "labels"])
+    def test_missing_file_message_is_the_os_error(self, tmp_path, loader):
+        path = tmp_path / "nope.csv"
+        with pytest.raises(FileNotFoundError, match="No such file or directory") as info:
+            loader(path)
+        assert str(path) in str(info.value)
 
 
 class TestPublicApi:

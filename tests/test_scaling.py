@@ -6,6 +6,7 @@ import pytest
 from shiftcal import (
     DegeneracyError,
     ProbabilitySet,
+    ShiftScenario,
     apply_affine_scaling,
     brier,
     fit_cpcs_temperature,
@@ -13,10 +14,11 @@ from shiftcal import (
     fit_oracle_temperature,
     fit_temperature_nll,
     fit_vector_scaling,
+    generate,
     nll,
     softmax_with_temperature,
 )
-from shiftcal.scaling import AFFINE_MAX_ITERATIONS, SEARCH_TOL, T_MAX, T_MIN, TemperatureParam, _GRID_SIZE
+from shiftcal.scaling import SEARCH_TOL, T_MAX, T_MIN, TemperatureParam, _GRID_SIZE
 
 
 def random_logits(rng, n, k, scale=3.0):
@@ -213,7 +215,6 @@ class TestAffineScaling:
         labels = (rng.random(2000)[:, None] < cum).argmax(axis=1)
         param = fit_vector_scaling(logits, labels)
         assert param.final_loss < param.initial_loss
-        assert param.iterations <= AFFINE_MAX_ITERATIONS
 
     def test_matrix_shapes_and_improvement(self):
         rng = np.random.default_rng(41)
@@ -224,6 +225,23 @@ class TestAffineScaling:
         assert param.scale.shape == (3, 3)
         assert param.bias.shape == (3,)
         assert param.final_loss <= param.initial_loss
+
+    @pytest.mark.parametrize("fit", [fit_vector_scaling, fit_matrix_scaling], ids=["vector", "matrix"])
+    def test_k10_fits_converge_to_a_stationary_point(self, fit):
+        scenario = ShiftScenario.axis_aligned(10, 10, spacing=2.0, shift_magnitude=1.0, distortion_temperature=2.0)
+        task = generate(scenario, 5000, 500, 3, 0.2)
+        logits, labels = task.source_val_logits, task.source_val_labels
+        assert logits.shape == (1000, 10)
+        param = fit(logits, labels)
+        assert param.converged
+        # gradient of the mean NLL in (scale, bias), from a plain log-softmax
+        z = logits * param.scale + param.bias if param.kind == "vector" else logits @ param.scale.T + param.bias
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(len(labels)), labels] -= 1.0
+        p /= len(labels)
+        grad_scale = (p * logits).sum(axis=0) if param.kind == "vector" else p.T @ logits
+        assert max(np.abs(grad_scale).max(), np.abs(p.sum(axis=0)).max()) < 5e-4
 
     def test_apply_uses_transformed_logits_for_predictions(self):
         # a sign flip in the vector scale reverses the ranking
