@@ -131,6 +131,7 @@ def bad_runs(out: Path) -> list[tuple[str, int, str]]:
         "temp-with-features": [*fit, "--method", "temp", "--source-features", d / "source_train_features.csv"],
         "cpcs-weights-and-features": [*fit, "--method", "cpcs", *weights, "--source-features", "/nonexistent"],
         "cpcs-negative-weight": [*fit, "--method", "cpcs", "--weights", bad / "negative.csv"],
+        "cpcs-zero-weights": [*fit, "--method", "cpcs", "--weights", bad / "zeros.csv"],
         "transcal-no-weights": [*fit, "--method", "transcal"],
         "transcal-zero-weights": [*fit, "--method", "transcal", "--weights", bad / "zeros.csv"],
         "transcal-bins-0": [*fit, "--method", "transcal", *weights, "--bins", "0"],

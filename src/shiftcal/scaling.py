@@ -1,8 +1,10 @@
 """Post-hoc calibration maps fitted on held-out logits.
 
-Temperature search runs on log t over [T_MIN, T_MAX]: a 50-point log-spaced
-grid brackets the optimum, golden-section search refines it to SEARCH_TOL
-in t, and the returned temperature is never worse than any grid point.
+Every temperature fit (``temp``, ``cpcs``, ``oracle`` and the transcal
+variants) runs one search engine, ``_minimize_temperature``, on log t over
+[T_MIN, T_MAX]: a 50-point log-spaced grid brackets the optimum,
+golden-section search refines it to SEARCH_TOL in t, and the returned
+temperature is never worse than any grid point.
 """
 
 from __future__ import annotations
@@ -175,21 +177,28 @@ def fit_oracle_temperature(target_logits: np.ndarray, target_labels: np.ndarray)
     return fit_temperature_nll(target_logits, target_labels)
 
 
+def _require_weight_mass(w: np.ndarray) -> None:
+    if float(w.max()) == 0.0:
+        raise DegeneracyError(
+            "importance weights are all zero; the density-ratio stage "
+            "produced a degenerate weight vector"
+        )
+
+
 def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> TemperatureParam:
     """Fit a temperature minimizing the importance-weighted Brier score.
 
     The objective is sum(w_i * bs_i) / sum(w_i) where bs_i is the
     per-sample Brier score at the candidate temperature. Weight vectors
     concentrated on few samples can drive the optimum to a bound; the
-    degenerate flag reports that.
+    degenerate flag reports that. All-zero weights raise DegeneracyError.
     """
     logits = _check_logits(logits)
     n, k = logits.shape
     labels = check_labels(labels, k, n)
     w = check_weights(weights, n)
+    _require_weight_mass(w)
     w_total = float(w.sum())
-    if w_total <= 0.0:
-        raise ValueError("weights sum to zero")
     onehot_rows = np.arange(n)
 
     def objective(t: float) -> float:

@@ -6,11 +6,11 @@ with known expectations. Two variates are available, the transformed
 importance weights (expectation 1 under the source marginal) and the
 correctness indicator (expectation equal to the mean confidence when the
 model is calibrated). They are applied serially: the second stage adjusts
-the residuals of the first. The temperature and the weight-flattening
-exponent lambda are optimized jointly over [T_MIN, T_MAX] x [0, 1] by a
-coarse log grid followed by simplex refinement; the objective is piecewise
-smooth at best (argmax, binning, absolute values), so the search is
-derivative-free.
+the residuals of the first. The weight-flattening exponent lambda is
+profiled out on an 11-point grid over [0, 1], and the temperature is
+searched on that profile by ``scaling._minimize_temperature``, the engine
+every temperature fit shares; the objective is piecewise smooth at best
+(argmax, binning, absolute values), so the search is derivative-free.
 """
 
 from __future__ import annotations
@@ -20,11 +20,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import DegeneracyError
 from .metrics import _num_bins, bin_indices, check_labels, check_weights
-from .scaling import SEARCH_TOL, T_MAX, T_MIN, TemperatureParam, _check_logits, _softmax_terms
+from .scaling import (
+    _GRID_SIZE,
+    TemperatureParam,
+    _check_logits,
+    _minimize_temperature,
+    _require_weight_mass,
+    _softmax_terms,
+)
 
 __all__ = [
     "ControlVariateCoefficients",
@@ -37,9 +42,7 @@ __all__ = [
     "transcal_objective",
 ]
 
-_T_GRID_SIZE = 40
 _LAMBDA_GRID_SIZE = 11
-_MAX_REFINE_EVALS = 500
 
 
 class EstimatorMode(enum.Enum):
@@ -147,31 +150,18 @@ def serial_control_variate(
     one per sample.
     """
     est1, adjusted, c1 = apply_control_variate(u_samples, weights, 1.0)
-    r = _check_samples(correctness, "correctness")
-    cov2, var2 = _moments(adjusted, r)
-    if var2 == 0.0:
-        coeffs = ControlVariateCoefficients(
-            eta1=c1.eta1,
-            eta2=None,
-            cov_u_t1=c1.cov_u_t1,
-            var_t1=c1.var_t1,
-            cov_u_t2=cov2,
-            var_t2=var2,
-            flags=c1.flags + ("constant_correctness",),
-        )
-        return est1, coeffs
-    eta2 = -cov2 / var2
-    estimate = float(adjusted.mean()) + eta2 * (float(r.mean()) - float(mean_confidence))
+    est2, _, c2 = apply_control_variate(adjusted, correctness, mean_confidence)
+    skipped = "constant_variate" in c2.flags
     coeffs = ControlVariateCoefficients(
         eta1=c1.eta1,
-        eta2=eta2,
+        eta2=None if skipped else c2.eta1,
         cov_u_t1=c1.cov_u_t1,
         var_t1=c1.var_t1,
-        cov_u_t2=cov2,
-        var_t2=var2,
-        flags=c1.flags,
+        cov_u_t2=c2.cov_u_t1,
+        var_t2=c2.var_t1,
+        flags=c1.flags + (("constant_correctness",) if skipped else ()),
     )
-    return estimate, coeffs
+    return (est1 if skipped else est2), coeffs
 
 
 class _ObjectiveContext:
@@ -195,17 +185,23 @@ class _ObjectiveContext:
         e, sums = _softmax_terms(self.logits / t)
         return e[self._rows, self.predictions] / sums[:, 0]
 
-    def samples(self, t: float, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-sample weighted binned-gap contributions at (t, lambda).
-
-        u_i = w_i^lam * |A_m - C_m| for the sample's confidence bin, where
-        A_m and C_m are the bin's weighted accuracy and weighted mean
-        confidence. The mean of u is the binned importance-weighted
-        calibration error with mass convention 1/n.
-        """
+    def binned(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Confidences at temperature t and their bin indices, shared by every lambda."""
         conf = self.confidences(t)
-        wl = np.power(self.weights, lam)
-        idx = bin_indices(conf, self.num_bins)
+        return conf, bin_indices(conf, self.num_bins)
+
+    def components(
+        self, binned: tuple[np.ndarray, np.ndarray], wl: np.ndarray, mode: EstimatorMode
+    ) -> tuple[float, ControlVariateCoefficients | None]:
+        """Corrected estimate at ``binned(t)`` with flattened weights wl = w^lambda.
+
+        The per-sample contributions are u_i = w_i^lam * |A_m - C_m| for
+        the sample's confidence bin, where A_m and C_m are the bin's
+        weighted accuracy and weighted mean confidence. The mean of u is
+        the binned importance-weighted calibration error with mass
+        convention 1/n; the mode's control variates then correct it.
+        """
+        conf, idx = binned
         weight_sum = np.bincount(idx, weights=wl, minlength=self.num_bins)
         acc_sum = np.bincount(idx, weights=wl * self.correct, minlength=self.num_bins)
         conf_sum = np.bincount(idx, weights=wl * conf, minlength=self.num_bins)
@@ -214,18 +210,15 @@ class _ObjectiveContext:
         gap[occupied] = np.abs(
             acc_sum[occupied] / weight_sum[occupied] - conf_sum[occupied] / weight_sum[occupied]
         )
-        return wl * gap[idx], wl, conf
-
-    def components(
-        self, t: float, lam: float, mode: EstimatorMode
-    ) -> tuple[float, ControlVariateCoefficients | None]:
-        u, wl, conf = self.samples(t, lam)
+        u = wl * gap[idx]
         if mode is EstimatorMode.PLAIN_IWECE:
             return float(u.mean()), None
         return serial_control_variate(u, wl, self.correct, float(conf.mean()))
 
-    def value(self, t: float, lam: float, mode: EstimatorMode) -> float:
-        return self.components(t, lam, mode)[0]
+    def at(
+        self, t: float, lam: float, mode: EstimatorMode
+    ) -> tuple[float, ControlVariateCoefficients | None]:
+        return self.components(self.binned(t), np.power(self.weights, lam), mode)
 
 
 def transcal_objective(
@@ -249,7 +242,7 @@ def transcal_objective(
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     if not (float(t) > 0.0 and math.isfinite(float(t))):
         raise ValueError(f"temperature must be positive and finite, got {t}")
-    return ctx.value(float(t), float(lam), mode)
+    return ctx.at(float(t), float(lam), mode)[0]
 
 
 def optimize_transcal(
@@ -260,86 +253,57 @@ def optimize_transcal(
     bins: int = 15,
     freeze_lambda: bool = False,
 ) -> TransCalSolution:
-    """Jointly search temperature and lambda minimizing the corrected estimate.
+    """Search temperature and lambda minimizing the corrected estimate.
 
-    A 40 x 11 log-spaced grid over (t, lambda) seeds a Nelder-Mead
-    refinement (bounds enforced by clamping, tolerance 1e-4, at most 500
-    refinement evaluations). Grid ties resolve to the smaller temperature,
-    then the smaller lambda. ``freeze_lambda`` pins lambda at 1 so only
-    the temperature is searched (the no-bias-reduction variant);
-    ``mode=PLAIN_IWECE`` drops the variance correction instead. The search
-    is deterministic and every evaluation is recorded in the trace.
+    The temperature search is ``scaling._minimize_temperature``, the engine
+    every temperature fit shares, run on the lambda profile
+    f(t) = min over lambda in linspace(0, 1, 11) of the estimate at
+    (t, lambda). Ties resolve to the smaller temperature, then the smaller
+    lambda; lambda* is the profile's minimizer at t*. ``freeze_lambda``
+    pins lambda at 1 so only the temperature is searched (the
+    no-bias-reduction variant); ``mode=PLAIN_IWECE`` drops the variance
+    correction instead. The search is deterministic and every (t, lambda)
+    evaluation is recorded in the trace.
     """
     mode = EstimatorMode(mode) if not isinstance(mode, EstimatorMode) else mode
     ctx = _ObjectiveContext(logits, labels, weights, bins)
     values = ctx.weights
-    if float(values.max()) == 0.0:
-        raise DegeneracyError(
-            "importance weights are all zero; the density-ratio stage "
-            "produced a degenerate weight vector"
-        )
+    _require_weight_mass(values)
 
-    t_grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _T_GRID_SIZE))
-    lam_grid = np.array([1.0]) if freeze_lambda else np.linspace(0.0, 1.0, _LAMBDA_GRID_SIZE)
+    lambdas = (1.0,) if freeze_lambda else tuple(np.linspace(0.0, 1.0, _LAMBDA_GRID_SIZE).tolist())
+    flattened = [np.power(values, lam) for lam in lambdas]
     trace: list[tuple[float, float, float]] = []
-    best_v = math.inf
-    best_t = t_grid[0]
-    best_lam = lam_grid[0]
-    for t in t_grid:
-        for lam in lam_grid:
-            v = ctx.value(float(t), float(lam), mode)
-            trace.append((float(t), float(lam), v))
+    profile_lambda: dict[float, float] = {}
+
+    def profile(t: float) -> float:
+        t = float(t)
+        binned = ctx.binned(t)
+        best_v, best_lam = math.inf, lambdas[0]
+        for lam, wl in zip(lambdas, flattened):
+            v = ctx.components(binned, wl, mode)[0]
+            trace.append((t, lam, v))
             if v < best_v:
-                best_v, best_t, best_lam = v, float(t), float(lam)
+                best_v, best_lam = v, lam
+        profile_lambda[t] = best_lam
+        return best_v
 
-    log_lo, log_hi = math.log(T_MIN), math.log(T_MAX)
+    chosen_t, best_v, at_bound = _minimize_temperature(profile)
+    chosen_lam = profile_lambda[chosen_t]
+    grid_evaluations = _GRID_SIZE * len(lambdas)
 
-    def unpack(x: np.ndarray) -> tuple[float, float]:
-        t = math.exp(min(max(float(x[0]), log_lo), log_hi))
-        if freeze_lambda:
-            return t, 1.0
-        return t, min(max(float(x[1]), 0.0), 1.0)
-
-    def fun(x: np.ndarray) -> float:
-        t, lam = unpack(x)
-        v = ctx.value(t, lam, mode)
-        trace.append((t, lam, v))
-        return v
-
-    if freeze_lambda:
-        x0 = np.array([math.log(best_t)])
-        nm_bounds = [(log_lo, log_hi)]
-    else:
-        x0 = np.array([math.log(best_t), best_lam])
-        nm_bounds = [(log_lo, log_hi), (0.0, 1.0)]
-    result = minimize(
-        fun,
-        x0,
-        method="Nelder-Mead",
-        bounds=nm_bounds,
-        options={"xatol": SEARCH_TOL, "fatol": SEARCH_TOL, "maxfev": _MAX_REFINE_EVALS},
-    )
-    refined = bool(result.fun < best_v)
-    if refined:
-        chosen_t, chosen_lam = unpack(result.x)
-    else:
-        chosen_t, chosen_lam = best_t, best_lam
-
-    objective_value, coefficients = ctx.components(chosen_t, chosen_lam, mode)
-    at_bound = chosen_t <= T_MIN + SEARCH_TOL or chosen_t >= T_MAX - SEARCH_TOL
-    transformed_max = float(np.power(values, chosen_lam).max())
+    objective_value, coefficients = ctx.at(chosen_t, chosen_lam, mode)
     diagnostics = {
         "max_weight_raw": float(values.max()),
-        "max_weight_transformed": transformed_max,
+        "max_weight_transformed": float(np.power(values, chosen_lam).max()),
         "renyi_raw": {str(a): renyi_diagnostic(values, a) for a in (0.5, 1.0, 2.0)},
-        "grid_evaluations": int(len(t_grid) * len(lam_grid)),
+        "grid_evaluations": grid_evaluations,
         "total_evaluations": len(trace),
-        "refined": refined,
+        "refined": best_v < min(v for _, _, v in trace[:grid_evaluations]),
         "freeze_lambda": bool(freeze_lambda),
     }
     return TransCalSolution(
         t_star=TemperatureParam(t=chosen_t, degenerate=at_bound),
-        lambda_star=float(chosen_lam),
+        lambda_star=chosen_lam,
         objective_value=objective_value,
         mode=mode,
         coefficients=coefficients,

@@ -281,11 +281,14 @@ class TestCalibrate:
         )
         assert code == 2
 
-    def test_zero_weights_degenerate_exit_code(self, task_dir, tmp_path):
+    @pytest.mark.parametrize(
+        "method", [m for m in bench.ALL_METHODS if bench.METHODS[m].needs_weights]
+    )
+    def test_zero_weights_degenerate_exit_code(self, task_dir, tmp_path, method):
         wfile = tmp_path / "zeros.csv"
         save_matrix(wfile, np.zeros((120, 1)))
         code = run(
-            "calibrate", "--method", "transcal",
+            "calibrate", "--method", method,
             "--logits", task_dir / "source_val_logits.csv",
             "--labels", task_dir / "source_val_labels.csv",
             "--weights", wfile, "--out", tmp_path / "fit.json",

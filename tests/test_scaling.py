@@ -166,7 +166,7 @@ class TestCpcs:
         labels = np.array([0, 1])
         with pytest.raises(ValueError):
             fit_cpcs_temperature(logits, labels, np.array([1.0, -1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(DegeneracyError):
             fit_cpcs_temperature(logits, labels, np.zeros(2))
 
 

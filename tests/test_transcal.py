@@ -13,7 +13,8 @@ from shiftcal import (
     softmax_with_temperature,
     transcal_objective,
 )
-from shiftcal.scaling import T_MIN
+from shiftcal import transcal
+from shiftcal.scaling import T_MIN, _minimize_temperature, _softmax_terms
 from shiftcal.transcal import _ObjectiveContext
 
 from oracles import objective_samples
@@ -216,16 +217,56 @@ class TestOptimizeTranscal:
         sol = optimize_transcal(logits, labels, weights, freeze_lambda=True)
         assert sol.lambda_star == 1.0
         assert sol.diagnostics["freeze_lambda"] is True
-        assert sol.diagnostics["grid_evaluations"] == 40
+        assert sol.diagnostics["grid_evaluations"] == 50
         assert all(lam == 1.0 for _, lam, _ in sol.trace)
 
     def test_grid_size_and_trace_budget(self):
         rng = np.random.default_rng(53)
         logits, labels, weights = sampled_task(rng, n=150)
         sol = optimize_transcal(logits, labels, weights)
-        assert sol.diagnostics["grid_evaluations"] == 440
+        assert sol.diagnostics["grid_evaluations"] == 550
         assert len(sol.trace) == sol.diagnostics["total_evaluations"]
-        assert 440 < len(sol.trace) <= 440 + 500 + 2
+        # 50 grid points, two golden-section seeds and at most 200 steps,
+        # each evaluated at all 11 lambdas
+        assert 550 < len(sol.trace) <= 11 * 252
+
+    def test_frozen_lambda_is_the_shared_temperature_engine(self):
+        rng = np.random.default_rng(67)
+        logits, labels, weights = sampled_task(rng, n=300)
+        for mode in EstimatorMode:
+            sol = optimize_transcal(logits, labels, weights, mode=mode, freeze_lambda=True)
+            want = _minimize_temperature(
+                lambda t: transcal_objective(logits, labels, weights, t, 1.0, mode=mode)
+            )[0]
+            assert sol.t_star.t == want
+
+    def test_lambda_star_is_the_smallest_profile_minimizer(self):
+        rng = np.random.default_rng(73)
+        logits, labels, weights = sampled_task(rng, n=300)
+        for mode in EstimatorMode:
+            sol = optimize_transcal(logits, labels, weights, mode=mode)
+            at_t = {
+                lam: transcal_objective(logits, labels, weights, sol.t_star.t, lam, mode=mode)
+                for lam in np.linspace(0.0, 1.0, 11).tolist()
+            }
+            best = min(at_t.values())
+            assert sol.lambda_star == min(lam for lam, v in at_t.items() if v == best)
+            assert sol.objective_value == best
+
+    def test_confidences_computed_once_per_temperature(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        logits, labels, weights = sampled_task(rng, n=200)
+        calls = []
+
+        def counted(z):
+            calls.append(1)
+            return _softmax_terms(z)
+
+        monkeypatch.setattr(transcal, "_softmax_terms", counted)
+        sol = optimize_transcal(logits, labels, weights)
+        temperatures = {t for t, _, _ in sol.trace}
+        # one pass per searched temperature, plus the re-evaluation at t*
+        assert len(calls) <= len(temperatures) + 1
 
     def test_constant_objective_breaks_ties_downward(self):
         # identical logit values give constant confidence 1/K and a zero
