@@ -16,6 +16,9 @@ in-process (whichever ``shiftcal`` the import path finds) for:
 * ``bench --seeds 0,1`` with every method on a small grid;
 * a list of bad inputs, each printed with its exit code and stderr.
 
+An uncaught exception is recorded as ``exit 1: <Type>: <message>``, the
+way the console script fails, so a tree that crashes still gets a digest.
+
 It prints ``sha256  relative/path`` for every file under OUT_DIR, then one
 line per bad input. OUT_DIR is replaced by ``OUT_DIR`` in stderr, but
 reports that record file paths still hold it, so two trees compare only
@@ -58,6 +61,9 @@ def run(out: Path, argv: list) -> tuple[int, str]:
             code = cli.main([str(a) for a in argv])
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:  # the console script would print a traceback and exit 1
+            code = 1
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     return code, err.getvalue().replace(str(out), "OUT_DIR")
 
 
@@ -117,6 +123,10 @@ def bad_runs(out: Path) -> list[tuple[str, int, str]]:
     negative[1, 0] = -1.0
     np.savetxt(bad / "negative.csv", negative, fmt="%.17g")
     np.savetxt(bad / "zeros.csv", np.zeros((120, 1)), fmt="%.17g")
+    huge = np.ones((120, 1))
+    huge[0, 0] = 1e200
+    np.savetxt(bad / "huge.csv", huge, fmt="%.17g")
+    np.savetxt(bad / "overflowing.csv", np.full((120, 1), 1e307), fmt="%.17g")
     np.savetxt(bad / "wide.csv", np.ones((4, 2)), fmt="%.17g", delimiter=",")
     (bad / "ragged.csv").write_text("0.5,0.5\n0.25,0.25,0.5\n", encoding="ascii")
     fit = ["calibrate", "--logits", d / "source_val_logits.csv", "--labels", d / "source_val_labels.csv"]
@@ -127,13 +137,16 @@ def bad_runs(out: Path) -> list[tuple[str, int, str]]:
         "diagnose-negative-weight": ["diagnose", "--weights", bad / "negative.csv"],
         "diagnose-wide-weights": ["diagnose", "--weights", bad / "wide.csv"],
         "diagnose-empty-alphas": ["diagnose", *weights, "--alphas", ","],
+        "diagnose-huge-weight": ["diagnose", "--weights", bad / "huge.csv"],
         "temp-with-weights": [*fit, "--method", "temp", *weights],
         "temp-with-features": [*fit, "--method", "temp", "--source-features", d / "source_train_features.csv"],
         "cpcs-weights-and-features": [*fit, "--method", "cpcs", *weights, "--source-features", "/nonexistent"],
         "cpcs-negative-weight": [*fit, "--method", "cpcs", "--weights", bad / "negative.csv"],
         "cpcs-zero-weights": [*fit, "--method", "cpcs", "--weights", bad / "zeros.csv"],
+        "cpcs-overflowing-weights": [*fit, "--method", "cpcs", "--weights", bad / "overflowing.csv"],
         "transcal-no-weights": [*fit, "--method", "transcal"],
         "transcal-zero-weights": [*fit, "--method", "transcal", "--weights", bad / "zeros.csv"],
+        "transcal-huge-weight": [*fit, "--method", "transcal", "--weights", bad / "huge.csv"],
         "transcal-bins-0": [*fit, "--method", "transcal", *weights, "--bins", "0"],
         "temp-bins-0": [*fit, "--method", "temp", "--bins", "0"],
         "probs-out-without-apply": [*fit, "--method", "temp", "--probs-out", bad / "p.csv"],

@@ -11,7 +11,6 @@ serve as the ground-truth oracle for everything above.
 from .bench import default_grid, run_grid, run_single
 from .density_ratio import (
     DomainClassifier,
-    DomainClassifierConfig,
     estimate_weights,
     train_domain_classifier,
     upsample_balance,
@@ -67,7 +66,6 @@ __all__ = [
     "ControlVariateCoefficients",
     "DegeneracyError",
     "DomainClassifier",
-    "DomainClassifierConfig",
     "EstimatorMode",
     "GeneratedTask",
     "ProbabilitySet",

@@ -4,6 +4,10 @@ A binary logistic regression H(x) = P(domain = source | x) is trained on
 balanced, standardized feature splits; the density-ratio estimate for a
 point is then w(x) = (1 - H(x)) / H(x). Weights are evaluated on the
 source validation split, never on the discriminator's training data.
+
+The fit has no settings: the L2 strength is 1/n for n pooled rows, and
+the Newton iteration stops at GRADIENT_TOLERANCE or after
+MAX_NEWTON_STEPS steps.
 """
 
 from __future__ import annotations
@@ -14,37 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .metrics import check_array
+
 __all__ = [
     "DomainClassifier",
-    "DomainClassifierConfig",
     "estimate_weights",
     "train_domain_classifier",
     "upsample_balance",
 ]
 
 H_CLAMP = 1e-6
+# the fit converges once the gradient norm is below GRADIENT_TOLERANCE,
+# and stops unconverged after MAX_NEWTON_STEPS Newton steps
+GRADIENT_TOLERANCE = 1e-6
+MAX_NEWTON_STEPS = 5000
 # backtracking halves a Newton step at most this many times before the fit gives up
 MAX_HALVINGS = 60
-
-
-@dataclass
-class DomainClassifierConfig:
-    """Training settings for the domain discriminator.
-
-    ``l2_strength`` of None selects 1/n with n the pooled sample count.
-    The fit stops when the gradient norm drops below
-    ``gradient_tolerance`` or after ``max_iterations`` Newton steps.
-    """
-
-    l2_strength: float | None = None
-    max_iterations: int = 5000
-    gradient_tolerance: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.l2_strength is not None and self.l2_strength < 0.0:
-            raise ValueError("l2_strength must be non-negative")
-        if self.max_iterations < 1 or self.gradient_tolerance <= 0.0:
-            raise ValueError("invalid domain classifier configuration")
 
 
 @dataclass
@@ -62,7 +51,7 @@ class DomainClassifier:
 
     def predict_source_probability(self, features: np.ndarray) -> np.ndarray:
         """H(x) = P(domain = source | x) for rows of ``features``."""
-        x = _as_features(features)
+        x = check_array(features, "features", 2)
         if x.shape[1] != self.weights.shape[0]:
             raise ValueError(
                 f"feature dimension {x.shape[1]} does not match classifier "
@@ -72,24 +61,14 @@ class DomainClassifier:
         return expit(standardized @ self.weights + self.bias)
 
 
-def _as_features(obj) -> np.ndarray:
-    """The one validation path for feature matrices: 2-d, non-empty, finite."""
-    x = np.ascontiguousarray(obj, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("features must be a non-empty 2-d array")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features contain non-finite entries")
-    return x
-
-
 def upsample_balance(source_features, target_features, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Resample the smaller split with replacement until both match.
 
     Equal-sized inputs are returned unchanged without consuming any
     randomness. Sampling is seeded and reproducible.
     """
-    source = _as_features(source_features)
-    target = _as_features(target_features)
+    source = check_array(source_features, "features", 2)
+    target = check_array(target_features, "features", 2)
     if source.shape[1] != target.shape[1]:
         raise ValueError("source and target feature dimensions differ")
     n_s, n_t = source.shape[0], target.shape[0]
@@ -103,29 +82,25 @@ def upsample_balance(source_features, target_features, seed: int) -> tuple[np.nd
     return source, target
 
 
-def train_domain_classifier(
-    source_features,
-    target_features,
-    config: DomainClassifierConfig | None = None,
-) -> DomainClassifier:
+def train_domain_classifier(source_features, target_features) -> DomainClassifier:
     """Train the source-vs-target discriminator by damped Newton (IRLS) steps.
 
     Source rows carry domain label 1, target rows 0. Features are
     standardized to zero mean and unit variance using the pooled inputs;
     the statistics are stored on the classifier so new points are mapped
     through the same transform. The loss is mean binary cross-entropy plus
-    an L2 penalty on the weights (bias unpenalized).
+    an L2 penalty of strength 1/n on the weights (bias unpenalized), for n
+    pooled rows.
 
     Each step solves the (d+1)x(d+1) system H delta = g for the Newton
     direction (least squares when H is singular) and halves the step
     length until the loss is finite and does not rise. The fit converges
-    when the gradient norm drops below ``gradient_tolerance``; it stops
-    unconverged after ``max_iterations`` steps, or when no step length
+    when the gradient norm drops below GRADIENT_TOLERANCE; it stops
+    unconverged after MAX_NEWTON_STEPS steps, or when no step length
     down to 2**-MAX_HALVINGS gives an acceptable loss.
     """
-    config = config or DomainClassifierConfig()
-    source = _as_features(source_features)
-    target = _as_features(target_features)
+    source = check_array(source_features, "features", 2)
+    target = check_array(target_features, "features", 2)
     if source.shape[1] != target.shape[1]:
         raise ValueError("source and target feature dimensions differ")
 
@@ -137,7 +112,7 @@ def train_domain_classifier(
     # would blow up any new value in it; such columns keep unit scale
     std = np.where(x.max(axis=0) == x.min(axis=0), 1.0, x.std(axis=0))
     xs = (x - mean) / std
-    l2 = config.l2_strength if config.l2_strength is not None else 1.0 / n
+    l2 = 1.0 / n
 
     def loss_at(theta: np.ndarray) -> tuple[float, np.ndarray]:
         # theta packs the feature weights with the bias last
@@ -153,12 +128,12 @@ def train_domain_classifier(
     loss, margins = loss_at(theta)
     converged = False
     iterations = 0
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_NEWTON_STEPS):
         iterations += 1
         p = expit(margins)
         residual = (p - y) / n
         grad = np.append(xs.T @ residual, residual.sum()) + penalty * theta
-        if math.sqrt(float(grad @ grad)) < config.gradient_tolerance:
+        if math.sqrt(float(grad @ grad)) < GRADIENT_TOLERANCE:
             converged = True
             break
         curvature = p * (1.0 - p) / n

@@ -64,11 +64,7 @@ class ProbabilitySet:
         Rows of ``probs`` (shape (n, K)) must be finite, lie in [0, 1] and
         sum to 1 within 1e-9. The prediction is the first row maximum.
         """
-        probs = np.ascontiguousarray(probs, dtype=np.float64)
-        if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] < 1:
-            raise ValueError("probs must be a non-empty 2-d array of shape (n, K)")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probs contains non-finite entries")
+        probs = check_array(probs, "probs", 2)
         if np.any(probs < 0.0) or np.any(probs > 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         row_sums = probs.sum(axis=1)
@@ -107,6 +103,21 @@ class ReliabilityBins:
     ece: float
 
 
+def check_array(values, name: str, ndim: int) -> np.ndarray:
+    """The one rank and finiteness check for arrays from outside the program.
+
+    Returns ``values`` as a C-contiguous float64 array of rank ``ndim``.
+    Raises ValueError naming ``name`` when the rank is wrong, any dimension
+    is 0, or an entry is non-finite.
+    """
+    values = np.asarray(values, dtype=np.float64, order="C")
+    if values.ndim != ndim or 0 in values.shape:
+        raise ValueError(f"{name} must be a non-empty {ndim}-d array")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return values
+
+
 def check_labels(labels: np.ndarray, num_classes: int, n: int) -> np.ndarray:
     """Validate class labels: shape (n,), integer-valued, in [0, num_classes).
 
@@ -133,12 +144,10 @@ def check_weights(weights, n: int | None = None) -> np.ndarray:
     of length ``n`` when ``n`` is given. What an all-zero vector means is
     left to the caller.
     """
-    values = np.asarray(weights, dtype=np.float64)
-    if values.ndim != 1 or values.shape[0] < 1:
-        raise ValueError("weights must be a non-empty 1-d array")
+    values = check_array(weights, "weights", 1)
     if n is not None and values.shape[0] != n:
         raise ValueError(f"weights must have length {n}, got {values.shape[0]}")
-    if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+    if np.any(values < 0.0):
         raise ValueError("weights must be finite and non-negative")
     return values
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DegeneracyError
-from .metrics import ProbabilitySet, check_labels, check_weights, nll
+from .metrics import ProbabilitySet, check_array, check_labels, check_weights, nll
 
 __all__ = [
     "AffineScaleParam",
@@ -67,15 +67,6 @@ class AffineScaleParam:
     final_loss: float = math.nan
 
 
-def _check_logits(logits: np.ndarray) -> np.ndarray:
-    logits = np.ascontiguousarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 1:
-        raise ValueError("logits must be a non-empty 2-d array of shape (n, K)")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("logits contain non-finite entries")
-    return logits
-
-
 def _softmax_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shifted exponentials of the rows of ``z`` and their row sums.
 
@@ -93,7 +84,7 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> Probabil
     Dividing by a positive temperature never changes the row ranking, so
     predictions (and hence accuracy) are unchanged; only confidences move.
     """
-    logits = _check_logits(logits)
+    logits = check_array(logits, "logits", 2)
     t = float(temperature)
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
@@ -156,7 +147,7 @@ def fit_temperature_nll(logits: np.ndarray, labels: np.ndarray) -> TemperaturePa
     Degenerate input (all logit rows identical and all labels identical)
     returns the upper temperature bound with the degenerate flag set.
     """
-    logits = _check_logits(logits)
+    logits = check_array(logits, "logits", 2)
     labels = check_labels(labels, logits.shape[1], logits.shape[0])
     if np.all(logits == logits[0]) and np.all(labels == labels[0]):
         return TemperatureParam(t=T_MAX, degenerate=True)
@@ -178,11 +169,14 @@ def fit_oracle_temperature(target_logits: np.ndarray, target_labels: np.ndarray)
 
 
 def _require_weight_mass(w: np.ndarray) -> None:
+    """Raise DegeneracyError unless sum(w) is positive and sum(w) and sum(w**2) are finite."""
     if float(w.max()) == 0.0:
-        raise DegeneracyError(
-            "importance weights are all zero; the density-ratio stage "
-            "produced a degenerate weight vector"
-        )
+        raise DegeneracyError("importance weights are all zero")
+    with np.errstate(over="ignore"):
+        if not (math.isfinite(float(w.sum())) and math.isfinite(float(np.dot(w, w)))):
+            raise DegeneracyError(
+                "importance weights overflow: their sum or sum of squares is not finite"
+            )
 
 
 def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> TemperatureParam:
@@ -191,9 +185,10 @@ def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> Tem
     The objective is sum(w_i * bs_i) / sum(w_i) where bs_i is the
     per-sample Brier score at the candidate temperature. Weight vectors
     concentrated on few samples can drive the optimum to a bound; the
-    degenerate flag reports that. All-zero weights raise DegeneracyError.
+    degenerate flag reports that. All-zero weights, and weights whose sum
+    or sum of squares overflows, raise DegeneracyError.
     """
-    logits = _check_logits(logits)
+    logits = check_array(logits, "logits", 2)
     n, k = logits.shape
     labels = check_labels(labels, k, n)
     w = check_weights(weights, n)
@@ -235,7 +230,7 @@ def _softmax_ce(transformed: np.ndarray, labels: np.ndarray) -> tuple[float, np.
 
 
 def _fit_affine(logits: np.ndarray, labels: np.ndarray, kind: str) -> AffineScaleParam:
-    logits = _check_logits(logits)
+    logits = check_array(logits, "logits", 2)
     n, k = logits.shape
     labels = check_labels(labels, k, n)
     vector = kind == "vector"
@@ -286,7 +281,7 @@ def apply_affine_scaling(logits: np.ndarray, param: AffineScaleParam) -> Probabi
     Unlike temperature scaling, the affine map can reorder classes, so
     predictions come from the transformed logits.
     """
-    logits = _check_logits(logits)
+    logits = check_array(logits, "logits", 2)
     if param.kind == "vector":
         transformed = logits * param.scale + param.bias
     elif param.kind == "matrix":

@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import _num_bins, bin_indices, check_labels, check_weights
+from .metrics import _num_bins, bin_indices, check_array, check_labels, check_weights
 from .scaling import (
     _GRID_SIZE,
     TemperatureParam,
-    _check_logits,
     _minimize_temperature,
     _require_weight_mass,
     _softmax_terms,
@@ -87,15 +86,6 @@ class TransCalSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_samples(u: np.ndarray, name: str) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1 or u.shape[0] < 1:
-        raise ValueError(f"{name} must be a non-empty 1-d array")
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return u
-
-
 def _moments(u: np.ndarray, t: np.ndarray) -> tuple[float, float]:
     """Population covariance Cov(u, t) and variance Var(t)."""
     du = u - u.mean()
@@ -113,8 +103,8 @@ def apply_control_variate(
     mean. A variate with zero variance leaves the samples unchanged and is
     flagged. Adjusted samples are returned so corrections can be chained.
     """
-    u = _check_samples(u_samples, "u_samples")
-    t = _check_samples(t_samples, "t_samples")
+    u = check_array(u_samples, "u_samples", 1)
+    t = check_array(t_samples, "t_samples", 1)
     if u.shape != t.shape:
         raise ValueError("u_samples and t_samples must have the same length")
     tau = float(tau)
@@ -168,7 +158,7 @@ class _ObjectiveContext:
     """Precomputed arrays for repeated (t, lambda) objective evaluations."""
 
     def __init__(self, logits: np.ndarray, labels: np.ndarray, weights, bins: int):
-        logits = _check_logits(logits)
+        logits = check_array(logits, "logits", 2)
         if logits.shape[1] < 2:
             raise ValueError("logits must be a 2-d array with at least two classes")
         n = logits.shape[0]
@@ -236,7 +226,7 @@ def transcal_objective(
     decomposed into per-sample contributions, and the mode's
     control-variate correction is applied.
     """
-    mode = EstimatorMode(mode) if not isinstance(mode, EstimatorMode) else mode
+    mode = EstimatorMode(mode)
     ctx = _ObjectiveContext(logits, labels, weights, bins)
     if not (0.0 <= float(lam) <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
@@ -265,7 +255,7 @@ def optimize_transcal(
     correction instead. The search is deterministic and every (t, lambda)
     evaluation is recorded in the trace.
     """
-    mode = EstimatorMode(mode) if not isinstance(mode, EstimatorMode) else mode
+    mode = EstimatorMode(mode)
     ctx = _ObjectiveContext(logits, labels, weights, bins)
     values = ctx.weights
     _require_weight_mass(values)
@@ -318,7 +308,7 @@ def renyi_diagnostic(weights, alpha: float) -> float:
     Computes (mean of w^(alpha + 1))^(1/alpha) over source-drawn weights,
     the sample version of the divergence term governing the variance of
     importance-weighted estimates. Unit weights give exactly 1. Returns
-    +inf when the power moment overflows.
+    +inf when the power moment or its final power overflows.
     """
     values = check_weights(weights)
     alpha = float(alpha)
@@ -326,6 +316,7 @@ def renyi_diagnostic(weights, alpha: float) -> float:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     with np.errstate(over="ignore"):
         moment = float(np.mean(np.power(values, alpha + 1.0)))
-    if not math.isfinite(moment):
+    try:
+        return moment ** (1.0 / alpha)
+    except OverflowError:
         return math.inf
-    return moment ** (1.0 / alpha)

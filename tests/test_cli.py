@@ -295,6 +295,25 @@ class TestCalibrate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "method", [m for m in bench.ALL_METHODS if bench.METHODS[m].needs_weights]
+    )
+    @pytest.mark.parametrize("huge", ["all_1e307", "one_1e200"])
+    def test_overflowing_weights_degenerate_exit_code(self, task_dir, tmp_path, method, huge):
+        # all at 1e307 the weight sum overflows; one at 1e200 overflows the sum of squares
+        weights = np.full((120, 1), 1e307) if huge == "all_1e307" else np.ones((120, 1))
+        if huge == "one_1e200":
+            weights[0, 0] = 1e200
+        wfile = tmp_path / "huge.csv"
+        save_matrix(wfile, weights)
+        code = run(
+            "calibrate", "--method", method,
+            "--logits", task_dir / "source_val_logits.csv",
+            "--labels", task_dir / "source_val_labels.csv",
+            "--weights", wfile, "--out", tmp_path / "fit.json",
+        )
+        assert code == 3
+
     @pytest.mark.parametrize("method", bench.ALL_METHODS)
     def test_every_method_fits_and_applies(self, task_dir, tmp_path, method):
         spec = bench.METHODS[method]
@@ -408,6 +427,14 @@ class TestDiagnose:
         assert hist["edges"][0] == 0.0
         assert hist["edges"][-1] == report["max"]
         assert set(report["renyi"]) == {"0.5", "1.0", "2.0"}
+
+    def test_overflowing_order_is_null(self, tmp_path):
+        weights = np.ones((120, 1))
+        weights[0, 0] = 1e200
+        save_matrix(tmp_path / "w.csv", weights)
+        out = tmp_path / "diag.json"
+        assert run("diagnose", "--weights", tmp_path / "w.csv", "--out", out) == 0
+        assert read_json(out)["renyi"]["0.5"] is None
 
     def test_custom_alphas(self, task_dir, tmp_path):
         out = tmp_path / "diag.json"

@@ -3,14 +3,13 @@ import pytest
 
 from shiftcal import (
     DomainClassifier,
-    DomainClassifierConfig,
     estimate_weights,
     generate,
     train_domain_classifier,
     upsample_balance,
 )
 from shiftcal.bench import default_grid
-from shiftcal.density_ratio import H_CLAMP
+from shiftcal.density_ratio import GRADIENT_TOLERANCE, H_CLAMP
 
 
 def two_blobs(rng, n, separation=4.0, dim=3):
@@ -90,13 +89,11 @@ class TestTrainDomainClassifier:
         assert np.all(h_source < 1.0)
 
     def test_gradient_convergence_on_well_conditioned_problem(self):
-        # a stronger penalty makes the loss strongly convex, so Newton
+        # the 1/n penalty makes the loss strongly convex, so Newton
         # steps drive the gradient below tolerance well within budget
         rng = np.random.default_rng(11)
         source, target = two_blobs(rng, 400)
-        clf = train_domain_classifier(
-            source, target, DomainClassifierConfig(l2_strength=0.05)
-        )
+        clf = train_domain_classifier(source, target)
         assert clf.converged
         assert clf.iterations < 5000
 
@@ -142,20 +139,6 @@ class TestTrainDomainClassifier:
         clf = train_domain_classifier(source, target)
         assert clf.l2_strength == 1.0 / 80.0
 
-    def test_explicit_config_is_respected(self):
-        rng = np.random.default_rng(29)
-        source, target = two_blobs(rng, 100)
-        config = DomainClassifierConfig(l2_strength=0.5, max_iterations=50)
-        clf = train_domain_classifier(source, target, config)
-        assert clf.l2_strength == 0.5
-        assert clf.iterations <= 50
-        strong = clf
-        weak = train_domain_classifier(
-            source, target, DomainClassifierConfig(l2_strength=1e-8)
-        )
-        # heavier penalty shrinks the separating weights
-        assert np.linalg.norm(strong.weights) < np.linalg.norm(weak.weights)
-
     def test_deterministic(self):
         rng = np.random.default_rng(31)
         source, target = two_blobs(rng, 150)
@@ -165,19 +148,13 @@ class TestTrainDomainClassifier:
         assert a.bias == b.bias
         assert a.final_loss == b.final_loss
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DomainClassifierConfig(gradient_tolerance=0.0)
-        with pytest.raises(ValueError):
-            DomainClassifierConfig(max_iterations=0)
-
 
 class TestNewtonSolve:
     @staticmethod
     def _assert_at_optimum(clf, source, target):
         grad = regularized_gradient(clf, source, target)
         assert clf.converged
-        assert np.linalg.norm(grad) < DomainClassifierConfig().gradient_tolerance
+        assert np.linalg.norm(grad) < GRADIENT_TOLERANCE
         assert clf.iterations <= 20
 
     def test_two_blobs_reach_the_optimum_in_few_steps(self):
@@ -200,19 +177,31 @@ class TestNewtonSolve:
         assert np.all(np.isfinite(estimate_weights(clf, features)))
 
     def test_unpenalized_separable_blobs_stay_finite(self):
+        # the domains are separable, so only the 1/n penalty bounds the weights
         source, target = two_blobs(np.random.default_rng(47), 100, separation=20.0)
-        clf = train_domain_classifier(source, target, DomainClassifierConfig(l2_strength=0.0))
+        clf = train_domain_classifier(source, target)
         self._assert_finite(clf, np.vstack([source, target]))
 
     def test_unpenalized_constant_column_stays_finite(self):
-        # the standardized constant column is all zeros, so with no penalty
-        # the Hessian is singular and the step falls back to least squares
+        # the standardized constant column is all zeros, so its weight gets
+        # no gradient and stays exactly 0
         rng = np.random.default_rng(53)
         source = np.hstack([rng.standard_normal((50, 1)), np.ones((50, 1))])
         target = np.hstack([rng.standard_normal((50, 1)) + 1.0, np.ones((50, 1))])
-        clf = train_domain_classifier(source, target, DomainClassifierConfig(l2_strength=0.0))
+        clf = train_domain_classifier(source, target)
         self._assert_finite(clf, source)
         assert clf.weights[1] == 0.0
+
+    def test_singular_hessian_falls_back_to_least_squares(self, monkeypatch):
+        # np.linalg.solve raises LinAlgError on a singular Hessian; the
+        # least-squares direction must still reach the optimum
+        def singular(hess, grad):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        source, target = two_blobs(np.random.default_rng(11), 400)
+        clf = train_domain_classifier(source, target)
+        self._assert_at_optimum(clf, source, target)
 
     def test_overflowing_step_is_rejected(self, monkeypatch):
         # a direction that overflows the margins gives a NaN or infinite
@@ -225,13 +214,10 @@ class TestNewtonSolve:
         assert clf.final_loss == pytest.approx(np.log(2.0))
         self._assert_finite(clf, source)
 
-    @pytest.mark.parametrize("l2_strength", [None, 0.0])
-    def test_one_row_per_domain_stays_finite(self, l2_strength):
+    def test_one_row_per_domain_stays_finite(self):
         rng = np.random.default_rng(59)
         source, target = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
-        clf = train_domain_classifier(
-            source, target, DomainClassifierConfig(l2_strength=l2_strength)
-        )
+        clf = train_domain_classifier(source, target)
         self._assert_finite(clf, rng.standard_normal((5, 3)))
 
 

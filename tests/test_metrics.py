@@ -4,14 +4,28 @@ import numpy as np
 import pytest
 
 from shiftcal import (
+    AffineScaleParam,
     ProbabilitySet,
+    apply_affine_scaling,
+    apply_control_variate,
     bin_indices,
     brier,
     ece,
+    fit_cpcs_temperature,
+    fit_matrix_scaling,
+    fit_oracle_temperature,
+    fit_temperature_nll,
+    fit_vector_scaling,
     metric_report,
     nll,
+    optimize_transcal,
     per_sample_residuals,
     reliability_bins,
+    serial_control_variate,
+    softmax_with_temperature,
+    train_domain_classifier,
+    transcal_objective,
+    upsample_balance,
     weighted_ece,
 )
 
@@ -60,6 +74,63 @@ class TestBinIndices:
             bin_indices(np.array([0.5]), 0)
         with pytest.raises(ValueError):
             bin_indices(np.array([0.5]), -3)
+
+
+LOGITS = np.array([[2.0, 0.5, -1.0], [0.0, 1.0, 0.5], [1.5, 1.5, 0.0], [-0.5, 0.0, 2.0]])
+LABELS = np.array([0, 1, 0, 2])
+UNIT = np.ones(4)
+FEATURES = np.arange(8.0).reshape(4, 2)
+VECTOR_MAP = AffineScaleParam(scale=np.ones(3), bias=np.zeros(3), kind="vector")
+
+# every public entry point that takes an array from outside the program:
+# (call with the array under test, the argument's name, a valid value for it)
+ARRAY_ENTRY_POINTS = {
+    "softmax_with_temperature": (lambda a: softmax_with_temperature(a, 1.5), "logits", LOGITS),
+    "fit_temperature_nll": (lambda a: fit_temperature_nll(a, LABELS), "logits", LOGITS),
+    "fit_oracle_temperature": (lambda a: fit_oracle_temperature(a, LABELS), "logits", LOGITS),
+    "fit_cpcs_temperature": (lambda a: fit_cpcs_temperature(a, LABELS, UNIT), "logits", LOGITS),
+    "fit_cpcs_temperature-weights": (lambda a: fit_cpcs_temperature(LOGITS, LABELS, a), "weights", UNIT),
+    "fit_vector_scaling": (lambda a: fit_vector_scaling(a, LABELS), "logits", LOGITS),
+    "fit_matrix_scaling": (lambda a: fit_matrix_scaling(a, LABELS), "logits", LOGITS),
+    "apply_affine_scaling": (lambda a: apply_affine_scaling(a, VECTOR_MAP), "logits", LOGITS),
+    "optimize_transcal": (lambda a: optimize_transcal(a, LABELS, UNIT), "logits", LOGITS),
+    "optimize_transcal-weights": (lambda a: optimize_transcal(LOGITS, LABELS, a), "weights", UNIT),
+    "transcal_objective": (lambda a: transcal_objective(a, LABELS, UNIT, 1.0, 0.5), "logits", LOGITS),
+    "apply_control_variate": (lambda a: apply_control_variate(a, UNIT, 1.0), "u_samples", UNIT),
+    "serial_control_variate": (lambda a: serial_control_variate(a, UNIT, UNIT, 0.5), "u_samples", UNIT),
+    "upsample_balance": (lambda a: upsample_balance(a, FEATURES, seed=0), "features", FEATURES),
+    "train_domain_classifier": (lambda a: train_domain_classifier(FEATURES, a), "features", FEATURES),
+    "from_probabilities": (ProbabilitySet.from_probabilities, "probs", np.full((4, 3), 1.0 / 3.0)),
+}
+
+
+def bad_arrays(good):
+    """A NaN entry, each way of being empty, and the wrong rank."""
+    nan = good.copy()
+    nan.flat[-1] = math.nan
+    cases = {"nan": nan, "no_rows": good[:0]}
+    if good.ndim == 2:
+        cases["no_columns"] = good[:, :0]
+        cases["rank_1"] = good[0]
+    else:
+        cases["rank_2"] = good[None, :]
+    return cases
+
+
+class TestCheckArray:
+    @pytest.mark.parametrize(
+        "entry, case",
+        [
+            (entry, case)
+            for entry, (_, _, good) in ARRAY_ENTRY_POINTS.items()
+            for case in bad_arrays(good)
+        ],
+    )
+    def test_every_entry_point_names_the_bad_argument(self, entry, case):
+        call, name, good = ARRAY_ENTRY_POINTS[entry]
+        call(good)
+        with pytest.raises(ValueError, match=f"^{name} (must be a non-empty|contains non-finite)"):
+            call(bad_arrays(good)[case])
 
 
 class TestProbabilitySet:

@@ -324,6 +324,10 @@ class TestRenyiDiagnostic:
     def test_overflow_returns_infinity(self):
         w = np.array([1e200, 1e200, 1.0])
         assert renyi_diagnostic(w, 2.0) == math.inf
+        # at order 0.5 the moment mean(w^1.5) stays finite and its square overflows
+        one_huge = np.ones(120)
+        one_huge[0] = 1e200
+        assert renyi_diagnostic(one_huge, 0.5) == math.inf
 
     def test_accepts_weight_vector(self):
         w = np.array([0.5, 1.5, 2.0])
