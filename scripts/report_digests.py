@@ -43,6 +43,7 @@ import numpy as np
 
 import shiftcal
 from shiftcal import bench, cli
+from shiftcal.matrixio import save_matrix
 
 # name, gen-synth flags, matrix suffix
 TASKS = (
@@ -129,6 +130,11 @@ def bad_runs(out: Path) -> list[tuple[str, int, str]]:
     np.savetxt(bad / "overflowing.csv", np.full((120, 1), 1e307), fmt="%.17g")
     np.savetxt(bad / "wide.csv", np.ones((4, 2)), fmt="%.17g", delimiter=",")
     (bad / "ragged.csv").write_text("0.5,0.5\n0.25,0.25,0.5\n", encoding="ascii")
+    np.savetxt(bad / "one-class.csv", np.linspace(-1.0, 1.0, 50)[:, None], fmt="%.17g")
+    np.savetxt(bad / "one-class-labels.csv", np.zeros(50, dtype=np.int64), fmt="%d")
+    nan = np.zeros((120, 3))
+    nan[0, 0] = np.nan
+    save_matrix(bad / "nan.f32", nan)
     fit = ["calibrate", "--logits", d / "source_val_logits.csv", "--labels", d / "source_val_labels.csv"]
     weights = ["--weights", d / "true_weights.csv"]
     cases = {
@@ -149,6 +155,11 @@ def bad_runs(out: Path) -> list[tuple[str, int, str]]:
         "transcal-huge-weight": [*fit, "--method", "transcal", "--weights", bad / "huge.csv"],
         "transcal-bins-0": [*fit, "--method", "transcal", *weights, "--bins", "0"],
         "temp-bins-0": [*fit, "--method", "temp", "--bins", "0"],
+        "temp-one-class": ["calibrate", "--method", "temp", "--logits", bad / "one-class.csv",
+                           "--labels", bad / "one-class-labels.csv"],
+        "calibrate-f32-nan": ["calibrate", "--method", "temp", "--logits", bad / "nan.f32",
+                              "--labels", d / "source_val_labels.csv"],
+        "gen-synth-dimension-0": ["gen-synth", "--dimension", "0", "--classes", "0"],
         "probs-out-without-apply": [*fit, "--method", "temp", "--probs-out", bad / "p.csv"],
         "evaluate-missing-file": ["evaluate", "--probs", bad / "nope.csv", "--labels", bad / "nope.csv"],
         "evaluate-ragged-probs": ["evaluate", "--probs", bad / "ragged.csv", "--labels", d / "target_labels.csv"],

@@ -104,8 +104,9 @@ def load_matrix(path) -> np.ndarray:
         if len(blob) != expected:
             raise ValueError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
         data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
-        return data.astype(np.float64).reshape(rows, cols)
-    out = _load_text(path, "matrix", delimiter=",")
+        out = data.astype(np.float64).reshape(rows, cols)
+    else:
+        out = _load_text(path, "matrix", delimiter=",")
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{path}: matrix contains non-finite entries")
     return out

@@ -12,7 +12,7 @@ reductions in bin index order) so results are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,12 +50,16 @@ class ProbabilitySet:
     predictions : ndarray of shape (n,)
         Index of a maximal entry per row (lowest index on ties).
     confidences : ndarray of shape (n,)
-        Maximum probability per row, ``probs[i, predictions[i]]``.
+        Maximum probability per row, ``probs[i, predictions[i]]``; derived on
+        construction, so constructors pass only ``probs`` and ``predictions``.
     """
 
     probs: np.ndarray
     predictions: np.ndarray
-    confidences: np.ndarray
+    confidences: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.confidences = self.probs[np.arange(self.probs.shape[0]), self.predictions]
 
     @classmethod
     def from_probabilities(cls, probs: np.ndarray) -> "ProbabilitySet":
@@ -74,9 +78,7 @@ class ProbabilitySet:
                 f"probability rows must sum to 1 within {ROW_SUM_TOL:g} "
                 f"(worst deviation {worst:.3g})"
             )
-        predictions = np.argmax(probs, axis=1)
-        confidences = probs[np.arange(probs.shape[0]), predictions]
-        return cls(probs=probs, predictions=predictions, confidences=confidences)
+        return cls(probs=probs, predictions=np.argmax(probs, axis=1))
 
     @property
     def num_samples(self) -> int:
@@ -164,6 +166,20 @@ def bin_indices(confidences: np.ndarray, bins: int = 15) -> np.ndarray:
     return np.clip(idx, 0, num_bins - 1)
 
 
+def _bin_statistics(idx, weights, correct, confidences, num_bins: int) -> tuple[np.ndarray, ...]:
+    """Weighted (mass, accuracy, mean confidence) of each bin, given 0-based bins ``idx``.
+
+    Accuracy and confidence are NaN in bins with no mass.
+    """
+    mass = np.bincount(idx, weights=weights, minlength=num_bins)
+    occupied = mass > 0.0
+    acc_sum = np.bincount(idx, weights=weights * correct, minlength=num_bins)
+    conf_sum = np.bincount(idx, weights=weights * confidences, minlength=num_bins)
+    accuracy = np.divide(acc_sum, mass, out=np.full(num_bins, np.nan), where=occupied)
+    confidence = np.divide(conf_sum, mass, out=np.full(num_bins, np.nan), where=occupied)
+    return mass, accuracy, confidence
+
+
 def reliability_bins(
     probs: ProbabilitySet,
     labels: np.ndarray,
@@ -200,27 +216,21 @@ def reliability_bins(
 
     correct = (probs.predictions == labels).astype(np.float64)
     idx = bin_indices(probs.confidences, num_bins)
-    weight_sum = np.bincount(idx, weights=weights, minlength=num_bins)
-    acc_sum = np.bincount(idx, weights=weights * correct, minlength=num_bins)
-    conf_sum = np.bincount(idx, weights=weights * probs.confidences, minlength=num_bins)
+    mass, accuracy, confidence = _bin_statistics(idx, weights, correct, probs.confidences, num_bins)
 
     total = 0.0
     for m in range(num_bins):
-        total += weight_sum[m]
+        total += mass[m]
     if total <= 0.0:
         raise ValueError("weights sum to zero; nothing to bin")
 
-    accuracy = np.full(num_bins, np.nan)
-    confidence = np.full(num_bins, np.nan)
     value = 0.0
     for m in range(num_bins):
-        if weight_sum[m] > 0.0:
-            accuracy[m] = acc_sum[m] / weight_sum[m]
-            confidence[m] = conf_sum[m] / weight_sum[m]
-            value += (weight_sum[m] / total) * abs(accuracy[m] - confidence[m])
+        if mass[m] > 0.0:
+            value += (mass[m] / total) * abs(accuracy[m] - confidence[m])
     return ReliabilityBins(
         num_bins=num_bins,
-        counts=weight_sum,
+        counts=mass,
         accuracy=accuracy,
         confidence=confidence,
         ece=value,
@@ -267,15 +277,17 @@ def nll(probs: ProbabilitySet, labels: np.ndarray, mean: bool = False) -> float:
     return total
 
 
+def _brier_rows(diff: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample Brier scores sum_k (p_ik - 1[k = y_i])^2 / K; overwrites the rows ``diff``."""
+    diff[np.arange(diff.shape[0]), labels] -= 1.0
+    np.square(diff, out=diff)
+    return diff.sum(axis=1) / diff.shape[1]
+
+
 def brier(probs: ProbabilitySet, labels: np.ndarray) -> float:
     """Brier score: mean over samples of the per-class squared error / K."""
-    n = probs.num_samples
-    k = probs.num_classes
-    labels = check_labels(labels, k, n)
-    diff = probs.probs.copy()
-    diff[np.arange(n), labels] -= 1.0
-    per_sample = (diff * diff).sum(axis=1) / k
-    return float(per_sample.mean())
+    labels = check_labels(labels, probs.num_classes, probs.num_samples)
+    return float(_brier_rows(probs.probs.copy(), labels).mean())
 
 
 def per_sample_residuals(probs: ProbabilitySet, labels: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DegeneracyError
-from .metrics import ProbabilitySet, check_array, check_labels, check_weights, nll
+from .metrics import ProbabilitySet, _brier_rows, check_array, check_labels, check_weights, nll
 
 __all__ = [
     "AffineScaleParam",
@@ -54,8 +54,9 @@ class TemperatureParam:
 class AffineScaleParam:
     """Class-wise affine recalibration: softmax(scale o logits + bias).
 
-    ``scale`` has shape (K,) for vector scaling (elementwise) or (K, K) for
-    matrix scaling (matrix product).
+    The shape of ``scale`` picks the map: (K,) applies it elementwise
+    (vector scaling), (K, K) as a matrix product (matrix scaling). ``kind``
+    only names the fit, "vector" or "matrix".
     """
 
     scale: np.ndarray
@@ -78,6 +79,19 @@ def _softmax_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, z.sum(axis=1, keepdims=True)
 
 
+def _affine_map(logits: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """scale o logits + bias: elementwise for a (K,) scale, a matrix product for (K, K)."""
+    return logits * scale + bias if scale.ndim == 1 else logits @ scale.T + bias
+
+
+def _check_fit_inputs(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Validated logits with at least two classes, and one in-range label per row."""
+    logits = check_array(logits, "logits", 2)
+    if logits.shape[1] < 2:
+        raise ValueError("logits must be a 2-d array with at least two classes")
+    return logits, check_labels(labels, logits.shape[1], logits.shape[0])
+
+
 def softmax_with_temperature(logits: np.ndarray, temperature: float) -> ProbabilitySet:
     """Softmax of logits / temperature; the row argmax is that of the raw logits.
 
@@ -85,14 +99,9 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> Probabil
     predictions (and hence accuracy) are unchanged; only confidences move.
     """
     logits = check_array(logits, "logits", 2)
-    t = float(temperature)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
-    p, sums = _softmax_terms(logits / t)
+    p, sums = _softmax_terms(logits / TemperatureParam(float(temperature)).t)
     p /= sums
-    predictions = np.argmax(logits, axis=1)
-    confidences = p[np.arange(p.shape[0]), predictions]
-    return ProbabilitySet(probs=p, predictions=predictions, confidences=confidences)
+    return ProbabilitySet(probs=p, predictions=np.argmax(logits, axis=1))
 
 
 def _minimize_temperature(objective) -> tuple[float, float, bool]:
@@ -147,8 +156,7 @@ def fit_temperature_nll(logits: np.ndarray, labels: np.ndarray) -> TemperaturePa
     Degenerate input (all logit rows identical and all labels identical)
     returns the upper temperature bound with the degenerate flag set.
     """
-    logits = check_array(logits, "logits", 2)
-    labels = check_labels(labels, logits.shape[1], logits.shape[0])
+    logits, labels = _check_fit_inputs(logits, labels)
     if np.all(logits == logits[0]) and np.all(labels == labels[0]):
         return TemperatureParam(t=T_MAX, degenerate=True)
 
@@ -188,18 +196,13 @@ def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> Tem
     degenerate flag reports that. All-zero weights, and weights whose sum
     or sum of squares overflows, raise DegeneracyError.
     """
-    logits = check_array(logits, "logits", 2)
-    n, k = logits.shape
-    labels = check_labels(labels, k, n)
-    w = check_weights(weights, n)
+    logits, labels = _check_fit_inputs(logits, labels)
+    w = check_weights(weights, logits.shape[0])
     _require_weight_mass(w)
     w_total = float(w.sum())
-    onehot_rows = np.arange(n)
 
     def objective(t: float) -> float:
-        p = softmax_with_temperature(logits, t).probs
-        p[onehot_rows, labels] -= 1.0
-        per_sample = (p * p).sum(axis=1) / k
+        per_sample = _brier_rows(softmax_with_temperature(logits, t).probs, labels)
         return float(np.dot(w, per_sample)) / w_total
 
     t_star, _, hit_bound = _minimize_temperature(objective)
@@ -230,9 +233,8 @@ def _softmax_ce(transformed: np.ndarray, labels: np.ndarray) -> tuple[float, np.
 
 
 def _fit_affine(logits: np.ndarray, labels: np.ndarray, kind: str) -> AffineScaleParam:
-    logits = check_array(logits, "logits", 2)
-    n, k = logits.shape
-    labels = check_labels(labels, k, n)
+    logits, labels = _check_fit_inputs(logits, labels)
+    k = logits.shape[1]
     vector = kind == "vector"
     identity = np.ones(k) if vector else np.eye(k)
     x0 = np.concatenate([identity.ravel(), np.zeros(k)])
@@ -242,8 +244,7 @@ def _fit_affine(logits: np.ndarray, labels: np.ndarray, kind: str) -> AffineScal
 
     def loss_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
         scale, bias = unpack(x)
-        transformed = logits * scale + bias if vector else logits @ scale.T + bias
-        loss, grad = _softmax_ce(transformed, labels)
+        loss, grad = _softmax_ce(_affine_map(logits, scale, bias), labels)
         grad_scale = (grad * logits).sum(axis=0) if vector else grad.T @ logits
         return loss, np.concatenate([grad_scale.ravel(), grad.sum(axis=0)])
 
@@ -282,14 +283,6 @@ def apply_affine_scaling(logits: np.ndarray, param: AffineScaleParam) -> Probabi
     predictions come from the transformed logits.
     """
     logits = check_array(logits, "logits", 2)
-    if param.kind == "vector":
-        transformed = logits * param.scale + param.bias
-    elif param.kind == "matrix":
-        transformed = logits @ param.scale.T + param.bias
-    else:
-        raise ValueError(f"unknown affine scaling kind {param.kind!r}")
-    p, sums = _softmax_terms(transformed)
+    p, sums = _softmax_terms(_affine_map(logits, param.scale, param.bias))
     p /= sums
-    predictions = np.argmax(p, axis=1)
-    confidences = p[np.arange(p.shape[0]), predictions]
-    return ProbabilitySet(probs=p, predictions=predictions, confidences=confidences)
+    return ProbabilitySet(probs=p, predictions=np.argmax(p, axis=1))

@@ -93,6 +93,8 @@ class ShiftScenario:
         Components have unit variance; build the dataclass directly for
         another ``class_variance`` or shift direction.
         """
+        if dimension < 1:
+            raise ValueError(f"dimension must be at least 1, got {dimension}")
         if num_classes > dimension:
             raise ValueError(
                 "axis-aligned layout needs num_classes <= dimension; "

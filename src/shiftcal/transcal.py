@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import _num_bins, bin_indices, check_array, check_labels, check_weights
+from .metrics import _bin_statistics, _num_bins, bin_indices, check_array, check_weights
 from .scaling import (
     _GRID_SIZE,
     TemperatureParam,
+    _check_fit_inputs,
     _minimize_temperature,
     _require_weight_mass,
     _softmax_terms,
@@ -86,13 +87,6 @@ class TransCalSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _moments(u: np.ndarray, t: np.ndarray) -> tuple[float, float]:
-    """Population covariance Cov(u, t) and variance Var(t)."""
-    du = u - u.mean()
-    dt = t - t.mean()
-    return float((du * dt).mean()), float((dt * dt).mean())
-
-
 def apply_control_variate(
     u_samples: np.ndarray, t_samples: np.ndarray, tau: float
 ) -> tuple[float, np.ndarray, ControlVariateCoefficients]:
@@ -110,15 +104,17 @@ def apply_control_variate(
     tau = float(tau)
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
-    cov, var = _moments(u, t)
+    u_mean, t_mean = float(u.mean()), float(t.mean())
+    dt = t - t_mean
+    cov, var = float(((u - u_mean) * dt).mean()), float((dt * dt).mean())
     if var == 0.0:
         coeffs = ControlVariateCoefficients(
             eta1=0.0, cov_u_t1=cov, var_t1=var, flags=("constant_variate",)
         )
-        return float(u.mean()), u.copy(), coeffs
+        return u_mean, u.copy(), coeffs
     eta = -cov / var
     adjusted = u + eta * (t - tau)
-    estimate = float(u.mean()) + eta * (float(t.mean()) - tau)
+    estimate = u_mean + eta * (t_mean - tau)
     coeffs = ControlVariateCoefficients(eta1=eta, cov_u_t1=cov, var_t1=var)
     return estimate, adjusted, coeffs
 
@@ -158,22 +154,16 @@ class _ObjectiveContext:
     """Precomputed arrays for repeated (t, lambda) objective evaluations."""
 
     def __init__(self, logits: np.ndarray, labels: np.ndarray, weights, bins: int):
-        logits = check_array(logits, "logits", 2)
-        if logits.shape[1] < 2:
-            raise ValueError("logits must be a 2-d array with at least two classes")
-        n = logits.shape[0]
-        labels = check_labels(labels, logits.shape[1], n)
-        self.weights = check_weights(weights, n)
+        logits, labels = _check_fit_inputs(logits, labels)
+        self.weights = check_weights(weights, logits.shape[0])
         self.num_bins = _num_bins(bins)
         self.logits = logits
-        self.predictions = np.argmax(logits, axis=1)
-        self.correct = (self.predictions == labels).astype(np.float64)
-        self._rows = np.arange(n)
+        self.correct = (np.argmax(logits, axis=1) == labels).astype(np.float64)
 
     def confidences(self, t: float) -> np.ndarray:
-        # normalizing only the gathered entries is cheaper than the full matrix
-        e, sums = _softmax_terms(self.logits / t)
-        return e[self._rows, self.predictions] / sums[:, 0]
+        # the predicted class's shifted exponential is exp(0) = 1, so its
+        # softmax probability is 1 / row sum, with no gather and no full matrix
+        return 1.0 / _softmax_terms(self.logits / t)[1][:, 0]
 
     def binned(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Confidences at temperature t and their bin indices, shared by every lambda."""
@@ -192,15 +182,9 @@ class _ObjectiveContext:
         convention 1/n; the mode's control variates then correct it.
         """
         conf, idx = binned
-        weight_sum = np.bincount(idx, weights=wl, minlength=self.num_bins)
-        acc_sum = np.bincount(idx, weights=wl * self.correct, minlength=self.num_bins)
-        conf_sum = np.bincount(idx, weights=wl * conf, minlength=self.num_bins)
-        gap = np.zeros(self.num_bins)
-        occupied = weight_sum > 0.0
-        gap[occupied] = np.abs(
-            acc_sum[occupied] / weight_sum[occupied] - conf_sum[occupied] / weight_sum[occupied]
-        )
-        u = wl * gap[idx]
+        mass, accuracy, confidence = _bin_statistics(idx, wl, self.correct, conf, self.num_bins)
+        # a bin of zero-weight samples has NaN statistics but contributes u = 0
+        u = wl * np.where(mass > 0.0, np.abs(accuracy - confidence), 0.0)[idx]
         if mode is EstimatorMode.PLAIN_IWECE:
             return float(u.mean()), None
         return serial_control_variate(u, wl, self.correct, float(conf.mean()))
@@ -230,9 +214,7 @@ def transcal_objective(
     ctx = _ObjectiveContext(logits, labels, weights, bins)
     if not (0.0 <= float(lam) <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if not (float(t) > 0.0 and math.isfinite(float(t))):
-        raise ValueError(f"temperature must be positive and finite, got {t}")
-    return ctx.at(float(t), float(lam), mode)[0]
+    return ctx.at(TemperatureParam(float(t)).t, float(lam), mode)[0]
 
 
 def optimize_transcal(

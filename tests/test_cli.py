@@ -64,6 +64,12 @@ class TestGenSynth:
         for name in names:
             assert (task_dir / name).read_bytes() == (again / name).read_bytes(), name
 
+    def test_dimension_zero_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "task"
+        assert run("gen-synth", "--out", out, "--dimension", 0, "--classes", 0) == 2
+        assert "dimension must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_f32_format_round_trips(self, task_dir, tmp_path):
         raw = tmp_path / "raw"
         code = run(
@@ -314,6 +320,19 @@ class TestCalibrate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("method", [m for m in bench.ALL_METHODS if m != "uncalibrated"])
+    def test_one_class_logits_exit_two(self, tmp_path, capsys, method):
+        logits, labels, weights = tmp_path / "logits.csv", tmp_path / "labels.csv", tmp_path / "w.csv"
+        save_matrix(logits, np.linspace(-1.0, 1.0, 50)[:, None])
+        save_labels(labels, np.zeros(50, dtype=np.int64))
+        save_matrix(weights, np.ones((50, 1)))
+        extra = ("--weights", weights) if bench.METHODS[method].needs_weights else ()
+        out = tmp_path / "fit.json"
+        code = run("calibrate", "--method", method, "--logits", logits, "--labels", labels, *extra, "--out", out)
+        assert code == 2
+        assert "logits must be a 2-d array with at least two classes" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", bench.ALL_METHODS)
     def test_every_method_fits_and_applies(self, task_dir, tmp_path, method):
         spec = bench.METHODS[method]
@@ -481,6 +500,15 @@ class TestBench:
         assert run("bench", *args, "--n-source", 50, "--n-target", 50, "--out", out) == 2
         assert not out.exists()
 
+    def test_dimension_zero_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        grid = ("--seeds", "0", "--shifts", "0", "--scales", "1", "--t-trues", "1")
+        code = run("bench", "--dimension", 0, "--classes", 0, *grid,
+                   "--n-source", 50, "--n-target", 50, "--out", out)
+        assert code == 2
+        assert "dimension must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_grid_rejects_empty_methods(self):
         scenarios = bench.default_grid(shifts=(0.0,), scales=(1.0,), temperatures=(1.0,))
         with pytest.raises(ValueError):
@@ -614,6 +642,15 @@ class TestMatrixIO:
         with pytest.raises(ValueError, match="Parsing an integer via a float") as info:
             load_labels(path)
         assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("suffix", [".csv", ".f32"])
+    def test_non_finite_entries_name_the_file(self, tmp_path, suffix):
+        values = np.zeros((3, 2))
+        values[1, 1] = np.nan
+        path = tmp_path / f"nan{suffix}"
+        save_matrix(path, values)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: matrix contains non-finite entries")):
+            load_matrix(path)
 
     @pytest.mark.parametrize("loader", [load_matrix, load_labels], ids=["matrix", "labels"])
     def test_missing_file_message_is_the_os_error(self, tmp_path, loader):

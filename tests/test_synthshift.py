@@ -44,6 +44,11 @@ class TestScenarioConstruction:
         with pytest.raises(ValueError):
             ShiftScenario.axis_aligned(dimension=2, num_classes=3)
 
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_dimension_below_one_rejected(self, dimension):
+        with pytest.raises(ValueError, match=f"dimension must be at least 1, got {dimension}"):
+            ShiftScenario.axis_aligned(dimension=dimension, num_classes=0)
+
     def test_parameter_validation(self):
         means = np.zeros((2, 2))
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from shiftcal import (
     transcal_objective,
 )
 from shiftcal import transcal
+from shiftcal.metrics import bin_indices
 from shiftcal.scaling import T_MIN, _minimize_temperature, _softmax_terms
 from shiftcal.transcal import _ObjectiveContext
 
@@ -162,6 +163,24 @@ class TestTranscalObjective:
         for mode in EstimatorMode:
             v = transcal_objective(logits, labels, weights, 1.1, 0.7, mode=mode)
             assert math.isfinite(v)
+
+    def test_bins_of_zero_weight_samples_contribute_nothing(self):
+        """A bin holding only zero-weight samples has no accuracy or confidence;
+        its samples get u = 0, so the estimate stays finite (pinned values)."""
+        rng = np.random.default_rng(1)
+        logits, labels, weights = sampled_task(rng)
+        weights[::2] = 0.0
+        pinned = {
+            (1.0, 1.0): 0.18510925079117474,
+            (0.3, 0.5): 0.3289721275105064,
+            (5.0, 0.0): 0.15266458759928375,  # 0 ** 0 = 1: no zero weights at lambda = 0
+        }
+        for (t, lam), want in pinned.items():
+            if lam > 0.0:
+                idx = bin_indices(softmax_with_temperature(logits, t).confidences)
+                mass = np.bincount(idx, weights=weights, minlength=15)
+                assert np.any((np.bincount(idx, minlength=15) > 0) & (mass == 0.0))
+            assert transcal_objective(logits, labels, weights, t, lam) == want
 
     def test_validation(self):
         logits = np.array([[1.0, 0.0], [0.0, 1.0]])
