@@ -13,6 +13,9 @@ in-process (whichever ``shiftcal`` the import path finds) for:
   ``bench.ALL_METHODS`` on each task, weighted methods both with the true
   weight file and with inline feature files;
 * ``evaluate`` with and without weights, and ``diagnose``;
+* ``calibrate --method transcal`` on the K = 3 task with ``--bins 7``, and
+  with a weight file whose every other entry is 0, so that some bins hold
+  samples but no weight;
 * ``bench --seeds 0,1`` with every method on a small grid;
 * a list of bad inputs, each printed with its exit code and stderr.
 
@@ -43,7 +46,7 @@ import numpy as np
 
 import shiftcal
 from shiftcal import bench, cli
-from shiftcal.matrixio import save_matrix
+from shiftcal.matrixio import load_matrix, save_matrix
 
 # name, gen-synth flags, matrix suffix
 TASKS = (
@@ -111,6 +114,17 @@ def good_runs(out: Path) -> None:
         checked(out, ["diagnose", "--weights", d / "true_weights.csv", "--out", d / "diag.json"])
         checked(out, ["diagnose", "--weights", d / "est_weights.csv", "--alphas", "0.5,2,4",
                       "--histogram-bins", "7", "--out", d / "diag_est.json"])
+    d = out / "k3"
+    transcal = ["calibrate", "--method", "transcal",
+                "--logits", d / "source_val_logits.csv", "--labels", d / "source_val_labels.csv",
+                "--apply", d / "target_logits.csv", "--apply-labels", d / "target_labels.csv"]
+    checked(out, [*transcal, "--weights", d / "true_weights.csv", "--bins", "7",
+                  "--out", d / "transcal-bins7.json"])
+    half_zero = load_matrix(d / "true_weights.csv")
+    half_zero[::2] = 0.0
+    save_matrix(d / "half_zero_weights.csv", half_zero)
+    checked(out, [*transcal, "--weights", d / "half_zero_weights.csv",
+                  "--out", d / "transcal-half-zero.json"])
     checked(out, ["bench", "--out", out / "bench.json", "--seeds", "0,1",
                   "--methods", ",".join(bench.ALL_METHODS), "--n-source", "600", "--n-target", "600",
                   "--shifts", "0,1.5", "--scales", "1,1.2", "--t-trues", "2"])
@@ -161,6 +175,7 @@ def bad_runs(out: Path) -> list[tuple[str, int, str]]:
                               "--labels", d / "source_val_labels.csv"],
         "gen-synth-dimension-0": ["gen-synth", "--dimension", "0", "--classes", "0"],
         "probs-out-without-apply": [*fit, "--method", "temp", "--probs-out", bad / "p.csv"],
+        "apply-class-mismatch": [*fit, "--method", "temp", "--apply", out / "k10" / "target_logits.csv"],
         "evaluate-missing-file": ["evaluate", "--probs", bad / "nope.csv", "--labels", bad / "nope.csv"],
         "evaluate-ragged-probs": ["evaluate", "--probs", bad / "ragged.csv", "--labels", d / "target_labels.csv"],
     }

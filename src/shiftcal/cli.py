@@ -235,7 +235,13 @@ def _cmd_calibrate(args) -> int:
     if args.apply or args.probs_out or args.apply_labels:
         if not args.apply:
             raise ValueError("--probs-out and --apply-labels require --apply LOGITS_FILE")
-        probs = benchmod.apply_fit(fitted, load_matrix(args.apply))
+        apply_logits = load_matrix(args.apply)
+        if apply_logits.shape[1] != logits.shape[1]:
+            raise ValueError(
+                f"{args.apply} has {apply_logits.shape[1]} classes, but the fit on "
+                f"{args.logits} has {logits.shape[1]}"
+            )
+        probs = benchmod.apply_fit(fitted, apply_logits)
         applied: dict = {"num_samples": probs.num_samples}
         if args.probs_out:
             save_matrix(args.probs_out, probs.probs)

@@ -166,15 +166,19 @@ def bin_indices(confidences: np.ndarray, bins: int = 15) -> np.ndarray:
     return np.clip(idx, 0, num_bins - 1)
 
 
-def _bin_statistics(idx, weights, correct, confidences, num_bins: int) -> tuple[np.ndarray, ...]:
+def _bin_statistics(
+    idx, weights, weighted_correct, weighted_confidences, num_bins: int
+) -> tuple[np.ndarray, ...]:
     """Weighted (mass, accuracy, mean confidence) of each bin, given 0-based bins ``idx``.
 
+    ``weighted_correct`` and ``weighted_confidences`` are the per-sample
+    products of the weights with correctness and with confidence.
     Accuracy and confidence are NaN in bins with no mass.
     """
     mass = np.bincount(idx, weights=weights, minlength=num_bins)
     occupied = mass > 0.0
-    acc_sum = np.bincount(idx, weights=weights * correct, minlength=num_bins)
-    conf_sum = np.bincount(idx, weights=weights * confidences, minlength=num_bins)
+    acc_sum = np.bincount(idx, weights=weighted_correct, minlength=num_bins)
+    conf_sum = np.bincount(idx, weights=weighted_confidences, minlength=num_bins)
     accuracy = np.divide(acc_sum, mass, out=np.full(num_bins, np.nan), where=occupied)
     confidence = np.divide(conf_sum, mass, out=np.full(num_bins, np.nan), where=occupied)
     return mass, accuracy, confidence
@@ -216,7 +220,9 @@ def reliability_bins(
 
     correct = (probs.predictions == labels).astype(np.float64)
     idx = bin_indices(probs.confidences, num_bins)
-    mass, accuracy, confidence = _bin_statistics(idx, weights, correct, probs.confidences, num_bins)
+    mass, accuracy, confidence = _bin_statistics(
+        idx, weights, weights * correct, weights * probs.confidences, num_bins
+    )
 
     total = 0.0
     for m in range(num_bins):
@@ -261,6 +267,11 @@ def weighted_ece(
     return reliability_bins(probs, labels, bins, weights=weights).ece
 
 
+def _nll_sum(label_probs: np.ndarray) -> float:
+    """-sum(log p) over the true-label probabilities, each clamped below at ``PROB_CLAMP``."""
+    return -float(np.sum(np.log(np.maximum(label_probs, PROB_CLAMP))))
+
+
 def nll(probs: ProbabilitySet, labels: np.ndarray, mean: bool = False) -> float:
     """Negative log-likelihood of the true labels.
 
@@ -269,9 +280,7 @@ def nll(probs: ProbabilitySet, labels: np.ndarray, mean: bool = False) -> float:
     """
     n = probs.num_samples
     labels = check_labels(labels, probs.num_classes, n)
-    p = probs.probs[np.arange(n), labels]
-    p = np.maximum(p, PROB_CLAMP)
-    total = -float(np.sum(np.log(p)))
+    total = _nll_sum(probs.probs[np.arange(n), labels])
     if mean:
         return total / n
     return total

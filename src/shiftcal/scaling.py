@@ -5,6 +5,14 @@ variants) runs one search engine, ``_minimize_temperature``, on log t over
 [T_MIN, T_MAX]: a 50-point log-spaced grid brackets the optimum,
 golden-section search refines it to SEARCH_TOL in t, and the returned
 temperature is never worse than any grid point.
+
+An objective evaluation does only the work that depends on t. Inputs are
+validated and the logits' row maxima computed once per fit; every
+temperature path shifts its softmax by ``rowmax / t`` (see
+``_softmax_terms``). The NLL and Brier objectives build no
+``ProbabilitySet``, and the NLL one normalizes only the label column.
+The transcal profile scores all 11 lambdas in one pass per temperature
+(see ``transcal``).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DegeneracyError
-from .metrics import ProbabilitySet, _brier_rows, check_array, check_labels, check_weights, nll
+from .metrics import ProbabilitySet, _brier_rows, _nll_sum, check_array, check_labels, check_weights
 
 __all__ = [
     "AffineScaleParam",
@@ -68,13 +76,17 @@ class AffineScaleParam:
     final_loss: float = math.nan
 
 
-def _softmax_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _softmax_terms(z: np.ndarray, shift: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Shifted exponentials of the rows of ``z`` and their row sums.
 
     Overwrites ``z``: subtracts each row's max, exponentiates in place and
     returns ``(z, z.sum(axis=1, keepdims=True))``. The softmax is ``z / sums``.
+    ``shift`` is the (n, 1) column of row maxima when the caller has it.
+    Temperature paths pass ``rowmax / t`` for z = logits / t, computed from
+    the logits' row maxima once per fit: for t > 0 rounding x / t is
+    monotone in x, so max(fl(L / t)) is exactly fl(max(L) / t).
     """
-    z -= z.max(axis=1, keepdims=True)
+    z -= z.max(axis=1, keepdims=True) if shift is None else shift
     np.exp(z, out=z)
     return z, z.sum(axis=1, keepdims=True)
 
@@ -99,7 +111,8 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> Probabil
     predictions (and hence accuracy) are unchanged; only confidences move.
     """
     logits = check_array(logits, "logits", 2)
-    p, sums = _softmax_terms(logits / TemperatureParam(float(temperature)).t)
+    t = TemperatureParam(float(temperature)).t
+    p, sums = _softmax_terms(logits / t, logits.max(axis=1, keepdims=True) / t)
     p /= sums
     return ProbabilitySet(probs=p, predictions=np.argmax(logits, axis=1))
 
@@ -159,9 +172,13 @@ def fit_temperature_nll(logits: np.ndarray, labels: np.ndarray) -> TemperaturePa
     logits, labels = _check_fit_inputs(logits, labels)
     if np.all(logits == logits[0]) and np.all(labels == labels[0]):
         return TemperatureParam(t=T_MAX, degenerate=True)
+    rowmax = logits.max(axis=1, keepdims=True)
+    rows = np.arange(logits.shape[0])
 
     def objective(t: float) -> float:
-        return nll(softmax_with_temperature(logits, t), labels)
+        # nll(softmax_with_temperature(logits, t), labels), dividing only the label column
+        z, sums = _softmax_terms(logits / t, rowmax / t)
+        return _nll_sum(z[rows, labels] / sums[:, 0])
 
     t_star, _, hit_bound = _minimize_temperature(objective)
     return TemperatureParam(t=t_star, degenerate=hit_bound)
@@ -200,10 +217,12 @@ def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> Tem
     w = check_weights(weights, logits.shape[0])
     _require_weight_mass(w)
     w_total = float(w.sum())
+    rowmax = logits.max(axis=1, keepdims=True)
 
     def objective(t: float) -> float:
-        per_sample = _brier_rows(softmax_with_temperature(logits, t).probs, labels)
-        return float(np.dot(w, per_sample)) / w_total
+        p, sums = _softmax_terms(logits / t, rowmax / t)
+        p /= sums
+        return float(np.dot(w, _brier_rows(p, labels))) / w_total
 
     t_star, _, hit_bound = _minimize_temperature(objective)
     return TemperatureParam(t=t_star, degenerate=hit_bound)
@@ -223,8 +242,9 @@ def _softmax_ce(transformed: np.ndarray, labels: np.ndarray) -> tuple[float, np.
     n = transformed.shape[0]
     rows = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        label_shifted = transformed[rows, labels] - transformed.max(axis=1)
-        grad, sums = _softmax_terms(transformed)
+        rowmax = transformed.max(axis=1, keepdims=True)
+        label_shifted = transformed[rows, labels] - rowmax[:, 0]
+        grad, sums = _softmax_terms(transformed, rowmax)
         loss = float((np.log(sums[:, 0]) - label_shifted).sum()) / n
         grad /= sums
         grad[rows, labels] -= 1.0

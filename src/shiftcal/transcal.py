@@ -11,6 +11,14 @@ profiled out on an 11-point grid over [0, 1], and the temperature is
 searched on that profile by ``scaling._minimize_temperature``, the engine
 every temperature fit shares; the objective is piecewise smooth at best
 (argmax, binning, absolute values), so the search is derivative-free.
+
+Each temperature scores all 11 lambdas in one pass. Everything that does
+not depend on t is computed once per fit: the (11, n) rows of w^lambda and
+w^lambda * correctness, and the moments of both control variates. A pass
+is then one confidence computation, three ``bincount`` calls over bin
+indices offset by row, and row-wise moments for both correction stages.
+``apply_control_variate`` and ``serial_control_variate`` are the one-row
+case of the same row-wise kernel.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +97,95 @@ class TransCalSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+class _Variate(NamedTuple):
+    """Rows of a control variate t and the moments every adjustment reuses.
+
+    ``t`` has one row per estimate, or one row shared by all of them;
+    ``mean``, ``centred`` and ``var`` are its row means, its rows minus
+    their means and the mean squares of the centred rows.
+    """
+
+    t: np.ndarray
+    mean: np.ndarray
+    centred: np.ndarray
+    var: np.ndarray
+
+
+def _variate(t: np.ndarray) -> _Variate:
+    t = np.atleast_2d(t)
+    mean = t.mean(axis=1)
+    centred = t - mean[:, None]
+    return _Variate(t, mean, centred, (centred * centred).mean(axis=1))
+
+
+def _adjust(
+    u: np.ndarray, variate: _Variate, tau: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Regression-adjust each row of ``u`` with its control-variate row of known mean tau.
+
+    The optimal coefficient is eta = -Cov(u, t) / Var(t); the adjusted
+    samples are u_i + eta * (t_i - tau) and the estimate is their mean,
+    u_mean + eta * (t_mean - tau). A row whose variate has zero variance
+    keeps its samples and its mean, with eta = 0. Returns per row the
+    estimates, the adjusted samples, eta and Cov(u, t).
+    """
+    u_mean = u.mean(axis=1)
+    cov = ((u - u_mean[:, None]) * variate.centred).mean(axis=1)
+    constant = variate.var == 0.0
+    eta = np.divide(-cov, variate.var, out=np.zeros_like(cov), where=~constant)
+    estimates = np.where(constant, u_mean, u_mean + eta * (variate.mean - tau))
+    return estimates, u + eta[:, None] * (variate.t - tau), eta, cov
+
+
+def _serial(
+    u: np.ndarray, weights: _Variate, correctness: _Variate, mean_confidence: float
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Two-stage estimates per row of ``u``, and the (eta, Cov) of each stage.
+
+    Stage one adjusts with the weight variate against its known source
+    mean of 1; stage two adjusts the stage-one residuals with the shared
+    correctness row against ``mean_confidence``. Constant correctness
+    skips stage two.
+    """
+    est1, adjusted, eta1, cov1 = _adjust(u, weights, 1.0)
+    est2, _, eta2, cov2 = _adjust(adjusted, correctness, mean_confidence)
+    estimates = est1 if correctness.var[0] == 0.0 else est2
+    return estimates, (eta1, cov1, eta2, cov2)
+
+
+def _serial_coefficients(
+    row: int, weights: _Variate, correctness: _Variate, moments: tuple[np.ndarray, ...]
+) -> ControlVariateCoefficients:
+    eta1, cov1, eta2, cov2 = (float(m[row]) for m in moments)
+    var1, var2 = float(weights.var[row]), float(correctness.var[0])
+    skipped = var2 == 0.0
+    return ControlVariateCoefficients(
+        eta1=eta1,
+        eta2=None if skipped else eta2,
+        cov_u_t1=cov1,
+        var_t1=var1,
+        cov_u_t2=cov2,
+        var_t2=var2,
+        flags=(("constant_variate",) if var1 == 0.0 else ())
+        + (("constant_correctness",) if skipped else ()),
+    )
+
+
+def _check_samples(u_samples, t_samples) -> tuple[np.ndarray, np.ndarray]:
+    u = check_array(u_samples, "u_samples", 1)
+    t = check_array(t_samples, "t_samples", 1)
+    if u.shape != t.shape:
+        raise ValueError("u_samples and t_samples must have the same length")
+    return u, t
+
+
+def _check_tau(tau) -> float:
+    tau = float(tau)
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
+    return tau
+
+
 def apply_control_variate(
     u_samples: np.ndarray, t_samples: np.ndarray, tau: float
 ) -> tuple[float, np.ndarray, ControlVariateCoefficients]:
@@ -96,27 +195,21 @@ def apply_control_variate(
     samples are u_i + eta * (t_i - tau) and the returned estimate is their
     mean. A variate with zero variance leaves the samples unchanged and is
     flagged. Adjusted samples are returned so corrections can be chained.
+    This is the one-row case of the row-wise adjustment the transcal
+    search runs on every lambda at once.
     """
-    u = check_array(u_samples, "u_samples", 1)
-    t = check_array(t_samples, "t_samples", 1)
-    if u.shape != t.shape:
-        raise ValueError("u_samples and t_samples must have the same length")
-    tau = float(tau)
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
-    u_mean, t_mean = float(u.mean()), float(t.mean())
-    dt = t - t_mean
-    cov, var = float(((u - u_mean) * dt).mean()), float((dt * dt).mean())
-    if var == 0.0:
-        coeffs = ControlVariateCoefficients(
-            eta1=0.0, cov_u_t1=cov, var_t1=var, flags=("constant_variate",)
-        )
-        return u_mean, u.copy(), coeffs
-    eta = -cov / var
-    adjusted = u + eta * (t - tau)
-    estimate = u_mean + eta * (t_mean - tau)
-    coeffs = ControlVariateCoefficients(eta1=eta, cov_u_t1=cov, var_t1=var)
-    return estimate, adjusted, coeffs
+    u, t = _check_samples(u_samples, t_samples)
+    tau = _check_tau(tau)
+    variate = _variate(t)
+    estimates, adjusted, eta, cov = _adjust(u[None, :], variate, tau)
+    var = float(variate.var[0])
+    coeffs = ControlVariateCoefficients(
+        eta1=float(eta[0]),
+        cov_u_t1=float(cov[0]),
+        var_t1=var,
+        flags=("constant_variate",) if var == 0.0 else (),
+    )
+    return float(estimates[0]), adjusted[0], coeffs
 
 
 def serial_control_variate(
@@ -135,64 +228,93 @@ def serial_control_variate(
     ``weights`` is a 1-d array of the (possibly lambda-flattened) weights,
     one per sample.
     """
-    est1, adjusted, c1 = apply_control_variate(u_samples, weights, 1.0)
-    est2, _, c2 = apply_control_variate(adjusted, correctness, mean_confidence)
-    skipped = "constant_variate" in c2.flags
-    coeffs = ControlVariateCoefficients(
-        eta1=c1.eta1,
-        eta2=None if skipped else c2.eta1,
-        cov_u_t1=c1.cov_u_t1,
-        var_t1=c1.var_t1,
-        cov_u_t2=c2.cov_u_t1,
-        var_t2=c2.var_t1,
-        flags=c1.flags + (("constant_correctness",) if skipped else ()),
-    )
-    return (est1 if skipped else est2), coeffs
+    u, w = _check_samples(u_samples, weights)
+    _, r = _check_samples(u, correctness)
+    tau = _check_tau(mean_confidence)
+    weight_variate, correct_variate = _variate(w), _variate(r)
+    estimates, moments = _serial(u[None, :], weight_variate, correct_variate, tau)
+    return float(estimates[0]), _serial_coefficients(0, weight_variate, correct_variate, moments)
 
 
 class _ObjectiveContext:
-    """Precomputed arrays for repeated (t, lambda) objective evaluations."""
+    """Everything a fit's (t, lambda) evaluations share, computed once per fit.
 
-    def __init__(self, logits: np.ndarray, labels: np.ndarray, weights, bins: int):
+    Row r of every (lambdas, n) array belongs to ``lambdas[r]``: the
+    flattened weights w^lambda, their products with correctness, and the
+    weight variate's moments. One evaluation at t then scores every lambda
+    at once. The weight rows are built on first use, after
+    ``optimize_transcal`` has rejected weights without usable mass.
+    """
+
+    def __init__(self, logits: np.ndarray, labels: np.ndarray, weights, bins: int, lambdas):
         logits, labels = _check_fit_inputs(logits, labels)
         self.weights = check_weights(weights, logits.shape[0])
         self.num_bins = _num_bins(bins)
         self.logits = logits
+        self.rowmax = logits.max(axis=1, keepdims=True)
         self.correct = (np.argmax(logits, axis=1) == labels).astype(np.float64)
+        self.correct_variate = _variate(self.correct)
+        self.lambdas = tuple(lambdas)
+        self.row_offsets = np.arange(len(self.lambdas))[:, None] * self.num_bins
+
+    @cached_property
+    def flattened(self) -> np.ndarray:
+        return np.stack([np.power(self.weights, lam) for lam in self.lambdas])
+
+    @cached_property
+    def flattened_correct(self) -> np.ndarray:
+        return self.flattened * self.correct
+
+    @cached_property
+    def weight_variate(self) -> _Variate:
+        return _variate(self.flattened)
 
     def confidences(self, t: float) -> np.ndarray:
         # the predicted class's shifted exponential is exp(0) = 1, so its
         # softmax probability is 1 / row sum, with no gather and no full matrix
-        return 1.0 / _softmax_terms(self.logits / t)[1][:, 0]
+        return 1.0 / _softmax_terms(self.logits / t, self.rowmax / t)[1][:, 0]
 
-    def binned(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Confidences at temperature t and their bin indices, shared by every lambda."""
-        conf = self.confidences(t)
-        return conf, bin_indices(conf, self.num_bins)
+    def samples(self, t: float) -> tuple[np.ndarray, float]:
+        """Per-sample contributions at temperature t, one row per lambda, and the mean confidence.
 
-    def components(
-        self, binned: tuple[np.ndarray, np.ndarray], wl: np.ndarray, mode: EstimatorMode
-    ) -> tuple[float, ControlVariateCoefficients | None]:
-        """Corrected estimate at ``binned(t)`` with flattened weights wl = w^lambda.
-
-        The per-sample contributions are u_i = w_i^lam * |A_m - C_m| for
-        the sample's confidence bin, where A_m and C_m are the bin's
-        weighted accuracy and weighted mean confidence. The mean of u is
+        Row r holds u_i = w_i^lam * |A_m - C_m| for the sample's confidence
+        bin, where lam = ``lambdas[r]`` and A_m and C_m are the bin's
+        accuracy and mean confidence weighted by w^lam. The mean of a row is
         the binned importance-weighted calibration error with mass
-        convention 1/n; the mode's control variates then correct it.
+        convention 1/n. Offsetting row r's bin indices by r * bins puts
+        every row's bins into one ``bincount``.
         """
-        conf, idx = binned
-        mass, accuracy, confidence = _bin_statistics(idx, wl, self.correct, conf, self.num_bins)
+        conf = self.confidences(t)
+        flat = (bin_indices(conf, self.num_bins) + self.row_offsets).ravel()
+        wl = self.flattened
+        mass, accuracy, confidence = _bin_statistics(
+            flat,
+            wl.ravel(),
+            self.flattened_correct.ravel(),
+            (wl * conf).ravel(),
+            wl.shape[0] * self.num_bins,
+        )
         # a bin of zero-weight samples has NaN statistics but contributes u = 0
-        u = wl * np.where(mass > 0.0, np.abs(accuracy - confidence), 0.0)[idx]
+        gap = np.where(mass > 0.0, np.abs(accuracy - confidence), 0.0)
+        return wl * gap[flat].reshape(wl.shape), float(conf.mean())
+
+    def estimates(self, t: float, mode: EstimatorMode) -> tuple[np.ndarray, tuple | None]:
+        """The mode's estimate at t for every lambda, and the control-variate moments behind them."""
+        u, mean_confidence = self.samples(t)
         if mode is EstimatorMode.PLAIN_IWECE:
-            return float(u.mean()), None
-        return serial_control_variate(u, wl, self.correct, float(conf.mean()))
+            return u.mean(axis=1), None
+        return _serial(u, self.weight_variate, self.correct_variate, mean_confidence)
 
     def at(
-        self, t: float, lam: float, mode: EstimatorMode
+        self, t: float, row: int, mode: EstimatorMode
     ) -> tuple[float, ControlVariateCoefficients | None]:
-        return self.components(self.binned(t), np.power(self.weights, lam), mode)
+        """Estimate and control-variate coefficients at t for ``lambdas[row]``."""
+        values, moments = self.estimates(t, mode)
+        if moments is None:
+            return float(values[row]), None
+        return float(values[row]), _serial_coefficients(
+            row, self.weight_variate, self.correct_variate, moments
+        )
 
 
 def transcal_objective(
@@ -211,10 +333,10 @@ def transcal_objective(
     control-variate correction is applied.
     """
     mode = EstimatorMode(mode)
-    ctx = _ObjectiveContext(logits, labels, weights, bins)
-    if not (0.0 <= float(lam) <= 1.0):
+    ctx = _ObjectiveContext(logits, labels, weights, bins, (float(lam),))
+    if not (0.0 <= ctx.lambdas[0] <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    return ctx.at(TemperatureParam(float(t)).t, float(lam), mode)[0]
+    return ctx.at(TemperatureParam(float(t)).t, 0, mode)[0]
 
 
 def optimize_transcal(
@@ -230,43 +352,39 @@ def optimize_transcal(
     The temperature search is ``scaling._minimize_temperature``, the engine
     every temperature fit shares, run on the lambda profile
     f(t) = min over lambda in linspace(0, 1, 11) of the estimate at
-    (t, lambda). Ties resolve to the smaller temperature, then the smaller
-    lambda; lambda* is the profile's minimizer at t*. ``freeze_lambda``
-    pins lambda at 1 so only the temperature is searched (the
-    no-bias-reduction variant); ``mode=PLAIN_IWECE`` drops the variance
-    correction instead. The search is deterministic and every (t, lambda)
-    evaluation is recorded in the trace.
+    (t, lambda); each f(t) scores all 11 lambdas in one pass. Ties resolve
+    to the smaller temperature, then the smaller lambda; lambda* is the
+    profile's minimizer at t*. ``freeze_lambda`` pins lambda at 1 so only
+    the temperature is searched (the no-bias-reduction variant);
+    ``mode=PLAIN_IWECE`` drops the variance correction instead. The search
+    is deterministic and every (t, lambda) evaluation is recorded in the
+    trace.
     """
     mode = EstimatorMode(mode)
-    ctx = _ObjectiveContext(logits, labels, weights, bins)
+    lambdas = (1.0,) if freeze_lambda else tuple(np.linspace(0.0, 1.0, _LAMBDA_GRID_SIZE).tolist())
+    ctx = _ObjectiveContext(logits, labels, weights, bins, lambdas)
     values = ctx.weights
     _require_weight_mass(values)
 
-    lambdas = (1.0,) if freeze_lambda else tuple(np.linspace(0.0, 1.0, _LAMBDA_GRID_SIZE).tolist())
-    flattened = [np.power(values, lam) for lam in lambdas]
     trace: list[tuple[float, float, float]] = []
-    profile_lambda: dict[float, float] = {}
+    profile_row: dict[float, int] = {}
 
     def profile(t: float) -> float:
         t = float(t)
-        binned = ctx.binned(t)
-        best_v, best_lam = math.inf, lambdas[0]
-        for lam, wl in zip(lambdas, flattened):
-            v = ctx.components(binned, wl, mode)[0]
-            trace.append((t, lam, v))
-            if v < best_v:
-                best_v, best_lam = v, lam
-        profile_lambda[t] = best_lam
-        return best_v
+        at_t = ctx.estimates(t, mode)[0]
+        trace.extend(zip([t] * len(lambdas), lambdas, at_t.tolist()))
+        best = int(np.argmin(at_t))  # the first minimum: the smaller lambda on ties
+        profile_row[t] = best
+        return float(at_t[best])
 
     chosen_t, best_v, at_bound = _minimize_temperature(profile)
-    chosen_lam = profile_lambda[chosen_t]
+    chosen = profile_row[chosen_t]
     grid_evaluations = _GRID_SIZE * len(lambdas)
 
-    objective_value, coefficients = ctx.at(chosen_t, chosen_lam, mode)
+    objective_value, coefficients = ctx.at(chosen_t, chosen, mode)
     diagnostics = {
         "max_weight_raw": float(values.max()),
-        "max_weight_transformed": float(np.power(values, chosen_lam).max()),
+        "max_weight_transformed": float(ctx.flattened[chosen].max()),
         "renyi_raw": {str(a): renyi_diagnostic(values, a) for a in (0.5, 1.0, 2.0)},
         "grid_evaluations": grid_evaluations,
         "total_evaluations": len(trace),
@@ -275,7 +393,7 @@ def optimize_transcal(
     }
     return TransCalSolution(
         t_star=TemperatureParam(t=chosen_t, degenerate=at_bound),
-        lambda_star=chosen_lam,
+        lambda_star=lambdas[chosen],
         objective_value=objective_value,
         mode=mode,
         coefficients=coefficients,

@@ -301,6 +301,23 @@ class TestCalibrate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("method", ["temp", "vector", "matrix", "transcal"])
+    def test_apply_with_another_class_count_exits_two(self, task_dir, tmp_path, method, capsys):
+        wider = tmp_path / "wider_logits.csv"
+        save_matrix(wider, np.random.default_rng(0).standard_normal((50, 3)))
+        weights = ["--weights", task_dir / "true_weights.csv"] if method == "transcal" else []
+        code = run(
+            "calibrate", "--method", method,
+            "--logits", task_dir / "source_val_logits.csv",
+            "--labels", task_dir / "source_val_labels.csv", *weights,
+            "--apply", wider, "--out", tmp_path / "fit.json",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{wider} has 3 classes, but the fit on {task_dir / 'source_val_logits.csv'} has 2" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "fit.json").exists()
+
     @pytest.mark.parametrize(
         "method", [m for m in bench.ALL_METHODS if bench.METHODS[m].needs_weights]
     )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftcal import (
     DegeneracyError,
@@ -18,7 +20,9 @@ from shiftcal import (
     nll,
     softmax_with_temperature,
 )
-from shiftcal.scaling import SEARCH_TOL, T_MAX, T_MIN, TemperatureParam, _GRID_SIZE
+from shiftcal import scaling
+from shiftcal.metrics import _brier_rows
+from shiftcal.scaling import SEARCH_TOL, T_MAX, T_MIN, TemperatureParam, _GRID_SIZE, _softmax_terms
 
 
 def random_logits(rng, n, k, scale=3.0):
@@ -60,6 +64,50 @@ class TestSoftmaxWithTemperature:
             softmax_with_temperature(np.array([[math.inf, 0.0]]), 1.0)
         with pytest.raises(ValueError):
             softmax_with_temperature(np.array([1.0, 2.0]), 1.0)
+
+
+def search_objective(fit, *args):
+    """The objective ``fit`` hands to the temperature search engine."""
+    seen = []
+
+    def record(objective):
+        seen.append(objective)
+        return 1.0, 0.0, False
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scaling, "_minimize_temperature", record)
+        fit(*args)
+    return seen[0]
+
+
+class TestPrecomputedRowMax:
+    """Temperature paths shift by rowmax / t from the raw logits' row max,
+    and the NLL and Brier objectives skip the public ProbabilitySet; all of
+    it must equal the public path bit for bit."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        k=st.integers(2, 5),
+        scaled_row=st.booleans(),
+    )
+    def test_objectives_equal_the_public_metrics(self, seed, n, k, scaled_row):
+        rng = np.random.default_rng(seed)
+        logits = random_logits(rng, n, k)
+        if scaled_row:
+            logits[0] *= 300.0  # a row far from zero exercises the max shift
+        labels = rng.integers(0, k, size=n)
+        w = rng.lognormal(0.0, 1.0, size=n)
+        nll_objective = search_objective(fit_temperature_nll, logits, labels)
+        cpcs_objective = search_objective(fit_cpcs_temperature, logits, labels, w)
+        for t in (T_MIN, 0.37, 1.0, 2.7, T_MAX):
+            probs = softmax_with_temperature(logits, t)
+            z, sums = _softmax_terms(logits / t)
+            assert np.array_equal(probs.probs, z / sums)
+            assert nll_objective(t) == nll(probs, labels)
+            brier_rows = _brier_rows(probs.probs.copy(), labels)
+            assert cpcs_objective(t) == float(np.dot(w, brier_rows)) / float(w.sum())
 
 
 class TestTemperatureParam:

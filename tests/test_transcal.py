@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shiftcal import (
     DegeneracyError,
@@ -152,7 +154,7 @@ class TestTranscalObjective:
         rng = np.random.default_rng(41)
         logits, labels, weights = sampled_task(rng, n=200, k=10)
         logits[0] *= 300.0  # a row far from zero exercises the max shift
-        ctx = _ObjectiveContext(logits, labels, weights, 15)
+        ctx = _ObjectiveContext(logits, labels, weights, 15, (1.0,))
         for t in (0.05, 0.37, 1.0, 2.7, 100.0):
             want = softmax_with_temperature(logits, t).confidences
             assert np.array_equal(ctx.confidences(t), want)
@@ -277,9 +279,9 @@ class TestOptimizeTranscal:
         logits, labels, weights = sampled_task(rng, n=200)
         calls = []
 
-        def counted(z):
+        def counted(z, shift=None):
             calls.append(1)
-            return _softmax_terms(z)
+            return _softmax_terms(z, shift)
 
         monkeypatch.setattr(transcal, "_softmax_terms", counted)
         sol = optimize_transcal(logits, labels, weights)
@@ -322,6 +324,84 @@ class TestOptimizeTranscal:
         labels = np.array([0, 1, 0])
         with pytest.raises(DegeneracyError):
             optimize_transcal(logits, labels, np.zeros(3))
+
+
+def generated_task(seed, n, k, zero_every_other, all_correct):
+    """``sampled_task`` at a drawn size, optionally with half the weights 0 or every label right."""
+    logits, labels, weights = sampled_task(np.random.default_rng(seed), n=n, k=k)
+    if zero_every_other:
+        weights[::2] = 0.0
+    if all_correct:
+        labels = np.argmax(logits, axis=1)
+    return logits, labels, weights
+
+
+class TestEveryLambdaInOnePass:
+    """The search scores all lambdas at a temperature in one pass; each of
+    its values must be the single-lambda objective, bit for bit."""
+
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        k=st.integers(2, 5),
+        zero_every_other=st.booleans(),
+        all_correct=st.booleans(),
+        mode=st.sampled_from(EstimatorMode),
+        bins=st.sampled_from((7, 15)),
+    )
+    @example(seed=1, n=300, k=4, zero_every_other=True, all_correct=False,
+             mode=EstimatorMode.CV_SERIAL, bins=15)
+    @example(seed=2, n=150, k=3, zero_every_other=False, all_correct=True,
+             mode=EstimatorMode.CV_SERIAL, bins=15)
+    @example(seed=3, n=200, k=5, zero_every_other=True, all_correct=False,
+             mode=EstimatorMode.PLAIN_IWECE, bins=7)
+    def test_every_trace_value_is_the_single_lambda_objective(
+        self, seed, n, k, zero_every_other, all_correct, mode, bins
+    ):
+        logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
+        sol = optimize_transcal(logits, labels, weights, mode=mode, bins=bins)
+        assert sol.diagnostics["grid_evaluations"] == 550
+        for t, lam, v in sol.trace:
+            assert v == transcal_objective(logits, labels, weights, t, lam, mode=mode, bins=bins)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        k=st.integers(2, 5),
+        zero_every_other=st.booleans(),
+        all_correct=st.booleans(),
+        t=st.sampled_from((0.05, 0.6, 1.0, 2.5, 40.0)),
+    )
+    @example(seed=4, n=300, k=4, zero_every_other=True, all_correct=True, t=1.0)
+    def test_rows_match_the_public_one_row_corrections(
+        self, seed, n, k, zero_every_other, all_correct, t
+    ):
+        """Row r is ``serial_control_variate`` on that lambda's samples, with
+        the lambda = 0 row's constant weight variate flagged and all-correct
+        labels skipping stage two."""
+        logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
+        lambdas = np.linspace(0.0, 1.0, 11).tolist()
+        ctx = _ObjectiveContext(logits, labels, weights, 15, lambdas)
+        u, mean_confidence = ctx.samples(t)
+        values, _ = ctx.estimates(t, EstimatorMode.CV_SERIAL)
+        plain, _ = ctx.estimates(t, EstimatorMode.PLAIN_IWECE)
+        skipped = bool(np.all(ctx.correct == ctx.correct[0]))
+        assert skipped or not all_correct
+        for row, lam in enumerate(lambdas):
+            wl = np.power(weights, lam)
+            want, coeffs = serial_control_variate(u[row], wl, ctx.correct, mean_confidence)
+            assert values[row] == want
+            assert plain[row] == u[row].mean()
+            assert ctx.at(t, row, EstimatorMode.CV_SERIAL) == (want, coeffs)
+            assert ("constant_variate" in coeffs.flags) == bool(np.all(wl == wl[0]))
+            assert ("constant_correctness" in coeffs.flags) == skipped
+            if row == 0:
+                assert "constant_variate" in coeffs.flags and coeffs.eta1 == 0.0
+            if skipped:
+                assert coeffs.eta2 is None
+                assert want == apply_control_variate(u[row], wl, 1.0)[0]
 
 
 class TestRenyiDiagnostic:
