@@ -17,13 +17,19 @@ in-process (whichever ``shiftcal`` the import path finds) for:
   with a weight file whose every other entry is 0, so that some bins hold
   samples but no weight;
 * ``bench --seeds 0,1`` with every method on a small grid;
+* in-process fits on the K = 3 and K = 10 source-validation splits:
+  ``optimize_transcal`` in both modes, with free and frozen lambda, at 7
+  and 15 bins, with the true weights and (K = 3) the half-zero weights,
+  plus ``fit_temperature_nll`` and ``fit_cpcs_temperature``; the ``repr``
+  of each result, search trace included, goes to ``fits/<name>.txt``;
 * a list of bad inputs, each printed with its exit code and stderr.
 
 An uncaught exception is recorded as ``exit 1: <Type>: <message>``, the
 way the console script fails, so a tree that crashes still gets a digest.
 
-It prints ``sha256  relative/path`` for every file under OUT_DIR, then one
-line per bad input. OUT_DIR is replaced by ``OUT_DIR`` in stderr, but
+It prints ``sha256  relative/path`` for every file under OUT_DIR, then the
+temperature, lambda and value of each in-process fit, then one line per bad
+input. OUT_DIR is replaced by ``OUT_DIR`` in stderr, but
 reports that record file paths still hold it, so two trees compare only
 when both runs use the same OUT_DIR path. To check that a change leaves
 the reports unchanged, run it on both trees and diff::
@@ -46,7 +52,9 @@ import numpy as np
 
 import shiftcal
 from shiftcal import bench, cli
-from shiftcal.matrixio import load_matrix, save_matrix
+from shiftcal.matrixio import load_labels, load_matrix, save_matrix
+from shiftcal.scaling import fit_cpcs_temperature, fit_temperature_nll
+from shiftcal.transcal import EstimatorMode, optimize_transcal
 
 # name, gen-synth flags, matrix suffix
 TASKS = (
@@ -130,6 +138,39 @@ def good_runs(out: Path) -> None:
                   "--shifts", "0,1.5", "--scales", "1,1.2", "--t-trues", "2"])
 
 
+def fit_runs(out: Path) -> list[str]:
+    """Write the repr of every in-process fit to ``fits/``; return one summary line per fit."""
+    fits = out / "fits"
+    fits.mkdir()
+    lines = []
+
+    def record(name: str, result, summary: str) -> None:
+        (fits / f"{name}.txt").write_text(repr(result) + "\n", encoding="utf-8")
+        lines.append(f"fit {name}: {summary}")
+
+    for task, weight_files in (("k3", ("true", "half_zero")), ("k10", ("true",))):
+        d = out / task
+        logits = load_matrix(d / "source_val_logits.csv")
+        labels = load_labels(d / "source_val_labels.csv")
+        true_weights = load_matrix(d / "true_weights.csv")[:, 0]
+        temperatures = {
+            "nll": fit_temperature_nll(logits, labels),
+            "cpcs": fit_cpcs_temperature(logits, labels, true_weights),
+        }
+        for method, fit in temperatures.items():
+            record(f"{task}-{method}", fit, f"t={fit.t!r} degenerate={fit.degenerate!r}")
+        for weights_name in weight_files:
+            weights = load_matrix(d / f"{weights_name}_weights.csv")[:, 0]
+            for bins in (7, 15):
+                for mode in EstimatorMode:
+                    for freeze in (False, True):
+                        sol = optimize_transcal(logits, labels, weights, mode, bins, freeze)
+                        name = f"{task}-{weights_name}-bins{bins}-{mode.value}{'-frozen' if freeze else ''}"
+                        record(name, sol, f"t={sol.t_star.t!r} lambda={sol.lambda_star!r} "
+                                          f"value={sol.objective_value!r} evaluations={len(sol.trace)}")
+    return lines
+
+
 def bad_runs(out: Path) -> list[tuple[str, int, str]]:
     d = out / "k3"
     bad = out / "bad"
@@ -197,9 +238,12 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     print(f"shiftcal from {Path(shiftcal.__file__).parent}", file=sys.stderr)
     good_runs(out)
+    fits = fit_runs(out)
     bad = bad_runs(out)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
+    for line in fits:
+        print(line)
     for name, code, err in bad:
         print(f"bad {name}: exit {code}: {' | '.join(err.strip().splitlines())}")
     return 0

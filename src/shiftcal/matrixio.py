@@ -37,6 +37,7 @@ __all__ = [
 
 RAW_MAGIC = b"TCAL"
 _HEADER = struct.Struct("<4sIII")
+_CSV_BLOCK_ROWS = 4096
 
 
 def is_raw_path(path) -> bool:
@@ -82,8 +83,12 @@ def save_matrix(path, values) -> None:
         payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
         path.write_bytes(header + payload)
         return
+    # np.savetxt's own format, one ``%`` per block of rows instead of one per row
+    row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with path.open("w", encoding="ascii", newline="\n") as fh:
-        np.savetxt(fh, arr, fmt="%.17g", delimiter=",")
+        for start in range(0, arr.shape[0], _CSV_BLOCK_ROWS):
+            block = arr[start : start + _CSV_BLOCK_ROWS]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def load_matrix(path) -> np.ndarray:

@@ -155,15 +155,16 @@ def check_weights(weights, n: int | None = None) -> np.ndarray:
 
 
 def bin_indices(confidences: np.ndarray, bins: int = 15) -> np.ndarray:
-    """Map confidences in [0, 1] to 0-based bin indices.
+    """Map confidences in [0, 1] to 0-based bin indices, elementwise for any shape.
 
     Bin m (0-based) covers (m/B, (m + 1)/B]; exactly 0 maps to bin 0.
     """
     num_bins = _num_bins(bins)
     confidences = np.asarray(confidences, dtype=np.float64)
-    edges = np.arange(num_bins + 1) / num_bins
-    idx = np.searchsorted(edges, confidences, side="left") - 1
-    return np.clip(idx, 0, num_bins - 1)
+    # the index is the number of inner edges m/B (0 < m < B) below c, so
+    # c <= 1/B, 0 included, lands in bin 0 and c > (B - 1)/B in bin B - 1
+    inner_edges = np.arange(1, num_bins) / num_bins
+    return np.searchsorted(inner_edges, confidences, side="left")
 
 
 def _bin_statistics(
@@ -213,11 +214,14 @@ def reliability_bins(
     num_bins = _num_bins(bins)
     n = probs.num_samples
     labels = check_labels(labels, probs.num_classes, n)
-    if weights is None:
-        weights = np.ones(n, dtype=np.float64)
-    else:
-        weights = check_weights(weights, n)
+    weights = np.ones(n) if weights is None else check_weights(weights, n)
+    return _reliability_bins(probs, labels, num_bins, weights)
 
+
+def _reliability_bins(
+    probs: ProbabilitySet, labels: np.ndarray, num_bins: int, weights: np.ndarray
+) -> ReliabilityBins:
+    """``reliability_bins`` on labels, bin count and weights that are already validated."""
     correct = (probs.predictions == labels).astype(np.float64)
     idx = bin_indices(probs.confidences, num_bins)
     mass, accuracy, confidence = _bin_statistics(
@@ -267,9 +271,25 @@ def weighted_ece(
     return reliability_bins(probs, labels, bins, weights=weights).ece
 
 
-def _nll_sum(label_probs: np.ndarray) -> float:
-    """-sum(log p) over the true-label probabilities, each clamped below at ``PROB_CLAMP``."""
-    return -float(np.sum(np.log(np.maximum(label_probs, PROB_CLAMP))))
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1, keepdims=True)`` bit for bit, for ``x`` with no negative zeros.
+
+    numpy sums a last axis shorter than 8 one row per inner-loop call,
+    sequentially from 0. Adding whole columns in that order gives the same
+    bits without a call per row, which costs more than the softmax's
+    ``exp`` at K = 3. Longer rows take numpy's pairwise sum itself.
+    """
+    if x.shape[-1] >= 8:
+        return x.sum(axis=-1, keepdims=True)
+    sums = x[..., :1].copy()
+    for k in range(1, x.shape[-1]):
+        sums += x[..., k : k + 1]
+    return sums
+
+
+def _nll_sum(label_probs: np.ndarray) -> np.ndarray:
+    """-sum(log p) over the last axis of true-label probabilities, each clamped below at ``PROB_CLAMP``."""
+    return -np.sum(np.log(np.maximum(label_probs, PROB_CLAMP)), axis=-1)
 
 
 def nll(probs: ProbabilitySet, labels: np.ndarray, mean: bool = False) -> float:
@@ -280,17 +300,20 @@ def nll(probs: ProbabilitySet, labels: np.ndarray, mean: bool = False) -> float:
     """
     n = probs.num_samples
     labels = check_labels(labels, probs.num_classes, n)
-    total = _nll_sum(probs.probs[np.arange(n), labels])
+    total = float(_nll_sum(probs.probs[np.arange(n), labels]))
     if mean:
         return total / n
     return total
 
 
 def _brier_rows(diff: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample Brier scores sum_k (p_ik - 1[k = y_i])^2 / K; overwrites the rows ``diff``."""
-    diff[np.arange(diff.shape[0]), labels] -= 1.0
+    """Per-sample Brier scores sum_k (p_ik - 1[k = y_i])^2 / K; overwrites the rows ``diff``.
+
+    Rows run along the last axis, so ``diff`` may stack one (n, K) block per temperature.
+    """
+    diff[..., np.arange(diff.shape[-2]), labels] -= 1.0
     np.square(diff, out=diff)
-    return diff.sum(axis=1) / diff.shape[1]
+    return _row_sums(diff)[..., 0] / diff.shape[-1]
 
 
 def brier(probs: ProbabilitySet, labels: np.ndarray) -> float:
@@ -314,18 +337,23 @@ def per_sample_residuals(probs: ProbabilitySet, labels: np.ndarray) -> np.ndarra
 def metric_report(
     probs: ProbabilitySet, labels: np.ndarray, bins: int = 15
 ) -> dict:
-    """All scalar metrics for one evaluation split, as a JSON-ready dict."""
+    """All scalar metrics for one evaluation split, as a JSON-ready dict.
+
+    Each value equals its public metric (``ece``, ``nll``, ``brier``) bit
+    for bit; the labels are checked once and the NLL summed once.
+    """
     n = probs.num_samples
     labels = check_labels(labels, probs.num_classes, n)
-    accuracy = float((probs.predictions == labels).mean())
+    num_bins = _num_bins(bins)
+    nll_sum = float(_nll_sum(probs.probs[np.arange(n), labels]))
     return {
         "num_samples": int(n),
         "num_classes": int(probs.num_classes),
-        "num_bins": _num_bins(bins),
-        "accuracy": accuracy,
+        "num_bins": num_bins,
+        "accuracy": float((probs.predictions == labels).mean()),
         "mean_confidence": float(probs.confidences.mean()),
-        "ece": ece(probs, labels, bins),
-        "nll_sum": nll(probs, labels, mean=False),
-        "nll_mean": nll(probs, labels, mean=True),
-        "brier": brier(probs, labels),
+        "ece": _reliability_bins(probs, labels, num_bins, np.ones(n)).ece,
+        "nll_sum": nll_sum,
+        "nll_mean": nll_sum / n,
+        "brier": float(_brier_rows(probs.probs.copy(), labels).mean()),
     }

@@ -6,13 +6,27 @@ variants) runs one search engine, ``_minimize_temperature``, on log t over
 golden-section search refines it to SEARCH_TOL in t, and the returned
 temperature is never worse than any grid point.
 
+An objective maps a 1-d array of temperatures to a 1-d array of values.
+The engine evaluates the grid in consecutive slices of ``batch``
+temperatures and each golden-section step as a 1-element array. A fit
+picks its batch with ``_grid_batch`` from the float64 elements one
+temperature touches (n * K for the NLL and Brier objectives, the larger
+of the lambda count and K, times n, for the transcal profile), so that a
+batch's arrays stay near ``_BATCH_ELEMENTS``: numpy call overhead, not
+arithmetic, dominates one temperature at a few hundred rows, and a batch
+that outgrows the cache loses again. Batching never changes a value:
+elementwise IEEE operations do not depend on an element's position, and
+every reduction runs over the last axis, which sums each row in the same
+order whatever the leading axes.
+
 An objective evaluation does only the work that depends on t. Inputs are
 validated and the logits' row maxima computed once per fit; every
 temperature path shifts its softmax by ``rowmax / t`` (see
 ``_softmax_terms``). The NLL and Brier objectives build no
 ``ProbabilitySet``, and the NLL one normalizes only the label column.
-The transcal profile scores all 11 lambdas in one pass per temperature
-(see ``transcal``).
+Softmax and Brier row sums over a short class axis are column adds in
+numpy's own order (``metrics._row_sums``). The transcal profile scores all
+11 lambdas in one pass per batch of temperatures (see ``transcal``).
 """
 
 from __future__ import annotations
@@ -24,7 +38,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DegeneracyError
-from .metrics import ProbabilitySet, _brier_rows, _nll_sum, check_array, check_labels, check_weights
+from .metrics import (
+    ProbabilitySet,
+    _brier_rows,
+    _nll_sum,
+    _row_sums,
+    check_array,
+    check_labels,
+    check_weights,
+)
 
 __all__ = [
     "AffineScaleParam",
@@ -44,6 +66,8 @@ T_MIN = 0.05
 T_MAX = 100.0
 SEARCH_TOL = 1e-4
 _GRID_SIZE = 50
+# float64 elements per grid batch: about 256 KiB, so a batch stays in cache
+_BATCH_ELEMENTS = 2**15
 
 
 @dataclass
@@ -79,16 +103,18 @@ class AffineScaleParam:
 def _softmax_terms(z: np.ndarray, shift: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Shifted exponentials of the rows of ``z`` and their row sums.
 
-    Overwrites ``z``: subtracts each row's max, exponentiates in place and
-    returns ``(z, z.sum(axis=1, keepdims=True))``. The softmax is ``z / sums``.
-    ``shift`` is the (n, 1) column of row maxima when the caller has it.
-    Temperature paths pass ``rowmax / t`` for z = logits / t, computed from
-    the logits' row maxima once per fit: for t > 0 rounding x / t is
+    Rows run along the last axis, so ``z`` may stack one (n, K) block per
+    temperature. Overwrites ``z``: subtracts each row's max, exponentiates in
+    place and returns ``(z, z.sum(axis=-1, keepdims=True))``, summed by
+    ``_row_sums``. The softmax is
+    ``z / sums``. ``shift`` is the column of row maxima when the caller has
+    it. Temperature paths pass ``rowmax / t`` for z = logits / t, computed
+    from the logits' row maxima once per fit: for t > 0 rounding x / t is
     monotone in x, so max(fl(L / t)) is exactly fl(max(L) / t).
     """
-    z -= z.max(axis=1, keepdims=True) if shift is None else shift
+    z -= z.max(axis=-1, keepdims=True) if shift is None else shift
     np.exp(z, out=z)
-    return z, z.sum(axis=1, keepdims=True)
+    return z, _row_sums(z)
 
 
 def _affine_map(logits: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -117,21 +143,32 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> Probabil
     return ProbabilitySet(probs=p, predictions=np.argmax(logits, axis=1))
 
 
-def _minimize_temperature(objective) -> tuple[float, float, bool]:
-    """Grid bracket plus golden-section refinement of a scalar objective over t.
+def _grid_batch(footprint: int) -> int:
+    """Temperatures per grid batch for a fit that touches ``footprint`` float64 elements per temperature."""
+    return max(1, _BATCH_ELEMENTS // footprint)
 
-    Returns (t_star, value, hit_bound). The returned value is the best of
-    all evaluated points, so it is never above any grid value. Ties prefer
-    the smaller temperature.
+
+def _minimize_temperature(objective, batch: int) -> tuple[float, float, bool]:
+    """Grid bracket plus golden-section refinement of a vectorized objective over t.
+
+    ``objective`` maps a 1-d array of temperatures to a 1-d array of values.
+    The grid is evaluated in consecutive slices of ``batch`` temperatures,
+    each golden-section step as one temperature. Returns (t_star, value,
+    hit_bound). The returned value is the best of all evaluated points, so
+    it is never above any grid value. Ties prefer the smaller temperature.
     """
     grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _GRID_SIZE))
-    best_t = grid[0]
-    best_v = objective(best_t)
+    values = np.concatenate(
+        [objective(grid[i : i + batch]) for i in range(0, _GRID_SIZE, batch)]
+    )
     best_i = 0
-    for i in range(1, _GRID_SIZE):
-        v = objective(grid[i])
-        if v < best_v:
-            best_t, best_v, best_i = grid[i], v, i
+    for i in range(1, _GRID_SIZE):  # the first strict minimum; np.argmin would pick a NaN
+        if values[i] < values[best_i]:
+            best_i = i
+    best_t, best_v = grid[best_i], values[best_i]
+
+    def at(t_log: float) -> float:
+        return objective(np.array([math.exp(t_log)]))[0]
 
     lo = grid[max(best_i - 1, 0)]
     hi = grid[min(best_i + 1, _GRID_SIZE - 1)]
@@ -139,8 +176,8 @@ def _minimize_temperature(objective) -> tuple[float, float, bool]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = objective(math.exp(c))
-    fd = objective(math.exp(d))
+    fc = at(c)
+    fd = at(d)
     for t_log, v in ((c, fc), (d, fd)):
         if v < best_v or (v == best_v and math.exp(t_log) < best_t):
             best_t, best_v = math.exp(t_log), v
@@ -149,12 +186,12 @@ def _minimize_temperature(objective) -> tuple[float, float, bool]:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = objective(math.exp(c))
+            fc = at(c)
             t_new, v_new = math.exp(c), fc
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = objective(math.exp(d))
+            fd = at(d)
             t_new, v_new = math.exp(d), fd
         if v_new < best_v or (v_new == best_v and t_new < best_t):
             best_t, best_v = t_new, v_new
@@ -173,14 +210,16 @@ def fit_temperature_nll(logits: np.ndarray, labels: np.ndarray) -> TemperaturePa
     if np.all(logits == logits[0]) and np.all(labels == labels[0]):
         return TemperatureParam(t=T_MAX, degenerate=True)
     rowmax = logits.max(axis=1, keepdims=True)
-    rows = np.arange(logits.shape[0])
+    label_index = np.arange(logits.shape[0]) * logits.shape[1] + labels
 
-    def objective(t: float) -> float:
-        # nll(softmax_with_temperature(logits, t), labels), dividing only the label column
+    def objective(t: np.ndarray) -> np.ndarray:
+        # nll(softmax_with_temperature(logits, t), labels) per t, dividing only the label column
+        t = t[:, None, None]
         z, sums = _softmax_terms(logits / t, rowmax / t)
-        return _nll_sum(z[rows, labels] / sums[:, 0])
+        label_z = np.take(z.reshape(t.shape[0], -1), label_index, axis=1)
+        return _nll_sum(label_z / sums[..., 0])
 
-    t_star, _, hit_bound = _minimize_temperature(objective)
+    t_star, _, hit_bound = _minimize_temperature(objective, _grid_batch(logits.size))
     return TemperatureParam(t=t_star, degenerate=hit_bound)
 
 
@@ -219,12 +258,14 @@ def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> Tem
     w_total = float(w.sum())
     rowmax = logits.max(axis=1, keepdims=True)
 
-    def objective(t: float) -> float:
+    def objective(t: np.ndarray) -> np.ndarray:
+        t = t[:, None, None]
         p, sums = _softmax_terms(logits / t, rowmax / t)
         p /= sums
-        return float(np.dot(w, _brier_rows(p, labels))) / w_total
+        # one dot per temperature: a matrix-vector product could sum in another order
+        return np.array([np.dot(w, row) for row in _brier_rows(p, labels)]) / w_total
 
-    t_star, _, hit_bound = _minimize_temperature(objective)
+    t_star, _, hit_bound = _minimize_temperature(objective, _grid_batch(logits.size))
     return TemperatureParam(t=t_star, degenerate=hit_bound)
 
 

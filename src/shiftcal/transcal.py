@@ -12,13 +12,19 @@ searched on that profile by ``scaling._minimize_temperature``, the engine
 every temperature fit shares; the objective is piecewise smooth at best
 (argmax, binning, absolute values), so the search is derivative-free.
 
-Each temperature scores all 11 lambdas in one pass. Everything that does
-not depend on t is computed once per fit: the (11, n) rows of w^lambda and
-w^lambda * correctness, and the moments of both control variates. A pass
-is then one confidence computation, three ``bincount`` calls over bin
-indices offset by row, and row-wise moments for both correction stages.
-``apply_control_variate`` and ``serial_control_variate`` are the one-row
-case of the same row-wise kernel.
+Each pass scores all 11 lambdas at a batch of B temperatures, the batch
+``scaling._minimize_temperature`` hands the profile. Everything that does
+not depend on t is computed once per fit: the (11, n) rows of w^lambda,
+w^lambda * correctness and w^lambda - 1, their (B, 11, n) tiles, and the
+moments of both control variates. A pass is then one confidence
+computation, three ``bincount`` calls over bin indices offset by
+(temperature, lambda) row, and row-wise moments for both correction
+stages. Only stage one forms adjusted samples, because stage two's are
+never read. The batch changes no value: elementwise operations do not
+depend on position, every reduction runs over the last axis, and
+``bincount`` adds each bin's samples in sample order whatever its offset.
+``apply_control_variate`` and ``serial_control_variate`` are the one-row,
+one-temperature case of the same row-wise kernel.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .scaling import (
     _GRID_SIZE,
     TemperatureParam,
     _check_fit_inputs,
+    _grid_batch,
     _minimize_temperature,
     _require_weight_mass,
     _softmax_terms,
@@ -111,44 +118,58 @@ class _Variate(NamedTuple):
     var: np.ndarray
 
 
+def _row_means(x: np.ndarray) -> np.ndarray:
+    """Means over the last axis: ``np.mean``'s own sum and division, without its Python wrapper."""
+    return x.sum(axis=-1) / x.shape[-1]
+
+
 def _variate(t: np.ndarray) -> _Variate:
     t = np.atleast_2d(t)
-    mean = t.mean(axis=1)
+    mean = _row_means(t)
     centred = t - mean[:, None]
-    return _Variate(t, mean, centred, (centred * centred).mean(axis=1))
+    return _Variate(t, mean, centred, _row_means(centred * centred))
 
 
-def _adjust(
-    u: np.ndarray, variate: _Variate, tau: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _adjust(u: np.ndarray, variate: _Variate, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Regression-adjust each row of ``u`` with its control-variate row of known mean tau.
 
-    The optimal coefficient is eta = -Cov(u, t) / Var(t); the adjusted
-    samples are u_i + eta * (t_i - tau) and the estimate is their mean,
-    u_mean + eta * (t_mean - tau). A row whose variate has zero variance
-    keeps its samples and its mean, with eta = 0. Returns per row the
-    estimates, the adjusted samples, eta and Cov(u, t).
+    Rows run along the last axis of ``u``; the variate's rows broadcast
+    against the leading axes, and so does ``tau``. The optimal coefficient
+    is eta = -Cov(u, t) / Var(t); the adjusted samples are
+    u_i + eta * (t_i - tau) (see ``_adjusted``) and the estimate is their
+    mean, u_mean + eta * (t_mean - tau). A row whose variate has zero
+    variance keeps its mean, with eta = 0. Returns per row the estimates,
+    eta and Cov(u, t).
     """
-    u_mean = u.mean(axis=1)
-    cov = ((u - u_mean[:, None]) * variate.centred).mean(axis=1)
+    u_mean = _row_means(u)
+    cov = _row_means((u - u_mean[..., None]) * variate.centred)
     constant = variate.var == 0.0
     eta = np.divide(-cov, variate.var, out=np.zeros_like(cov), where=~constant)
     estimates = np.where(constant, u_mean, u_mean + eta * (variate.mean - tau))
-    return estimates, u + eta[:, None] * (variate.t - tau), eta, cov
+    return estimates, eta, cov
+
+
+def _adjusted(u: np.ndarray, eta: np.ndarray, excess: np.ndarray) -> np.ndarray:
+    """The adjusted samples u_i + eta * (t_i - tau), given the variate's rows minus tau."""
+    return u + eta[..., None] * excess
 
 
 def _serial(
-    u: np.ndarray, weights: _Variate, correctness: _Variate, mean_confidence: float
+    u: np.ndarray,
+    weights: _Variate,
+    weight_excess: np.ndarray,
+    correctness: _Variate,
+    mean_confidence,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Two-stage estimates per row of ``u``, and the (eta, Cov) of each stage.
 
     Stage one adjusts with the weight variate against its known source
-    mean of 1; stage two adjusts the stage-one residuals with the shared
-    correctness row against ``mean_confidence``. Constant correctness
-    skips stage two.
+    mean of 1, and ``weight_excess`` is its rows minus 1; stage two adjusts
+    the stage-one residuals with the shared correctness row against
+    ``mean_confidence``. Constant correctness skips stage two.
     """
-    est1, adjusted, eta1, cov1 = _adjust(u, weights, 1.0)
-    est2, _, eta2, cov2 = _adjust(adjusted, correctness, mean_confidence)
+    est1, eta1, cov1 = _adjust(u, weights, 1.0)
+    est2, eta2, cov2 = _adjust(_adjusted(u, eta1, weight_excess), correctness, mean_confidence)
     estimates = est1 if correctness.var[0] == 0.0 else est2
     return estimates, (eta1, cov1, eta2, cov2)
 
@@ -201,7 +222,7 @@ def apply_control_variate(
     u, t = _check_samples(u_samples, t_samples)
     tau = _check_tau(tau)
     variate = _variate(t)
-    estimates, adjusted, eta, cov = _adjust(u[None, :], variate, tau)
+    estimates, eta, cov = _adjust(u[None, :], variate, tau)
     var = float(variate.var[0])
     coeffs = ControlVariateCoefficients(
         eta1=float(eta[0]),
@@ -209,7 +230,7 @@ def apply_control_variate(
         var_t1=var,
         flags=("constant_variate",) if var == 0.0 else (),
     )
-    return float(estimates[0]), adjusted[0], coeffs
+    return float(estimates[0]), _adjusted(u[None, :], eta, variate.t - tau)[0], coeffs
 
 
 def serial_control_variate(
@@ -232,7 +253,9 @@ def serial_control_variate(
     _, r = _check_samples(u, correctness)
     tau = _check_tau(mean_confidence)
     weight_variate, correct_variate = _variate(w), _variate(r)
-    estimates, moments = _serial(u[None, :], weight_variate, correct_variate, tau)
+    estimates, moments = _serial(
+        u[None, :], weight_variate, weight_variate.t - 1.0, correct_variate, tau
+    )
     return float(estimates[0]), _serial_coefficients(0, weight_variate, correct_variate, moments)
 
 
@@ -240,80 +263,107 @@ class _ObjectiveContext:
     """Everything a fit's (t, lambda) evaluations share, computed once per fit.
 
     Row r of every (lambdas, n) array belongs to ``lambdas[r]``: the
-    flattened weights w^lambda, their products with correctness, and the
-    weight variate's moments. One evaluation at t then scores every lambda
-    at once. The weight rows are built on first use, after
-    ``optimize_transcal`` has rejected weights without usable mass.
+    flattened weights w^lambda, their products with correctness, their
+    excess over 1 and the weight variate's moments. One evaluation scores
+    every lambda at each of a batch of temperatures; ``batch`` is the
+    largest batch the engine hands it, and the (batch, lambdas, n) tiles
+    feed the bin statistics of a whole batch. Weights without usable mass
+    are rejected before any of it is built.
     """
 
     def __init__(self, logits: np.ndarray, labels: np.ndarray, weights, bins: int, lambdas):
         logits, labels = _check_fit_inputs(logits, labels)
         self.weights = check_weights(weights, logits.shape[0])
         self.num_bins = _num_bins(bins)
+        _require_weight_mass(self.weights)
         self.logits = logits
         self.rowmax = logits.max(axis=1, keepdims=True)
         self.correct = (np.argmax(logits, axis=1) == labels).astype(np.float64)
         self.correct_variate = _variate(self.correct)
         self.lambdas = tuple(lambdas)
-        self.row_offsets = np.arange(len(self.lambdas))[:, None] * self.num_bins
+        self.batch = _grid_batch(max(len(self.lambdas), logits.shape[1]) * logits.shape[0])
 
     @cached_property
+    def tiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(batch, lambdas, n) copies of w^lambda and w^lambda * correct, and the
+        (batch, lambdas, 1) bin offsets of every (temperature, lambda) row.
+
+        Slice 0 of each tile is the fit's own rows, so a batch of one copies nothing.
+        """
+        shape = (self.batch, len(self.lambdas), self.weights.shape[0])
+        weight_tile, correct_tile = np.empty(shape), np.empty(shape)
+        for row, lam in enumerate(self.lambdas):
+            np.power(self.weights, lam, out=weight_tile[0, row])
+        np.multiply(weight_tile[0], self.correct, out=correct_tile[0])
+        weight_tile[1:] = weight_tile[0]
+        correct_tile[1:] = correct_tile[0]
+        offsets = (np.arange(shape[0] * shape[1]) * self.num_bins).reshape(shape[0], shape[1], 1)
+        return weight_tile, correct_tile, offsets
+
+    @property
     def flattened(self) -> np.ndarray:
-        return np.stack([np.power(self.weights, lam) for lam in self.lambdas])
+        return self.tiles[0][0]
 
     @cached_property
-    def flattened_correct(self) -> np.ndarray:
-        return self.flattened * self.correct
+    def excess(self) -> np.ndarray:
+        return self.flattened - 1.0
 
     @cached_property
     def weight_variate(self) -> _Variate:
         return _variate(self.flattened)
 
-    def confidences(self, t: float) -> np.ndarray:
+    def confidences(self, t: np.ndarray) -> np.ndarray:
+        """Top-class softmax probabilities, one row per temperature in ``t``."""
         # the predicted class's shifted exponential is exp(0) = 1, so its
         # softmax probability is 1 / row sum, with no gather and no full matrix
-        return 1.0 / _softmax_terms(self.logits / t, self.rowmax / t)[1][:, 0]
+        t = t[:, None, None]
+        return 1.0 / _softmax_terms(self.logits / t, self.rowmax / t)[1][..., 0]
 
-    def samples(self, t: float) -> tuple[np.ndarray, float]:
-        """Per-sample contributions at temperature t, one row per lambda, and the mean confidence.
+    def samples(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sample contributions at each temperature in ``t``, and the mean confidences.
 
-        Row r holds u_i = w_i^lam * |A_m - C_m| for the sample's confidence
-        bin, where lam = ``lambdas[r]`` and A_m and C_m are the bin's
+        Entry [b, r] of the (B, lambdas, n) contributions holds
+        u_i = w_i^lam * |A_m - C_m| for the sample's confidence bin at
+        t[b], where lam = ``lambdas[r]`` and A_m and C_m are the bin's
         accuracy and mean confidence weighted by w^lam. The mean of a row is
         the binned importance-weighted calibration error with mass
-        convention 1/n. Offsetting row r's bin indices by r * bins puts
-        every row's bins into one ``bincount``.
+        convention 1/n. Offsetting the bin indices of (temperature, lambda)
+        row k by k * bins puts every row's bins into one ``bincount``. The
+        mean confidences have shape (B, 1).
         """
+        size = t.shape[0]
         conf = self.confidences(t)
-        flat = (bin_indices(conf, self.num_bins) + self.row_offsets).ravel()
+        weight_tile, correct_tile, offsets = self.tiles
+        flat = (bin_indices(conf, self.num_bins)[:, None, :] + offsets[:size]).ravel()
         wl = self.flattened
         mass, accuracy, confidence = _bin_statistics(
             flat,
-            wl.ravel(),
-            self.flattened_correct.ravel(),
-            (wl * conf).ravel(),
-            wl.shape[0] * self.num_bins,
+            weight_tile[:size].ravel(),
+            correct_tile[:size].ravel(),
+            (wl * conf[:, None, :]).ravel(),
+            size * wl.shape[0] * self.num_bins,
         )
         # a bin of zero-weight samples has NaN statistics but contributes u = 0
         gap = np.where(mass > 0.0, np.abs(accuracy - confidence), 0.0)
-        return wl * gap[flat].reshape(wl.shape), float(conf.mean())
+        return wl * gap[flat].reshape(size, *wl.shape), _row_means(conf)[:, None]
 
-    def estimates(self, t: float, mode: EstimatorMode) -> tuple[np.ndarray, tuple | None]:
-        """The mode's estimate at t for every lambda, and the control-variate moments behind them."""
+    def estimates(self, t: np.ndarray, mode: EstimatorMode) -> tuple[np.ndarray, tuple | None]:
+        """The mode's (B, lambdas) estimates at each temperature in ``t``, and the
+        control-variate moments behind them."""
         u, mean_confidence = self.samples(t)
         if mode is EstimatorMode.PLAIN_IWECE:
-            return u.mean(axis=1), None
-        return _serial(u, self.weight_variate, self.correct_variate, mean_confidence)
+            return _row_means(u), None
+        return _serial(u, self.weight_variate, self.excess, self.correct_variate, mean_confidence)
 
     def at(
         self, t: float, row: int, mode: EstimatorMode
     ) -> tuple[float, ControlVariateCoefficients | None]:
         """Estimate and control-variate coefficients at t for ``lambdas[row]``."""
-        values, moments = self.estimates(t, mode)
+        values, moments = self.estimates(np.array([t]), mode)
         if moments is None:
-            return float(values[row]), None
-        return float(values[row]), _serial_coefficients(
-            row, self.weight_variate, self.correct_variate, moments
+            return float(values[0, row]), None
+        return float(values[0, row]), _serial_coefficients(
+            row, self.weight_variate, self.correct_variate, tuple(m[0] for m in moments)
         )
 
 
@@ -330,7 +380,9 @@ def transcal_objective(
 
     The raw weights are flattened by w^lam, the binned weighted gap is
     decomposed into per-sample contributions, and the mode's
-    control-variate correction is applied.
+    control-variate correction is applied. All-zero weights, and weights
+    whose sum or sum of squares overflows, raise DegeneracyError as in
+    ``optimize_transcal``.
     """
     mode = EstimatorMode(mode)
     ctx = _ObjectiveContext(logits, labels, weights, bins, (float(lam),))
@@ -364,20 +416,19 @@ def optimize_transcal(
     lambdas = (1.0,) if freeze_lambda else tuple(np.linspace(0.0, 1.0, _LAMBDA_GRID_SIZE).tolist())
     ctx = _ObjectiveContext(logits, labels, weights, bins, lambdas)
     values = ctx.weights
-    _require_weight_mass(values)
 
     trace: list[tuple[float, float, float]] = []
     profile_row: dict[float, int] = {}
 
-    def profile(t: float) -> float:
-        t = float(t)
+    def profile(t: np.ndarray) -> np.ndarray:
         at_t = ctx.estimates(t, mode)[0]
-        trace.extend(zip([t] * len(lambdas), lambdas, at_t.tolist()))
-        best = int(np.argmin(at_t))  # the first minimum: the smaller lambda on ties
-        profile_row[t] = best
-        return float(at_t[best])
+        best = np.argmin(at_t, axis=1)  # the first minimum: the smaller lambda on ties
+        for t_b, row, best_b in zip(t.tolist(), at_t.tolist(), best.tolist()):
+            trace.extend(zip([t_b] * len(lambdas), lambdas, row))
+            profile_row[t_b] = best_b
+        return at_t[np.arange(t.shape[0]), best]
 
-    chosen_t, best_v, at_bound = _minimize_temperature(profile)
+    chosen_t, best_v, at_bound = _minimize_temperature(profile, ctx.batch)
     chosen = profile_row[chosen_t]
     grid_evaluations = _GRID_SIZE * len(lambdas)
 

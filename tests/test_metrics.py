@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftcal import (
     AffineScaleParam,
@@ -28,6 +30,9 @@ from shiftcal import (
     upsample_balance,
     weighted_ece,
 )
+
+from shiftcal import metrics
+from shiftcal.metrics import _row_sums, check_labels
 
 from oracles import (
     brute_bin_index,
@@ -294,6 +299,24 @@ class TestNll:
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+class TestRowSums:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(
+            ((1, 1), (300, 2), (5, 40, 3), (7, 4), (2, 30, 7), (50, 8), (3, 9, 10), (4, 20))
+        ),
+        specials=st.booleans(),
+    )
+    def test_equal_numpy_row_sums_bitwise(self, seed, shape, specials):
+        """Column adds in numpy's order must give its last-axis sums bit for bit."""
+        rng = np.random.default_rng(seed)
+        x = np.exp(rng.standard_normal(shape) * 20.0)
+        if specials:
+            x.flat[rng.integers(0, x.size, size=3)] = rng.choice([0.0, np.inf, np.nan], size=3)
+        assert np.array_equal(_row_sums(x), x.sum(axis=-1, keepdims=True), equal_nan=True)
+
+
 class TestBrier:
     def test_pinned_value(self):
         p = pset([[0.8, 0.2]])
@@ -346,6 +369,36 @@ class TestResiduals:
 
 
 class TestMetricReport:
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        k=st.integers(2, 10),
+        bins=st.sampled_from((1, 7, 15, 40)),
+    )
+    def test_every_field_is_its_public_metric_bitwise(self, seed, n, k, bins):
+        rng = np.random.default_rng(seed)
+        p = pset(random_probability_rows(rng, n, k))
+        labels = rng.integers(0, k, size=n)
+        rep = metric_report(p, labels, bins)
+        assert rep["nll_sum"] == nll(p, labels)
+        assert rep["nll_mean"] == nll(p, labels, mean=True)
+        assert rep["ece"] == ece(p, labels, bins)
+        assert rep["brier"] == brier(p, labels)
+
+    def test_labels_checked_once(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        p = pset(random_probability_rows(rng, 40, 3))
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return check_labels(*args)
+
+        monkeypatch.setattr(metrics, "check_labels", counted)
+        metric_report(p, rng.integers(0, 3, size=40))
+        assert len(calls) == 1
+
     def test_fields_and_consistency(self):
         rng = np.random.default_rng(47)
         rows = random_probability_rows(rng, 30, 3)

@@ -22,7 +22,15 @@ from shiftcal import (
 )
 from shiftcal import scaling
 from shiftcal.metrics import _brier_rows
-from shiftcal.scaling import SEARCH_TOL, T_MAX, T_MIN, TemperatureParam, _GRID_SIZE, _softmax_terms
+from shiftcal.scaling import (
+    SEARCH_TOL,
+    T_MAX,
+    T_MIN,
+    TemperatureParam,
+    _GRID_SIZE,
+    _minimize_temperature,
+    _softmax_terms,
+)
 
 
 def random_logits(rng, n, k, scale=3.0):
@@ -70,7 +78,7 @@ def search_objective(fit, *args):
     """The objective ``fit`` hands to the temperature search engine."""
     seen = []
 
-    def record(objective):
+    def record(objective, batch):
         seen.append(objective)
         return 1.0, 0.0, False
 
@@ -105,9 +113,56 @@ class TestPrecomputedRowMax:
             probs = softmax_with_temperature(logits, t)
             z, sums = _softmax_terms(logits / t)
             assert np.array_equal(probs.probs, z / sums)
-            assert nll_objective(t) == nll(probs, labels)
+            assert nll_objective(np.array([t]))[0] == nll(probs, labels)
             brier_rows = _brier_rows(probs.probs.copy(), labels)
-            assert cpcs_objective(t) == float(np.dot(w, brier_rows)) / float(w.sum())
+            assert cpcs_objective(np.array([t]))[0] == float(np.dot(w, brier_rows)) / float(w.sum())
+
+
+def temperature_batch(rng, size):
+    """``size`` log-uniform temperatures in [T_MIN, T_MAX], the bounds included."""
+    t = np.exp(rng.uniform(math.log(T_MIN), math.log(T_MAX), size))
+    t[0], t[-1] = T_MIN, T_MAX
+    return t
+
+
+def nll_and_brier_objectives(seed, n, k):
+    """The objectives ``temp`` and ``cpcs`` hand the engine on a generated task."""
+    rng = np.random.default_rng(seed)
+    logits = random_logits(rng, n, k)
+    logits[0] *= 300.0
+    labels = rng.integers(0, k, size=n)
+    w = rng.lognormal(0.0, 1.0, size=n)
+    return (
+        search_objective(fit_temperature_nll, logits, labels),
+        search_objective(fit_cpcs_temperature, logits, labels, w),
+    )
+
+
+class TestBatchedGrid:
+    """The engine evaluates the grid in batches of temperatures. A batch
+    must give every temperature's one-at-a-time value bit for bit, and the
+    search result must not depend on the batch size."""
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        k=st.integers(2, 10),
+        size=st.sampled_from((2, 7, 50)),
+    )
+    def test_a_batch_equals_one_temperature_at_a_time(self, seed, n, k, size):
+        t = temperature_batch(np.random.default_rng(seed), size)
+        for objective in nll_and_brier_objectives(seed, n, k):
+            want = np.array([objective(t[i : i + 1])[0] for i in range(size)])
+            assert np.array_equal(objective(t), want)
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), k=st.integers(2, 10))
+    def test_the_search_does_not_depend_on_the_batch(self, seed, n, k):
+        for objective in nll_and_brier_objectives(seed, n, k):
+            one = _minimize_temperature(objective, 1)
+            for batch in (3, 7, 50):
+                assert _minimize_temperature(objective, batch) == one
 
 
 class TestTemperatureParam:

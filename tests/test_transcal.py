@@ -17,7 +17,7 @@ from shiftcal import (
 )
 from shiftcal import transcal
 from shiftcal.metrics import bin_indices
-from shiftcal.scaling import T_MIN, _minimize_temperature, _softmax_terms
+from shiftcal.scaling import T_MAX, T_MIN, _minimize_temperature, _softmax_terms
 from shiftcal.transcal import _ObjectiveContext
 
 from oracles import objective_samples
@@ -157,7 +157,7 @@ class TestTranscalObjective:
         ctx = _ObjectiveContext(logits, labels, weights, 15, (1.0,))
         for t in (0.05, 0.37, 1.0, 2.7, 100.0):
             want = softmax_with_temperature(logits, t).confidences
-            assert np.array_equal(ctx.confidences(t), want)
+            assert np.array_equal(ctx.confidences(np.array([t]))[0], want)
 
     def test_all_modes_run_and_are_finite(self):
         rng = np.random.default_rng(37)
@@ -183,6 +183,21 @@ class TestTranscalObjective:
                 mass = np.bincount(idx, weights=weights, minlength=15)
                 assert np.any((np.bincount(idx, minlength=15) > 0) & (mass == 0.0))
             assert transcal_objective(logits, labels, weights, t, lam) == want
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (np.zeros(50), "importance weights are all zero"),
+            (np.full(50, 1e307), "importance weights overflow"),
+        ],
+        ids=["all_zero", "overflowing_sum"],
+    )
+    def test_massless_weights_raise_like_the_search(self, weights, message):
+        logits, labels, _ = sampled_task(np.random.default_rng(83), n=50, k=3)
+        with pytest.raises(DegeneracyError, match=message):
+            transcal_objective(logits, labels, weights, 1.0, 0.5)
+        with pytest.raises(DegeneracyError, match=message):
+            optimize_transcal(logits, labels, weights)
 
     def test_validation(self):
         logits = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -257,7 +272,10 @@ class TestOptimizeTranscal:
         for mode in EstimatorMode:
             sol = optimize_transcal(logits, labels, weights, mode=mode, freeze_lambda=True)
             want = _minimize_temperature(
-                lambda t: transcal_objective(logits, labels, weights, t, 1.0, mode=mode)
+                lambda ts: np.array(
+                    [transcal_objective(logits, labels, weights, t, 1.0, mode=mode) for t in ts]
+                ),
+                1,
             )[0]
             assert sol.t_star.t == want
 
@@ -384,9 +402,9 @@ class TestEveryLambdaInOnePass:
         logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
         lambdas = np.linspace(0.0, 1.0, 11).tolist()
         ctx = _ObjectiveContext(logits, labels, weights, 15, lambdas)
-        u, mean_confidence = ctx.samples(t)
-        values, _ = ctx.estimates(t, EstimatorMode.CV_SERIAL)
-        plain, _ = ctx.estimates(t, EstimatorMode.PLAIN_IWECE)
+        (u,), ((mean_confidence,),) = ctx.samples(np.array([t]))
+        (values,), _ = ctx.estimates(np.array([t]), EstimatorMode.CV_SERIAL)
+        (plain,), _ = ctx.estimates(np.array([t]), EstimatorMode.PLAIN_IWECE)
         skipped = bool(np.all(ctx.correct == ctx.correct[0]))
         assert skipped or not all_correct
         for row, lam in enumerate(lambdas):
@@ -402,6 +420,65 @@ class TestEveryLambdaInOnePass:
             if skipped:
                 assert coeffs.eta2 is None
                 assert want == apply_control_variate(u[row], wl, 1.0)[0]
+
+
+class TestBatchedTemperatures:
+    """The search hands the lambda profile a batch of temperatures at once;
+    every value and moment must be the one-temperature one, bit for bit,
+    and no search result may depend on the batch size."""
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        k=st.integers(2, 10),
+        zero_every_other=st.booleans(),
+        all_correct=st.booleans(),
+        frozen=st.booleans(),
+        size=st.sampled_from((2, 7, 50)),
+        bins=st.sampled_from((1, 7, 15)),
+    )
+    @example(seed=4, n=300, k=4, zero_every_other=True, all_correct=True, frozen=False, size=50, bins=15)
+    def test_a_batch_equals_one_temperature_at_a_time(
+        self, seed, n, k, zero_every_other, all_correct, frozen, size, bins
+    ):
+        logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
+        lambdas = (1.0,) if frozen else np.linspace(0.0, 1.0, 11).tolist()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transcal, "_grid_batch", lambda footprint: size)
+            ctx = _ObjectiveContext(logits, labels, weights, bins, lambdas)
+        rng = np.random.default_rng(seed)
+        t = np.exp(rng.uniform(math.log(T_MIN), math.log(T_MAX), size))
+        t[0], t[-1] = T_MIN, T_MAX
+        for mode in EstimatorMode:
+            values, moments = ctx.estimates(t, mode)
+            singles = [ctx.estimates(t[i : i + 1], mode) for i in range(size)]
+            assert np.array_equal(values, np.concatenate([v for v, _ in singles]))
+            for j, batched in enumerate(moments or ()):
+                assert np.array_equal(batched, np.concatenate([m[j] for _, m in singles]))
+
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        k=st.integers(2, 10),
+        zero_every_other=st.booleans(),
+        all_correct=st.booleans(),
+        mode=st.sampled_from(EstimatorMode),
+        frozen=st.booleans(),
+    )
+    def test_the_search_does_not_depend_on_the_batch(
+        self, seed, n, k, zero_every_other, all_correct, mode, frozen
+    ):
+        logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
+        fits = {}
+        for batch in (1, 3, 7, 50):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(transcal, "_grid_batch", lambda footprint: batch)
+                fits[batch] = repr(
+                    optimize_transcal(logits, labels, weights, mode=mode, freeze_lambda=frozen)
+                )
+        assert all(fit == fits[1] for fit in fits.values())
 
 
 class TestRenyiDiagnostic:
