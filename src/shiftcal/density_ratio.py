@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .metrics import check_array
 
@@ -51,6 +50,9 @@ class DomainClassifier:
 
     def predict_source_probability(self, features: np.ndarray) -> np.ndarray:
         """H(x) = P(domain = source | x) for rows of ``features``."""
+        # imported here: scipy.special takes about 0.3 s and 25 MB to load, and only the classifier uses it
+        from scipy.special import expit
+
         x = check_array(features, "features", 2)
         if x.shape[1] != self.weights.shape[0]:
             raise ValueError(
@@ -99,6 +101,9 @@ def train_domain_classifier(source_features, target_features) -> DomainClassifie
     unconverged after MAX_NEWTON_STEPS steps, or when no step length
     down to 2**-MAX_HALVINGS gives an acceptable loss.
     """
+    # imported here: scipy.special takes about 0.3 s and 25 MB to load, and only the classifier uses it
+    from scipy.special import expit
+
     source = check_array(source_features, "features", 2)
     target = check_array(target_features, "features", 2)
     if source.shape[1] != target.shape[1]:

@@ -274,16 +274,30 @@ def weighted_ece(
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """``x.sum(axis=-1, keepdims=True)`` bit for bit, for ``x`` with no negative zeros.
 
-    numpy sums a last axis shorter than 8 one row per inner-loop call,
-    sequentially from 0. Adding whole columns in that order gives the same
-    bits without a call per row, which costs more than the softmax's
-    ``exp`` at K = 3. Longer rows take numpy's pairwise sum itself.
+    numpy sums each row of a last axis in its own inner-loop call: a row
+    shorter than 8 sequentially from 0, a longer one pairwise, starting
+    from eight running sums ``((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7))`` and
+    then adding the columns after them one at a time. Below 16 columns each
+    running sum is a single column, so adding whole columns in that order
+    gives the same bits without a call per row, which costs more than the
+    softmax's ``exp`` at K = 3 and three times it at K = 10. Longer rows
+    take numpy's sum itself.
     """
-    if x.shape[-1] >= 8:
+    k = x.shape[-1]
+    if k >= 16:
         return x.sum(axis=-1, keepdims=True)
-    sums = x[..., :1].copy()
-    for k in range(1, x.shape[-1]):
-        sums += x[..., k : k + 1]
+    columns = [x[..., j : j + 1] for j in range(k)]
+    if k < 8:
+        sums, rest = columns[0].copy(), columns[1:]
+    else:
+        sums = columns[0] + columns[1]
+        sums += columns[2] + columns[3]
+        upper = columns[4] + columns[5]
+        upper += columns[6] + columns[7]
+        sums += upper
+        rest = columns[8:]
+    for column in rest:
+        sums += column
     return sums
 
 

@@ -24,8 +24,9 @@ validated and the logits' row maxima computed once per fit; every
 temperature path shifts its softmax by ``rowmax / t`` (see
 ``_softmax_terms``). The NLL and Brier objectives build no
 ``ProbabilitySet``, and the NLL one normalizes only the label column.
-Softmax and Brier row sums over a short class axis are column adds in
-numpy's own order (``metrics._row_sums``). The transcal profile scores all
+Softmax and Brier row sums over fewer than 16 classes are column adds in
+numpy's own order, sequential below 8 classes and pairwise from 8 on
+(``metrics._row_sums``). The transcal profile scores all
 11 lambdas in one pass per batch of temperatures (see ``transcal``).
 """
 
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegeneracyError
 from .metrics import (
@@ -294,6 +294,10 @@ def _softmax_ce(transformed: np.ndarray, labels: np.ndarray) -> tuple[float, np.
 
 
 def _fit_affine(logits: np.ndarray, labels: np.ndarray, kind: str) -> AffineScaleParam:
+    # imported here: scipy.optimize takes about 0.5 s and 49 MB to load (0.3 s and 23 MB
+    # beyond scipy.special, which it loads), and only the affine fits use it
+    from scipy.optimize import minimize
+
     logits, labels = _check_fit_inputs(logits, labels)
     k = logits.shape[1]
     vector = kind == "vector"

@@ -725,6 +725,69 @@ class TestInstalledEntryPoint:
         assert (tmp_path / "t" / "manifest.json").is_file()
 
 
+class TestDeferredScipy:
+    # run in a fresh interpreter, because this one already has scipy loaded
+    SCRIPT = """
+import json, sys
+import shiftcal, shiftcal.cli
+
+def run(*argv):
+    return shiftcal.cli.main([str(a) for a in argv])
+
+def loaded():
+    return sorted(m for m in ("scipy.special", "scipy.optimize") if m in sys.modules)
+
+out = sys.argv[1]
+task = out + "/task"
+seen = {"import": loaded()}
+codes = [run("gen-synth", "--out", task, "--dimension", 3, "--classes", 3,
+             "--n-source", 300, "--n-target", 200, "--seed", 2)]
+files = json.load(open(task + "/manifest.json"))["files"]
+f = {stem: task + "/" + name for stem, name in files.items()}
+for method, spec in shiftcal.bench.METHODS.items():
+    if method in ("vector", "matrix"):
+        continue
+    split = "target" if spec.on_target else "source_val"
+    weights = ["--weights", f["true_weights"]] if spec.needs_weights else []
+    codes.append(run("calibrate", "--method", method, "--logits", f[split + "_logits"],
+                     "--labels", f[split + "_labels"], *weights, "--apply", f["target_logits"],
+                     "--apply-labels", f["target_labels"], "--probs-out", out + "/" + method + ".csv",
+                     "--out", out + "/" + method + ".json"))
+codes.append(run("evaluate", "--probs", out + "/cpcs.csv", "--labels", f["target_labels"],
+                 "--out", out + "/eval.json"))
+codes.append(run("diagnose", "--weights", f["true_weights"], "--out", out + "/diag.json"))
+seen["numpy_only"] = loaded()
+seen["numpy_only_codes"] = codes
+seen["scipy_codes"] = [
+    run("weights", "--source-features", f["source_train_features"],
+        "--target-features", f["target_features"], "--eval-features", f["source_val_features"],
+        "--out", out + "/w.csv"),
+    run("calibrate", "--method", "vector", "--logits", f["source_val_logits"],
+        "--labels", f["source_val_labels"], "--out", out + "/vector.json"),
+]
+seen["scipy"] = loaded()
+print(json.dumps(seen))
+"""
+
+    def test_numpy_only_commands_never_load_scipy(self, tmp_path):
+        """Only the classifier and the affine fits load scipy.special and scipy.optimize."""
+        src = Path(shiftcal.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        ))
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        seen = json.loads(result.stdout.splitlines()[-1])
+        assert seen["import"] == []
+        assert seen["numpy_only_codes"] == [0] * (len(bench.ALL_METHODS) + 1)
+        assert seen["numpy_only"] == []
+        assert seen["scipy_codes"] == [0, 0]
+        assert seen["scipy"] == ["scipy.optimize", "scipy.special"]
+
+
 class TestReadme:
     def test_method_table_lists_the_registry(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
