@@ -16,7 +16,9 @@ in-process (whichever ``shiftcal`` the import path finds) for:
 * ``calibrate --method transcal`` on the K = 3 task with ``--bins 7``, and
   with a weight file whose every other entry is 0, so that some bins hold
   samples but no weight;
-* ``bench --seeds 0,1`` with every method on a small grid;
+* ``bench --seeds 0,1`` with every method on a small grid, and once more
+  with only the three transcal variants in reverse order, so that the one
+  without control variates fills the shared search state first;
 * in-process fits on the K = 3 and K = 10 source-validation splits:
   ``optimize_transcal`` in both modes, with free and frozen lambda, at 7
   and 15 bins, with the true weights and (K = 3) the half-zero weights,
@@ -135,6 +137,10 @@ def good_runs(out: Path) -> None:
                   "--out", d / "transcal-half-zero.json"])
     checked(out, ["bench", "--out", out / "bench.json", "--seeds", "0,1",
                   "--methods", ",".join(bench.ALL_METHODS), "--n-source", "600", "--n-target", "600",
+                  "--shifts", "0,1.5", "--scales", "1,1.2", "--t-trues", "2"])
+    checked(out, ["bench", "--out", out / "bench-reversed.json", "--seeds", "0,1",
+                  "--methods", "transcal-no-variance,transcal-no-bias,transcal",
+                  "--n-source", "600", "--n-target", "600",
                   "--shifts", "0,1.5", "--scales", "1,1.2", "--t-trues", "2"])
 
 

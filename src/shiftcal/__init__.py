@@ -52,6 +52,7 @@ from .transcal import (
     ControlVariateCoefficients,
     EstimatorMode,
     TransCalSolution,
+    TransCalState,
     apply_control_variate,
     optimize_transcal,
     renyi_diagnostic,
@@ -73,6 +74,7 @@ __all__ = [
     "ShiftScenario",
     "TemperatureParam",
     "TransCalSolution",
+    "TransCalState",
     "__version__",
     "apply_affine_scaling",
     "apply_control_variate",

@@ -7,6 +7,16 @@ every method on the target split. The default grid crosses shift
 magnitude, target variance scale and distortion temperature so the
 no-shift column doubles as a sanity check: there the closed-form weights
 are exactly one.
+
+The three transcal variants fit the same validation logits, labels and
+weights, so ``run_single`` builds one ``TransCalState`` for that split and
+hands it to each of them. ``transcal-no-variance`` then reads the plain
+estimates ``transcal`` formed on the way to its control variates,
+``transcal-no-bias`` reads the lambda = 1 column of what both scored, and
+each fit scores only the temperatures the state lacks for its mode. The
+sharing is exact: every value of a scoring pass depends only on its own
+temperature and lambda, so a value read from the state is the one the fit
+would have scored itself.
 """
 
 from __future__ import annotations
@@ -35,7 +45,13 @@ from .scaling import (
     softmax_with_temperature,
 )
 from .synthshift import GeneratedTask, ShiftScenario, generate
-from .transcal import EstimatorMode, TransCalSolution, optimize_transcal, renyi_diagnostic
+from .transcal import (
+    EstimatorMode,
+    TransCalSolution,
+    TransCalState,
+    optimize_transcal,
+    renyi_diagnostic,
+)
 
 __all__ = [
     "ALL_METHODS",
@@ -57,12 +73,14 @@ class Method:
     an ``AffineScaleParam`` or a ``TransCalSolution``. ``needs_weights``
     methods need importance weights for the fitting rows; the others
     ignore ``weights``. An ``on_target`` method fits on labelled target
-    data.
+    data. A ``shares_state`` method's fit also takes ``state=``, the
+    ``TransCalState`` of its fitting split.
     """
 
     fit: Callable
     needs_weights: bool = False
     on_target: bool = False
+    shares_state: bool = False
 
 
 # Entries look the layer functions up in this module's globals at call time,
@@ -70,10 +88,11 @@ class Method:
 # both bench and the CLI run.
 def _transcal(mode: EstimatorMode, freeze_lambda: bool) -> Method:
     return Method(
-        lambda logits, labels, weights, bins: optimize_transcal(
-            logits, labels, weights, mode=mode, bins=bins, freeze_lambda=freeze_lambda
+        lambda logits, labels, weights, bins, state=None: optimize_transcal(
+            logits, labels, weights, mode=mode, bins=bins, freeze_lambda=freeze_lambda, state=state
         ),
         needs_weights=True,
+        shares_state=True,
     )
 
 
@@ -145,10 +164,18 @@ def estimate_task_weights(
     return classifier, estimate_weights(classifier, eval_features)
 
 
-def _fit_entry(method: str, task: GeneratedTask, weights: np.ndarray | None, bins: int) -> dict:
+def _fit_entry(
+    method: str,
+    task: GeneratedTask,
+    weights: np.ndarray | None,
+    bins: int,
+    state: TransCalState | None,
+) -> dict:
     spec = METHODS[method]
     if spec.on_target:
         fitted = spec.fit(task.target_logits, task.target_labels, None, bins)
+    elif spec.shares_state:
+        fitted = spec.fit(task.source_val_logits, task.source_val_labels, weights, bins, state=state)
     else:
         fitted = spec.fit(task.source_val_logits, task.source_val_labels, weights, bins)
     entry: dict = {"method": method}
@@ -202,7 +229,13 @@ def run_single(
             "renyi_2": renyi_diagnostic(weights, 1.0),
             "classifier_converged": bool(classifier.converged),
         }
-    record["methods"] = {m: _fit_entry(m, task, weights, bins) for m in methods}
+    # built at the first method that shares it, so that no error moves ahead of an earlier fit
+    state = None
+    record["methods"] = {}
+    for m in methods:
+        if METHODS[m].shares_state and state is None:
+            state = TransCalState(task.source_val_logits, task.source_val_labels, weights, bins)
+        record["methods"][m] = _fit_entry(m, task, weights, bins, state)
     return record
 
 

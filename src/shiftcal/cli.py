@@ -25,11 +25,13 @@ from . import bench as benchmod
 from .errors import DegeneracyError
 from .matrixio import (
     dump_json,
+    is_raw_path,
     load_labels,
     load_matrix,
     load_probabilities,
     save_labels,
     save_matrix,
+    stored_probabilities,
 )
 from .metrics import ProbabilitySet, _num_bins, check_weights, metric_report, reliability_bins, weighted_ece
 from .scaling import AffineScaleParam
@@ -246,8 +248,15 @@ def _cmd_calibrate(args) -> int:
         if args.probs_out:
             save_matrix(args.probs_out, probs.probs)
             applied["probabilities_file"] = str(args.probs_out)
-            # metrics reflect the file as written, including storage rounding
-            probs = ProbabilitySet.from_probabilities(load_probabilities(args.probs_out))
+            # metrics reflect the file as written: f32 storage rounds, so that file is
+            # read back; %.17g CSV text round-trips float64 exactly, so the values in
+            # memory are the ones written
+            written = (
+                load_probabilities(args.probs_out)
+                if is_raw_path(args.probs_out)
+                else stored_probabilities(probs.probs, args.probs_out)
+            )
+            probs = ProbabilitySet.from_probabilities(written)
         if args.apply_labels:
             apply_labels = load_labels(args.apply_labels)
             applied["metrics"] = metric_report(probs, apply_labels, args.bins)

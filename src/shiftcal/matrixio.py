@@ -33,6 +33,7 @@ __all__ = [
     "load_probabilities",
     "save_labels",
     "save_matrix",
+    "stored_probabilities",
 ]
 
 RAW_MAGIC = b"TCAL"
@@ -118,13 +119,17 @@ def load_matrix(path) -> np.ndarray:
 
 
 def load_probabilities(path) -> np.ndarray:
-    """Load a probability matrix, repairing storage-precision row sums.
+    """Load a probability matrix, repairing storage-precision row sums (``stored_probabilities``)."""
+    return stored_probabilities(load_matrix(path), path)
+
+
+def stored_probabilities(probs: np.ndarray, path) -> np.ndarray:
+    """Range-check a probability matrix as stored in ``path``, repairing storage-precision row sums.
 
     Rows are renormalized only when some row sum strays from one by more
     than the validation tolerance, which happens after float32 storage but
-    never for exactly-round-tripped float64 CSV.
+    never for exactly-round-tripped float64 CSV. Errors name ``path``.
     """
-    probs = load_matrix(path)
     if np.any(probs < 0.0) or np.any(probs > 1.0 + ROW_SUM_TOL):
         raise ValueError(f"{path}: probabilities outside [0, 1]")
     sums = probs.sum(axis=1)

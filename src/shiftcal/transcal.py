@@ -25,6 +25,18 @@ depend on position, every reduction runs over the last axis, and
 ``bincount`` adds each bin's samples in sample order whatever its offset.
 ``apply_control_variate`` and ``serial_control_variate`` are the one-row,
 one-temperature case of the same row-wise kernel.
+
+A ``TransCalState`` holds one fitting split's contexts and a memo of each
+scored temperature: the 11 corrected estimates with their control-variate
+moments, and the 11 plain estimates, which are stage one's row means.
+Fits that share a state score only the temperatures their mode is
+missing. The variants of the paper's ablation fit the same split, so
+``transcal-no-variance`` reads most of its path from ``transcal``'s plain
+estimates, ``transcal-no-bias`` reads the lambda = 1 column, and every fit
+reads its coefficients at t* instead of scoring t* again. Sharing is
+exact for the reasons batching is: each value of a pass depends only on
+its own temperature and lambda, so the lambda = 1 row of the 11-lambda
+context is the 1-lambda context's row, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +65,7 @@ __all__ = [
     "ControlVariateCoefficients",
     "EstimatorMode",
     "TransCalSolution",
+    "TransCalState",
     "apply_control_variate",
     "optimize_transcal",
     "renyi_diagnostic",
@@ -130,7 +144,9 @@ def _variate(t: np.ndarray) -> _Variate:
     return _Variate(t, mean, centred, _row_means(centred * centred))
 
 
-def _adjust(u: np.ndarray, variate: _Variate, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _adjust(
+    u: np.ndarray, variate: _Variate, tau, u_mean: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Regression-adjust each row of ``u`` with its control-variate row of known mean tau.
 
     Rows run along the last axis of ``u``; the variate's rows broadcast
@@ -138,10 +154,11 @@ def _adjust(u: np.ndarray, variate: _Variate, tau) -> tuple[np.ndarray, np.ndarr
     is eta = -Cov(u, t) / Var(t); the adjusted samples are
     u_i + eta * (t_i - tau) (see ``_adjusted``) and the estimate is their
     mean, u_mean + eta * (t_mean - tau). A row whose variate has zero
-    variance keeps its mean, with eta = 0. Returns per row the estimates,
-    eta and Cov(u, t).
+    variance keeps its mean, with eta = 0. ``u_mean`` is the row means of
+    ``u`` when the caller has them. Returns per row the estimates, eta and
+    Cov(u, t).
     """
-    u_mean = _row_means(u)
+    u_mean = _row_means(u) if u_mean is None else u_mean
     cov = _row_means((u - u_mean[..., None]) * variate.centred)
     constant = variate.var == 0.0
     eta = np.divide(-cov, variate.var, out=np.zeros_like(cov), where=~constant)
@@ -160,15 +177,17 @@ def _serial(
     weight_excess: np.ndarray,
     correctness: _Variate,
     mean_confidence,
+    u_mean: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Two-stage estimates per row of ``u``, and the (eta, Cov) of each stage.
 
     Stage one adjusts with the weight variate against its known source
     mean of 1, and ``weight_excess`` is its rows minus 1; stage two adjusts
     the stage-one residuals with the shared correctness row against
-    ``mean_confidence``. Constant correctness skips stage two.
+    ``mean_confidence``. Constant correctness skips stage two. ``u_mean``
+    is passed on to stage one.
     """
-    est1, eta1, cov1 = _adjust(u, weights, 1.0)
+    est1, eta1, cov1 = _adjust(u, weights, 1.0, u_mean)
     est2, eta2, cov2 = _adjust(_adjusted(u, eta1, weight_excess), correctness, mean_confidence)
     estimates = est1 if correctness.var[0] == 0.0 else est2
     return estimates, (eta1, cov1, eta2, cov2)
@@ -259,6 +278,33 @@ def serial_control_variate(
     return float(estimates[0]), _serial_coefficients(0, weight_variate, correct_variate, moments)
 
 
+class _FitInputs(NamedTuple):
+    """A fitting split validated once, shared by the contexts of every lambda set."""
+
+    logits: np.ndarray
+    rowmax: np.ndarray
+    correct: np.ndarray
+    correct_variate: _Variate
+    weights: np.ndarray
+    num_bins: int
+
+
+def _fit_inputs(logits, labels, weights, bins) -> _FitInputs:
+    """Validate a fitting split; weights without usable mass raise DegeneracyError."""
+    logits, labels = _check_fit_inputs(logits, labels)
+    weights = check_weights(weights, logits.shape[0])
+    num_bins = _num_bins(bins)
+    _require_weight_mass(weights)
+    correct = (np.argmax(logits, axis=1) == labels).astype(np.float64)
+    rowmax = logits.max(axis=1, keepdims=True)
+    return _FitInputs(logits, rowmax, correct, _variate(correct), weights, num_bins)
+
+
+def _holds(entry: tuple | None, cv: bool) -> bool:
+    """Whether a memo entry has the corrected estimates (``cv``) or the plain ones."""
+    return entry is not None and len(entry[0]) > cv
+
+
 class _ObjectiveContext:
     """Everything a fit's (t, lambda) evaluations share, computed once per fit.
 
@@ -267,21 +313,22 @@ class _ObjectiveContext:
     excess over 1 and the weight variate's moments. One evaluation scores
     every lambda at each of a batch of temperatures; ``batch`` is the
     largest batch the engine hands it, and the (batch, lambdas, n) tiles
-    feed the bin statistics of a whole batch. Weights without usable mass
-    are rejected before any of it is built.
+    feed the bin statistics of a whole batch.
+
+    ``memo`` maps each scored temperature to ``(arrays, b)``: row b of
+    every (B, lambdas) array of the pass that scored it. ``arrays`` holds
+    the plain estimates, which are stage one's row means, and after a
+    ``CV_SERIAL`` pass also the corrected estimates and the (eta, Cov) of
+    both correction stages; a ``CV_SERIAL`` pass replaces a plain entry.
     """
 
-    def __init__(self, logits: np.ndarray, labels: np.ndarray, weights, bins: int, lambdas):
-        logits, labels = _check_fit_inputs(logits, labels)
-        self.weights = check_weights(weights, logits.shape[0])
-        self.num_bins = _num_bins(bins)
-        _require_weight_mass(self.weights)
-        self.logits = logits
-        self.rowmax = logits.max(axis=1, keepdims=True)
-        self.correct = (np.argmax(logits, axis=1) == labels).astype(np.float64)
-        self.correct_variate = _variate(self.correct)
+    def __init__(self, inputs: _FitInputs, lambdas):
+        self.inputs = inputs
+        self.logits, self.rowmax, self.correct, self.correct_variate, self.weights, self.num_bins = inputs
         self.lambdas = tuple(lambdas)
-        self.batch = _grid_batch(max(len(self.lambdas), logits.shape[1]) * logits.shape[0])
+        n, k = self.logits.shape
+        self.batch = _grid_batch(max(len(self.lambdas), k) * n)
+        self.memo: dict[float, tuple[tuple[np.ndarray, ...], int]] = {}
 
     @cached_property
     def tiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -347,24 +394,98 @@ class _ObjectiveContext:
         gap = np.where(mass > 0.0, np.abs(accuracy - confidence), 0.0)
         return wl * gap[flat].reshape(size, *wl.shape), _row_means(conf)[:, None]
 
-    def estimates(self, t: np.ndarray, mode: EstimatorMode) -> tuple[np.ndarray, tuple | None]:
-        """The mode's (B, lambdas) estimates at each temperature in ``t``, and the
-        control-variate moments behind them."""
+    def estimates(
+        self, t: np.ndarray, mode: EstimatorMode
+    ) -> tuple[np.ndarray, tuple | None, np.ndarray]:
+        """The mode's (B, lambdas) estimates at each temperature in ``t``, the
+        control-variate moments behind them, and the plain estimates.
+
+        The plain estimates are the rows' means, which stage one of the
+        correction forms anyway. Nothing here reads or fills the memo.
+        """
         u, mean_confidence = self.samples(t)
+        plain = _row_means(u)
         if mode is EstimatorMode.PLAIN_IWECE:
-            return _row_means(u), None
-        return _serial(u, self.weight_variate, self.excess, self.correct_variate, mean_confidence)
+            return plain, None, plain
+        values, moments = _serial(
+            u, self.weight_variate, self.excess, self.correct_variate, mean_confidence, plain
+        )
+        return values, moments, plain
+
+    def scores(self, t: np.ndarray, mode: EstimatorMode) -> np.ndarray:
+        """The mode's (B, lambdas) estimates at each temperature in ``t``.
+
+        Only the temperatures whose memo entry lacks the mode's estimates are
+        scored, in one pass; the kernel is batch-invariant, so a remembered
+        value is the one a fresh pass would give, bit for bit.
+        """
+        cv = mode is EstimatorMode.CV_SERIAL
+        keys = t.tolist()
+        missing = [key for key in keys if not _holds(self.memo.get(key), cv)]
+        if missing:
+            fresh = len(missing) == len(keys)
+            values, moments, plain = self.estimates(t if fresh else np.array(missing), mode)
+            arrays = (plain, values, *moments) if cv else (plain,)
+            self.memo.update(zip(missing, zip(repeat(arrays), range(len(missing)))))
+            if fresh:
+                return values
+        return np.array([arrays[cv][b] for arrays, b in map(self.memo.__getitem__, keys)])
 
     def at(
         self, t: float, row: int, mode: EstimatorMode
     ) -> tuple[float, ControlVariateCoefficients | None]:
-        """Estimate and control-variate coefficients at t for ``lambdas[row]``."""
-        values, moments = self.estimates(np.array([t]), mode)
-        if moments is None:
-            return float(values[0, row]), None
-        return float(values[0, row]), _serial_coefficients(
-            row, self.weight_variate, self.correct_variate, tuple(m[0] for m in moments)
+        """Estimate and control-variate coefficients at t for ``lambdas[row]``, from the memo."""
+        self.scores(np.array([t]), mode)
+        arrays, b = self.memo[t]
+        if mode is EstimatorMode.PLAIN_IWECE:
+            return float(arrays[0][b, row]), None
+        return float(arrays[1][b, row]), _serial_coefficients(
+            row, self.weight_variate, self.correct_variate, tuple(m[b] for m in arrays[2:])
         )
+
+
+_LAMBDAS = tuple(np.linspace(0.0, 1.0, _LAMBDA_GRID_SIZE).tolist())
+
+
+class TransCalState:
+    """The scores the transcal fits on one fitting split share.
+
+    Holds the validated inputs, the 11-lambda context of the free-lambda
+    fits, the 1-lambda context of the frozen ones (built on first use) and
+    their memos. Pass it to ``optimize_transcal`` as ``state`` with the very
+    arrays and bins it was built from, and do not modify those arrays while
+    it is in use. A frozen fit first copies the lambda = 1 column of what
+    the free fits scored. The module docstring says why sharing is exact.
+    """
+
+    def __init__(self, logits, labels, weights, bins: int = 15):
+        self._arrays = (logits, labels, weights)
+        self.full = _ObjectiveContext(_fit_inputs(logits, labels, weights, bins), _LAMBDAS)
+
+    @cached_property
+    def frozen(self) -> _ObjectiveContext:
+        return _ObjectiveContext(self.full.inputs, (1.0,))
+
+    def built_from(self, logits, labels, weights, bins) -> bool:
+        """Whether the state was built from these very arrays and this bin count."""
+        same = all(a is b for a, b in zip(self._arrays, (logits, labels, weights)))
+        return same and _num_bins(bins) == self.full.num_bins
+
+    def context(self, freeze_lambda: bool) -> _ObjectiveContext:
+        return self.frozen if freeze_lambda else self.full
+
+    def scores(self, t: np.ndarray, mode: EstimatorMode, freeze_lambda: bool) -> np.ndarray:
+        """The (B, lambdas) estimates of the fit's context, read from the memos where they can be."""
+        if freeze_lambda and self.full.memo:
+            # copy the lambda = 1 column of what the free fits scored
+            cv = mode is EstimatorMode.CV_SERIAL
+            shared, own = self.full.memo, self.frozen.memo
+            for key in t.tolist():
+                entry = shared.get(key)
+                if _holds(entry, cv) and not _holds(own.get(key), cv):
+                    arrays, b = entry
+                    own[key] = (tuple(a[:, len(_LAMBDAS) - 1 :] for a in arrays), b)
+        return self.context(freeze_lambda).scores(t, mode)
 
 
 def transcal_objective(
@@ -385,7 +506,7 @@ def transcal_objective(
     ``optimize_transcal``.
     """
     mode = EstimatorMode(mode)
-    ctx = _ObjectiveContext(logits, labels, weights, bins, (float(lam),))
+    ctx = _ObjectiveContext(_fit_inputs(logits, labels, weights, bins), (float(lam),))
     if not (0.0 <= ctx.lambdas[0] <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     return ctx.at(TemperatureParam(float(t)).t, 0, mode)[0]
@@ -398,6 +519,7 @@ def optimize_transcal(
     mode: EstimatorMode | str = EstimatorMode.CV_SERIAL,
     bins: int = 15,
     freeze_lambda: bool = False,
+    state: TransCalState | None = None,
 ) -> TransCalSolution:
     """Search temperature and lambda minimizing the corrected estimate.
 
@@ -410,18 +532,28 @@ def optimize_transcal(
     the temperature is searched (the no-bias-reduction variant);
     ``mode=PLAIN_IWECE`` drops the variance correction instead. The search
     is deterministic and every (t, lambda) evaluation is recorded in the
-    trace.
+    trace, whether it was scored or read from the memo.
+
+    ``state`` is a ``TransCalState`` built from these same arguments; fits
+    that share one score each temperature once. It changes no result, and
+    without it each call builds its own.
     """
     mode = EstimatorMode(mode)
-    lambdas = (1.0,) if freeze_lambda else tuple(np.linspace(0.0, 1.0, _LAMBDA_GRID_SIZE).tolist())
-    ctx = _ObjectiveContext(logits, labels, weights, bins, lambdas)
+    if state is None:
+        state = TransCalState(logits, labels, weights, bins)
+    elif not state.built_from(logits, labels, weights, bins):
+        raise ValueError(
+            "state was built from other inputs; build one TransCalState per fitting split"
+        )
+    ctx = state.context(freeze_lambda)
+    lambdas = ctx.lambdas
     values = ctx.weights
 
     trace: list[tuple[float, float, float]] = []
     profile_row: dict[float, int] = {}
 
     def profile(t: np.ndarray) -> np.ndarray:
-        at_t = ctx.estimates(t, mode)[0]
+        at_t = state.scores(t, mode, freeze_lambda)
         best = np.argmin(at_t, axis=1)  # the first minimum: the smaller lambda on ties
         for t_b, row, best_b in zip(t.tolist(), at_t.tolist(), best.tolist()):
             trace.extend(zip([t_b] * len(lambdas), lambdas, row))

@@ -14,7 +14,15 @@ import pytest
 import shiftcal
 from shiftcal import bench
 from shiftcal.cli import main
-from shiftcal.matrixio import RAW_MAGIC, load_labels, load_matrix, save_labels, save_matrix
+from shiftcal.matrixio import (
+    RAW_MAGIC,
+    load_labels,
+    load_matrix,
+    load_probabilities,
+    save_labels,
+    save_matrix,
+    stored_probabilities,
+)
 
 
 def run(*argv):
@@ -616,6 +624,17 @@ class TestMatrixIO:
         back = load_matrix(path)
         assert np.array_equal(back, values)
         assert np.array_equal(np.signbit(back), np.signbit(values))
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 300.0])
+    def test_written_csv_probabilities_are_the_ones_in_memory(self, tmp_path, scale):
+        """``calibrate --probs-out`` scores a CSV from memory instead of reading it
+        back: softmax rows, with their zeros and subnormals, round-trip bit for bit."""
+        logits = np.random.default_rng(31).standard_normal((400, 10)) * scale
+        probs = shiftcal.softmax_with_temperature(logits, 1.0).probs
+        path = tmp_path / "p.csv"
+        save_matrix(path, probs)
+        assert np.array_equal(load_matrix(path).view(np.uint64), probs.view(np.uint64))
+        assert np.array_equal(stored_probabilities(probs, path), load_probabilities(path))
 
     @pytest.mark.parametrize(
         "loader, text, message",

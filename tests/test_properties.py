@@ -5,7 +5,8 @@ derandomized with a bounded number of examples, so every run checks the
 same inputs. Fits are compared up to the search tolerance: reordering or
 repeating rows changes the floating-point summation order, which can move
 the temperature on a flat objective by a few 1e-5 but not beyond
-2 * SEARCH_TOL.
+2 * SEARCH_TOL. Relabelling the classes does the same to the softmax row
+sums.
 """
 
 import math
@@ -68,6 +69,22 @@ def test_row_order_and_repetition_leave_the_fit_unchanged(seed, n, k, method):
         t_again, lambda_again = fit(*inputs)
         assert abs(t_again - t_star) <= 2 * SEARCH_TOL, (name, t_star, t_again)
         assert lambda_again == lambda_star, (name, lambda_star, lambda_again)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=SEEDS, n=st.integers(10, 300), k=CLASSES, method=st.sampled_from(sorted(FITS)))
+def test_class_relabelling_leaves_the_fit_unchanged(seed, n, k, method):
+    logits, labels, weights, rng = task(seed, n, k)
+    fit = FITS[method]
+    t_star, lambda_star = fit(logits, labels, weights)
+    order = rng.permutation(k)
+    if np.array_equal(order, np.arange(k)):
+        order = order[::-1]
+    # new column j is old class order[j], so old label c becomes the j with order[j] == c
+    relabel = np.argsort(order)
+    t_again, lambda_again = fit(logits[:, order], relabel[labels], weights)
+    assert abs(t_again - t_star) <= 2 * SEARCH_TOL, (t_star, t_again)
+    assert lambda_again == lambda_star, (lambda_star, lambda_again)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from shiftcal import (
 from shiftcal import transcal
 from shiftcal.metrics import bin_indices
 from shiftcal.scaling import T_MAX, T_MIN, _minimize_temperature, _softmax_terms
-from shiftcal.transcal import _ObjectiveContext
+from shiftcal.transcal import TransCalState, _fit_inputs, _ObjectiveContext
 
 from oracles import objective_samples
 
@@ -154,7 +155,7 @@ class TestTranscalObjective:
         rng = np.random.default_rng(41)
         logits, labels, weights = sampled_task(rng, n=200, k=10)
         logits[0] *= 300.0  # a row far from zero exercises the max shift
-        ctx = _ObjectiveContext(logits, labels, weights, 15, (1.0,))
+        ctx = _ObjectiveContext(_fit_inputs(logits, labels, weights, 15), (1.0,))
         for t in (0.05, 0.37, 1.0, 2.7, 100.0):
             want = softmax_with_temperature(logits, t).confidences
             assert np.array_equal(ctx.confidences(np.array([t]))[0], want)
@@ -304,8 +305,8 @@ class TestOptimizeTranscal:
         monkeypatch.setattr(transcal, "_softmax_terms", counted)
         sol = optimize_transcal(logits, labels, weights)
         temperatures = {t for t, _, _ in sol.trace}
-        # one pass per searched temperature, plus the re-evaluation at t*
-        assert len(calls) <= len(temperatures) + 1
+        # at most one pass per searched temperature; t* is read from the memo, not scored again
+        assert len(calls) <= len(temperatures)
 
     def test_constant_objective_breaks_ties_downward(self):
         # identical logit values give constant confidence 1/K and a zero
@@ -401,10 +402,10 @@ class TestEveryLambdaInOnePass:
         labels skipping stage two."""
         logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
         lambdas = np.linspace(0.0, 1.0, 11).tolist()
-        ctx = _ObjectiveContext(logits, labels, weights, 15, lambdas)
+        ctx = _ObjectiveContext(_fit_inputs(logits, labels, weights, 15), lambdas)
         (u,), ((mean_confidence,),) = ctx.samples(np.array([t]))
-        (values,), _ = ctx.estimates(np.array([t]), EstimatorMode.CV_SERIAL)
-        (plain,), _ = ctx.estimates(np.array([t]), EstimatorMode.PLAIN_IWECE)
+        (values,), _, (stage_one_means,) = ctx.estimates(np.array([t]), EstimatorMode.CV_SERIAL)
+        (plain,), _, _ = ctx.estimates(np.array([t]), EstimatorMode.PLAIN_IWECE)
         skipped = bool(np.all(ctx.correct == ctx.correct[0]))
         assert skipped or not all_correct
         for row, lam in enumerate(lambdas):
@@ -412,6 +413,7 @@ class TestEveryLambdaInOnePass:
             want, coeffs = serial_control_variate(u[row], wl, ctx.correct, mean_confidence)
             assert values[row] == want
             assert plain[row] == u[row].mean()
+            assert stage_one_means[row] == plain[row]
             assert ctx.at(t, row, EstimatorMode.CV_SERIAL) == (want, coeffs)
             assert ("constant_variate" in coeffs.flags) == bool(np.all(wl == wl[0]))
             assert ("constant_correctness" in coeffs.flags) == skipped
@@ -446,16 +448,17 @@ class TestBatchedTemperatures:
         lambdas = (1.0,) if frozen else np.linspace(0.0, 1.0, 11).tolist()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(transcal, "_grid_batch", lambda footprint: size)
-            ctx = _ObjectiveContext(logits, labels, weights, bins, lambdas)
+            ctx = _ObjectiveContext(_fit_inputs(logits, labels, weights, bins), lambdas)
         rng = np.random.default_rng(seed)
         t = np.exp(rng.uniform(math.log(T_MIN), math.log(T_MAX), size))
         t[0], t[-1] = T_MIN, T_MAX
         for mode in EstimatorMode:
-            values, moments = ctx.estimates(t, mode)
+            values, moments, plain = ctx.estimates(t, mode)
             singles = [ctx.estimates(t[i : i + 1], mode) for i in range(size)]
-            assert np.array_equal(values, np.concatenate([v for v, _ in singles]))
+            assert np.array_equal(values, np.concatenate([v for v, _, _ in singles]))
+            assert np.array_equal(plain, np.concatenate([p for _, _, p in singles]))
             for j, batched in enumerate(moments or ()):
-                assert np.array_equal(batched, np.concatenate([m[j] for _, m in singles]))
+                assert np.array_equal(batched, np.concatenate([m[j] for _, m, _ in singles]))
 
     @settings(derandomize=True, max_examples=6, deadline=None)
     @given(
@@ -479,6 +482,62 @@ class TestBatchedTemperatures:
                     optimize_transcal(logits, labels, weights, mode=mode, freeze_lambda=frozen)
                 )
         assert all(fit == fits[1] for fit in fits.values())
+
+
+VARIANTS = {
+    "transcal": (EstimatorMode.CV_SERIAL, False),
+    "transcal-no-bias": (EstimatorMode.CV_SERIAL, True),
+    "transcal-no-variance": (EstimatorMode.PLAIN_IWECE, False),
+}
+
+
+class TestSharedState:
+    """Fits on one ``TransCalState`` read temperatures the others scored;
+    each solution must equal a fresh fit's, trace included, in any order."""
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        k=st.integers(2, 5),
+        zero_every_other=st.booleans(),
+        bins=st.sampled_from((7, 15)),
+    )
+    @example(seed=5, n=300, k=4, zero_every_other=True, bins=15)
+    @example(seed=6, n=300, k=3, zero_every_other=False, bins=15)
+    def test_every_order_of_the_variants_equals_fresh_fits(self, seed, n, k, zero_every_other, bins):
+        logits, labels, weights = generated_task(seed, n, k, zero_every_other, False)
+        fresh = {
+            name: optimize_transcal(logits, labels, weights, mode, bins, frozen)
+            for name, (mode, frozen) in VARIANTS.items()
+        }
+        for order in itertools.permutations(VARIANTS):
+            state = TransCalState(logits, labels, weights, bins)
+            for name in order:
+                mode, frozen = VARIANTS[name]
+                got = optimize_transcal(logits, labels, weights, mode, bins, frozen, state=state)
+                want = fresh[name]
+                assert got.t_star == want.t_star
+                assert got.lambda_star == want.lambda_star
+                assert got.objective_value == want.objective_value
+                assert got.coefficients == want.coefficients
+                assert got.diagnostics == want.diagnostics
+                assert got.trace == want.trace
+
+    def test_a_state_serves_only_the_inputs_it_was_built_from(self):
+        logits, labels, weights = sampled_task(np.random.default_rng(89), n=60, k=3)
+        state = TransCalState(logits, labels, weights, 15)
+        for args, bins in (
+            ((logits.copy(), labels, weights), 15),
+            ((logits, labels.copy(), weights), 15),
+            ((logits, labels, weights.copy()), 15),
+            ((logits, labels, weights), 7),
+        ):
+            with pytest.raises(ValueError, match="state was built from other inputs"):
+                optimize_transcal(*args, bins=bins, state=state)
+        assert optimize_transcal(logits, labels, weights, state=state) == optimize_transcal(
+            logits, labels, weights
+        )
 
 
 class TestRenyiDiagnostic:
