@@ -157,14 +157,29 @@ def check_weights(weights, n: int | None = None) -> np.ndarray:
 def bin_indices(confidences: np.ndarray, bins: int = 15) -> np.ndarray:
     """Map confidences in [0, 1] to 0-based bin indices, elementwise for any shape.
 
-    Bin m (0-based) covers (m/B, (m + 1)/B]; exactly 0 maps to bin 0.
+    Bin m (0-based) covers (m/B, (m + 1)/B]; exactly 0 maps to bin 0. The
+    index is the number of inner edges m/B (0 < m < B) below c, the value
+    ``np.searchsorted(np.arange(1, B) / B, c, side="left")`` gives, for
+    every c in [0, 1]. Values below 0 or above 1 land in the first or last
+    bin.
     """
     num_bins = _num_bins(bins)
     confidences = np.asarray(confidences, dtype=np.float64)
-    # the index is the number of inner edges m/B (0 < m < B) below c, so
-    # c <= 1/B, 0 included, lands in bin 0 and c > (B - 1)/B in bin B - 1
-    inner_edges = np.arange(1, num_bins) / num_bins
-    return np.searchsorted(inner_edges, confidences, side="left")
+    # with IEEE rounding, c > fl(m/B) implies c > m/B and so fl(c * B) >= m:
+    # floor(c * B) is never below the index, and at most one above it, when
+    # c lies on or just under the guessed bin's lower edge
+    lower_edges = np.empty(num_bins)
+    lower_edges[0], lower_edges[1:] = -np.inf, np.arange(1, num_bins) / num_bins
+    index = np.asarray((confidences * num_bins).astype(np.intp))
+    np.maximum(index, 0, out=index)
+    np.minimum(index, num_bins - 1, out=index)
+    index -= confidences <= lower_edges[index]
+    return index
+
+
+def _bin_sums(idx, num_bins: int, *values) -> list[np.ndarray]:
+    """Per-bin sums of each array in ``values``, in sample order, given 0-based bins ``idx``."""
+    return [np.bincount(idx, weights=v, minlength=num_bins) for v in values]
 
 
 def _bin_statistics(
@@ -176,10 +191,8 @@ def _bin_statistics(
     products of the weights with correctness and with confidence.
     Accuracy and confidence are NaN in bins with no mass.
     """
-    mass = np.bincount(idx, weights=weights, minlength=num_bins)
+    mass, acc_sum, conf_sum = _bin_sums(idx, num_bins, weights, weighted_correct, weighted_confidences)
     occupied = mass > 0.0
-    acc_sum = np.bincount(idx, weights=weighted_correct, minlength=num_bins)
-    conf_sum = np.bincount(idx, weights=weighted_confidences, minlength=num_bins)
     accuracy = np.divide(acc_sum, mass, out=np.full(num_bins, np.nan), where=occupied)
     confidence = np.divide(conf_sum, mass, out=np.full(num_bins, np.nan), where=occupied)
     return mass, accuracy, confidence

@@ -13,30 +13,39 @@ every temperature fit shares; the objective is piecewise smooth at best
 (argmax, binning, absolute values), so the search is derivative-free.
 
 Each pass scores all 11 lambdas at a batch of B temperatures, the batch
-``scaling._minimize_temperature`` hands the profile. Everything that does
-not depend on t is computed once per fit: the (11, n) rows of w^lambda,
-w^lambda * correctness and w^lambda - 1, their (B, 11, n) tiles, and the
-moments of both control variates. A pass is then one confidence
-computation, three ``bincount`` calls over bin indices offset by
-(temperature, lambda) row, and row-wise moments for both correction
-stages. Only stage one forms adjusted samples, because stage two's are
-never read. The batch changes no value: elementwise operations do not
+``scaling._minimize_temperature`` hands the profile. A contribution is
+u_i = w_i^lambda * gap_m for the sample's confidence bin m, so every sum
+the estimate and both corrections need is a per-bin sum times gap_m. A
+pass therefore reduces the samples once, with ``bincount`` over bin
+indices offset by (temperature, lambda) row, to four per-bin sums: S1, S2
+and S3 of w^lambda, w^lambda * correctness and w^lambda * confidence,
+which give gap_m = |S2/S1 - S3/S1|, and S4 of
+w^lambda * (w^lambda - mean w^lambda). Everything after that works on
+(B, lambdas, bins) arrays (see ``_ObjectiveContext.estimates``).
+Everything that does not depend on t is computed once per fit: the
+(11, n) rows of w^lambda and their products, their (B, 11, n) tiles, both
+variates' moments and the cross sum of w^lambda - 1 with centred
+correctness. The batch changes no value: elementwise operations do not
 depend on position, every reduction runs over the last axis, and
 ``bincount`` adds each bin's samples in sample order whatever its offset.
-``apply_control_variate`` and ``serial_control_variate`` are the one-row,
-one-temperature case of the same row-wise kernel.
+
+S1 to S3, and so the gaps, are the sums ``metrics._bin_statistics``
+forms. The estimates and covariances are sums over bins of those sums,
+where a sample-level evaluation sums over samples, so they agree with
+``apply_control_variate`` and ``serial_control_variate``, the
+sample-level references, to rounding, not bit for bit.
 
 A ``TransCalState`` holds one fitting split's contexts and a memo of each
 scored temperature: the 11 corrected estimates with their control-variate
-moments, and the 11 plain estimates, which are stage one's row means.
-Fits that share a state score only the temperatures their mode is
-missing. The variants of the paper's ablation fit the same split, so
-``transcal-no-variance`` reads most of its path from ``transcal``'s plain
-estimates, ``transcal-no-bias`` reads the lambda = 1 column, and every fit
-reads its coefficients at t* instead of scoring t* again. Sharing is
-exact for the reasons batching is: each value of a pass depends only on
-its own temperature and lambda, so the lambda = 1 row of the 11-lambda
-context is the 1-lambda context's row, bit for bit.
+moments, and the 11 plain estimates. Fits that share a state score only
+the temperatures their mode is missing. The variants of the paper's
+ablation fit the same split, so ``transcal-no-variance`` reads most of its
+path from ``transcal``'s plain estimates, ``transcal-no-bias`` reads the
+lambda = 1 column, and every fit reads its coefficients at t* instead of
+scoring t* again. Sharing is exact for the reasons batching is: each value
+of a pass depends only on its own temperature and lambda, so the
+lambda = 1 row of the 11-lambda context is the 1-lambda context's row, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metrics import _bin_statistics, _num_bins, bin_indices, check_array, check_weights
+from .metrics import _bin_sums, _num_bins, bin_indices, check_array, check_weights
 from .scaling import (
     _GRID_SIZE,
     TemperatureParam,
@@ -144,53 +153,36 @@ def _variate(t: np.ndarray) -> _Variate:
     return _Variate(t, mean, centred, _row_means(centred * centred))
 
 
-def _adjust(
-    u: np.ndarray, variate: _Variate, tau, u_mean: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Regression-adjust each row of ``u`` with its control-variate row of known mean tau.
+def _stage(mean: np.ndarray, cov: np.ndarray, variate: _Variate, tau) -> tuple[np.ndarray, np.ndarray]:
+    """One correction stage, given the row means of u and Cov(u, t) per row.
 
-    Rows run along the last axis of ``u``; the variate's rows broadcast
-    against the leading axes, and so does ``tau``. The optimal coefficient
-    is eta = -Cov(u, t) / Var(t); the adjusted samples are
-    u_i + eta * (t_i - tau) (see ``_adjusted``) and the estimate is their
-    mean, u_mean + eta * (t_mean - tau). A row whose variate has zero
-    variance keeps its mean, with eta = 0. ``u_mean`` is the row means of
-    ``u`` when the caller has them. Returns per row the estimates, eta and
-    Cov(u, t).
+    The optimal coefficient is eta = -Cov(u, t) / Var(t) and the corrected
+    estimate is mean + eta * (t_mean - tau), the mean of the adjusted
+    samples u_i + eta * (t_i - tau). A row whose variate has zero variance
+    keeps its mean, with eta = 0. The variate's moments and tau broadcast
+    against the rows. Returns the estimates and eta.
     """
-    u_mean = _row_means(u) if u_mean is None else u_mean
-    cov = _row_means((u - u_mean[..., None]) * variate.centred)
     constant = variate.var == 0.0
     eta = np.divide(-cov, variate.var, out=np.zeros_like(cov), where=~constant)
-    estimates = np.where(constant, u_mean, u_mean + eta * (variate.mean - tau))
+    return np.where(constant, mean, mean + eta * (variate.mean - tau)), eta
+
+
+def _adjust(u: np.ndarray, variate: _Variate, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regression-adjust each row of ``u`` with its control-variate row of known mean tau.
+
+    Cov(u, t) is the row mean of the centred products of the samples; the
+    estimates and eta are ``_stage``'s. Returns per row the estimates, eta
+    and Cov(u, t).
+    """
+    u_mean = _row_means(u)
+    cov = _row_means((u - u_mean[:, None]) * variate.centred)
+    estimates, eta = _stage(u_mean, cov, variate, tau)
     return estimates, eta, cov
 
 
 def _adjusted(u: np.ndarray, eta: np.ndarray, excess: np.ndarray) -> np.ndarray:
     """The adjusted samples u_i + eta * (t_i - tau), given the variate's rows minus tau."""
-    return u + eta[..., None] * excess
-
-
-def _serial(
-    u: np.ndarray,
-    weights: _Variate,
-    weight_excess: np.ndarray,
-    correctness: _Variate,
-    mean_confidence,
-    u_mean: np.ndarray | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Two-stage estimates per row of ``u``, and the (eta, Cov) of each stage.
-
-    Stage one adjusts with the weight variate against its known source
-    mean of 1, and ``weight_excess`` is its rows minus 1; stage two adjusts
-    the stage-one residuals with the shared correctness row against
-    ``mean_confidence``. Constant correctness skips stage two. ``u_mean``
-    is passed on to stage one.
-    """
-    est1, eta1, cov1 = _adjust(u, weights, 1.0, u_mean)
-    est2, eta2, cov2 = _adjust(_adjusted(u, eta1, weight_excess), correctness, mean_confidence)
-    estimates = est1 if correctness.var[0] == 0.0 else est2
-    return estimates, (eta1, cov1, eta2, cov2)
+    return u + eta[:, None] * excess
 
 
 def _serial_coefficients(
@@ -235,8 +227,8 @@ def apply_control_variate(
     samples are u_i + eta * (t_i - tau) and the returned estimate is their
     mean. A variate with zero variance leaves the samples unchanged and is
     flagged. Adjusted samples are returned so corrections can be chained.
-    This is the one-row case of the row-wise adjustment the transcal
-    search runs on every lambda at once.
+    This is the sample-level reference for the transcal search, which
+    forms the same covariances from per-bin sums instead.
     """
     u, t = _check_samples(u_samples, t_samples)
     tau = _check_tau(tau)
@@ -266,16 +258,20 @@ def serial_control_variate(
     correctness would average to under perfect calibration. Constant
     correctness (all right or all wrong) skips stage two with a flag.
     ``weights`` is a 1-d array of the (possibly lambda-flattened) weights,
-    one per sample.
+    one per sample. This is the sample-level reference for the transcal
+    search's ``CV_SERIAL`` estimates.
     """
     u, w = _check_samples(u_samples, weights)
     _, r = _check_samples(u, correctness)
     tau = _check_tau(mean_confidence)
     weight_variate, correct_variate = _variate(w), _variate(r)
-    estimates, moments = _serial(
-        u[None, :], weight_variate, weight_variate.t - 1.0, correct_variate, tau
+    est1, eta1, cov1 = _adjust(u[None, :], weight_variate, 1.0)
+    residuals = _adjusted(u[None, :], eta1, weight_variate.t - 1.0)
+    est2, eta2, cov2 = _adjust(residuals, correct_variate, tau)
+    estimates = est1 if correct_variate.var[0] == 0.0 else est2
+    return float(estimates[0]), _serial_coefficients(
+        0, weight_variate, correct_variate, (eta1, cov1, eta2, cov2)
     )
-    return float(estimates[0]), _serial_coefficients(0, weight_variate, correct_variate, moments)
 
 
 class _FitInputs(NamedTuple):
@@ -308,18 +304,18 @@ def _holds(entry: tuple | None, cv: bool) -> bool:
 class _ObjectiveContext:
     """Everything a fit's (t, lambda) evaluations share, computed once per fit.
 
-    Row r of every (lambdas, n) array belongs to ``lambdas[r]``: the
-    flattened weights w^lambda, their products with correctness, their
-    excess over 1 and the weight variate's moments. One evaluation scores
-    every lambda at each of a batch of temperatures; ``batch`` is the
-    largest batch the engine hands it, and the (batch, lambdas, n) tiles
-    feed the bin statistics of a whole batch.
+    Row r of every (lambdas, n) array belongs to ``lambdas[r]``: the weight
+    variate's rows w^lambda and their moments. One evaluation scores every
+    lambda at each of a batch of temperatures; ``batch`` is the largest
+    batch the engine hands it, and (batch, lambdas, n) tiles of the
+    per-sample terms of S1, S2 and S4 feed the ``bincount`` of a whole
+    batch. ``estimates`` says how the four per-bin sums give the estimates.
 
     ``memo`` maps each scored temperature to ``(arrays, b)``: row b of
     every (B, lambdas) array of the pass that scored it. ``arrays`` holds
-    the plain estimates, which are stage one's row means, and after a
-    ``CV_SERIAL`` pass also the corrected estimates and the (eta, Cov) of
-    both correction stages; a ``CV_SERIAL`` pass replaces a plain entry.
+    the plain estimates, and after a ``CV_SERIAL`` pass also the corrected
+    estimates and the (eta, Cov) of both correction stages; a
+    ``CV_SERIAL`` pass replaces a plain entry.
     """
 
     def __init__(self, inputs: _FitInputs, lambdas):
@@ -331,33 +327,36 @@ class _ObjectiveContext:
         self.memo: dict[float, tuple[tuple[np.ndarray, ...], int]] = {}
 
     @cached_property
-    def tiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(batch, lambdas, n) copies of w^lambda and w^lambda * correct, and the
-        (batch, lambdas, 1) bin offsets of every (temperature, lambda) row.
-
-        Slice 0 of each tile is the fit's own rows, so a batch of one copies nothing.
-        """
-        shape = (self.batch, len(self.lambdas), self.weights.shape[0])
-        weight_tile, correct_tile = np.empty(shape), np.empty(shape)
+    def weight_variate(self) -> _Variate:
+        """The weight variate, whose rows are the flattened weights w^lambda."""
+        rows = np.empty((len(self.lambdas), self.weights.shape[0]))
         for row, lam in enumerate(self.lambdas):
-            np.power(self.weights, lam, out=weight_tile[0, row])
-        np.multiply(weight_tile[0], self.correct, out=correct_tile[0])
-        weight_tile[1:] = weight_tile[0]
-        correct_tile[1:] = correct_tile[0]
-        offsets = (np.arange(shape[0] * shape[1]) * self.num_bins).reshape(shape[0], shape[1], 1)
-        return weight_tile, correct_tile, offsets
+            np.power(self.weights, lam, out=rows[row])
+        return _variate(rows)
 
     @property
     def flattened(self) -> np.ndarray:
-        return self.tiles[0][0]
+        return self.weight_variate.t
 
     @cached_property
-    def excess(self) -> np.ndarray:
-        return self.flattened - 1.0
+    def tiles(self) -> tuple[np.ndarray, np.ndarray]:
+        """(batch, lambdas, n) copies of w^lambda, w^lambda * correct and
+        w^lambda * (w^lambda - mean w^lambda), stacked, and the
+        (batch, lambdas, 1) bin offsets of every (temperature, lambda) row."""
+        weights = self.weight_variate
+        rows = (weights.t, weights.t * self.correct, weights.t * weights.centred)
+        tiles = np.empty((len(rows), self.batch, *weights.t.shape))
+        for tile, values in zip(tiles, rows):
+            tile[:] = values
+        offsets = (np.arange(self.batch * len(self.lambdas)) * self.num_bins).reshape(
+            self.batch, len(self.lambdas), 1
+        )
+        return tiles, offsets
 
     @cached_property
-    def weight_variate(self) -> _Variate:
-        return _variate(self.flattened)
+    def cross(self) -> np.ndarray:
+        """Sum over samples of (w^lambda - 1) * (correct - mean correct), per lambda."""
+        return ((self.flattened - 1.0) * self.correct_variate.centred).sum(axis=-1)
 
     def confidences(self, t: np.ndarray) -> np.ndarray:
         """Top-class softmax probabilities, one row per temperature in ``t``."""
@@ -366,51 +365,58 @@ class _ObjectiveContext:
         t = t[:, None, None]
         return 1.0 / _softmax_terms(self.logits / t, self.rowmax / t)[1][..., 0]
 
-    def samples(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-sample contributions at each temperature in ``t``, and the mean confidences.
-
-        Entry [b, r] of the (B, lambdas, n) contributions holds
-        u_i = w_i^lam * |A_m - C_m| for the sample's confidence bin at
-        t[b], where lam = ``lambdas[r]`` and A_m and C_m are the bin's
-        accuracy and mean confidence weighted by w^lam. The mean of a row is
-        the binned importance-weighted calibration error with mass
-        convention 1/n. Offsetting the bin indices of (temperature, lambda)
-        row k by k * bins puts every row's bins into one ``bincount``. The
-        mean confidences have shape (B, 1).
-        """
-        size = t.shape[0]
-        conf = self.confidences(t)
-        weight_tile, correct_tile, offsets = self.tiles
-        flat = (bin_indices(conf, self.num_bins)[:, None, :] + offsets[:size]).ravel()
-        wl = self.flattened
-        mass, accuracy, confidence = _bin_statistics(
-            flat,
-            weight_tile[:size].ravel(),
-            correct_tile[:size].ravel(),
-            (wl * conf[:, None, :]).ravel(),
-            size * wl.shape[0] * self.num_bins,
-        )
-        # a bin of zero-weight samples has NaN statistics but contributes u = 0
-        gap = np.where(mass > 0.0, np.abs(accuracy - confidence), 0.0)
-        return wl * gap[flat].reshape(size, *wl.shape), _row_means(conf)[:, None]
-
     def estimates(
         self, t: np.ndarray, mode: EstimatorMode
     ) -> tuple[np.ndarray, tuple | None, np.ndarray]:
         """The mode's (B, lambdas) estimates at each temperature in ``t``, the
         control-variate moments behind them, and the plain estimates.
 
-        The plain estimates are the rows' means, which stage one of the
-        correction forms anyway. Nothing here reads or fills the memo.
+        Entry [b, r] belongs to t[b] and lam = ``lambdas[r]``. A sample in
+        confidence bin m contributes u_i = w_i^lam * gap_m, with
+        gap_m = |A_m - C_m| the gap between the bin's w^lam-weighted
+        accuracy and mean confidence, so the per-bin sums S1, S2, S3 and
+        S4 of w^lam, w^lam * r, w^lam * conf and
+        w^lam * (w^lam - mean w^lam), with r the correctness, give:
+
+        - plain = sum_m gap_m * S1_m / n, the binned importance-weighted
+          calibration error with mass convention 1/n;
+        - Cov(u, w^lam) = sum_m gap_m * S4_m / n, and stage one's estimate;
+        - Cov(stage-one residuals, r) = (sum_m gap_m * (S2_m - mean r * S1_m)
+          + eta1 * ``cross``) / n, and stage two's estimate, which is stage
+          one's when correctness is constant.
+
+        Offsetting the bin indices of (temperature, lambda) row k by
+        k * bins puts every row's bins into one ``bincount`` per sum; a
+        bin of zero-weight samples has no accuracy or confidence and gets
+        gap 0. Nothing here reads or fills the memo.
         """
-        u, mean_confidence = self.samples(t)
-        plain = _row_means(u)
-        if mode is EstimatorMode.PLAIN_IWECE:
-            return plain, None, plain
-        values, moments = _serial(
-            u, self.weight_variate, self.excess, self.correct_variate, mean_confidence, plain
+        size, cv = t.shape[0], mode is EstimatorMode.CV_SERIAL
+        conf = self.confidences(t)
+        tiles, offsets = self.tiles
+        wl = self.flattened
+        shape = (size, len(self.lambdas), self.num_bins)
+        flat = (bin_indices(conf, self.num_bins)[:, None, :] + offsets[:size]).ravel()
+        terms = [tiles[0, :size], tiles[1, :size], wl * conf[:, None, :]]
+        if cv:
+            terms.append(tiles[2, :size])
+        mass, correct_sum, conf_sum, *spread = (
+            sums.reshape(shape)
+            for sums in _bin_sums(flat, math.prod(shape), *(term.ravel() for term in terms))
         )
-        return values, moments, plain
+        occupied = mass > 0.0
+        accuracy = np.divide(correct_sum, mass, out=np.zeros(shape), where=occupied)
+        gap = np.abs(accuracy - np.divide(conf_sum, mass, out=np.zeros(shape), where=occupied))
+        n = wl.shape[1]
+        plain = (gap * mass).sum(axis=-1) / n
+        if not cv:
+            return plain, None, plain
+        cov1 = (gap * spread[0]).sum(axis=-1) / n
+        est1, eta1 = _stage(plain, cov1, self.weight_variate, 1.0)
+        correctness = self.correct_variate
+        residual_cov = (gap * (correct_sum - correctness.mean[0] * mass)).sum(axis=-1)
+        cov2 = (residual_cov + eta1 * self.cross) / n
+        values, eta2 = _stage(est1, cov2, correctness, _row_means(conf)[:, None])
+        return values, (eta1, cov1, eta2, cov2), plain
 
     def scores(self, t: np.ndarray, mode: EstimatorMode) -> np.ndarray:
         """The mode's (B, lambdas) estimates at each temperature in ``t``.

@@ -56,6 +56,9 @@ class TestBinIndices:
     def test_one_lands_in_last_bin(self):
         assert bin_indices(np.array([1.0]), 15).tolist() == [14]
 
+    def test_out_of_range_values_land_in_the_end_bins(self):
+        assert bin_indices(np.array([-7.0, -0.5, -1e-300, 1.0 + 1e-12, 3.0]), 4).tolist() == [0, 0, 0, 3, 3]
+
     def test_right_closed_edges(self):
         # an exact edge k/B belongs to the bin it closes
         for b in (1, 2, 15, 10):

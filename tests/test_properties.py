@@ -1,4 +1,4 @@
-"""Invariances of the fits and metrics, checked on generated tasks.
+"""Invariances of the fits, metrics and storage, checked on generated inputs.
 
 Tasks are small (n <= 300, K from 2 to 5) and hypothesis runs
 derandomized with a bounded number of examples, so every run checks the
@@ -10,6 +10,8 @@ sums.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,6 +25,8 @@ from shiftcal import (
     softmax_with_temperature,
     weighted_ece,
 )
+from shiftcal.matrixio import load_probabilities, save_matrix
+from shiftcal.metrics import ROW_SUM_TOL, bin_indices
 from shiftcal.scaling import SEARCH_TOL, T_MAX, T_MIN
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -108,3 +112,33 @@ def test_unit_weights_give_the_unweighted_ece(seed, n, k, bins, log_t):
     logits, labels, _, _ = task(seed, n, k)
     probs = softmax_with_temperature(logits, math.exp(log_t))
     assert weighted_ece(probs, labels, np.ones(n), bins) == ece(probs, labels, bins)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(confidences=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
+def test_bin_index_counts_the_inner_edges_below(confidences):
+    for bins in range(1, 101):
+        edges = np.arange(bins + 1) / bins  # 0, the inner edges m/B and 1
+        c = np.concatenate([confidences, edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+        c = c[(c >= 0.0) & (c <= 1.0)]
+        want = np.searchsorted(np.arange(1, bins) / bins, c, side="left")
+        assert np.array_equal(bin_indices(c, bins), want), bins
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=SEEDS,
+    n=st.integers(1, 300),
+    k=CLASSES,
+    scale=st.sampled_from((0.01, 1.0, 30.0, 300.0)),
+    log_t=LOG_TEMPERATURES,
+)
+def test_f32_probabilities_read_back_as_probabilities(seed, n, k, scale, log_t):
+    logits = np.random.default_rng(seed).standard_normal((n, k)) * scale
+    probs = softmax_with_temperature(logits, math.exp(log_t)).probs
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "probs.f32"
+        save_matrix(path, probs)
+        stored = load_probabilities(path)
+    assert np.all(stored >= 0.0)
+    assert np.max(np.abs(stored.sum(axis=1) - 1.0)) <= ROW_SUM_TOL

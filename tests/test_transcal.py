@@ -174,9 +174,9 @@ class TestTranscalObjective:
         logits, labels, weights = sampled_task(rng)
         weights[::2] = 0.0
         pinned = {
-            (1.0, 1.0): 0.18510925079117474,
-            (0.3, 0.5): 0.3289721275105064,
-            (5.0, 0.0): 0.15266458759928375,  # 0 ** 0 = 1: no zero weights at lambda = 0
+            (1.0, 1.0): 0.18510925079117477,
+            (0.3, 0.5): 0.32897212751050636,
+            (5.0, 0.0): 0.1526645875992837,  # 0 ** 0 = 1: no zero weights at lambda = 0
         }
         for (t, lam), want in pinned.items():
             if lam > 0.0:
@@ -357,7 +357,8 @@ def generated_task(seed, n, k, zero_every_other, all_correct):
 
 class TestEveryLambdaInOnePass:
     """The search scores all lambdas at a temperature in one pass; each of
-    its values must be the single-lambda objective, bit for bit."""
+    its values must be the single-lambda objective, bit for bit, and the
+    sample-level estimate up to rounding."""
 
     @settings(derandomize=True, max_examples=8, deadline=None)
     @given(
@@ -394,34 +395,53 @@ class TestEveryLambdaInOnePass:
         t=st.sampled_from((0.05, 0.6, 1.0, 2.5, 40.0)),
     )
     @example(seed=4, n=300, k=4, zero_every_other=True, all_correct=True, t=1.0)
-    def test_rows_match_the_public_one_row_corrections(
+    def test_rows_match_the_sample_level_corrections(
         self, seed, n, k, zero_every_other, all_correct, t
     ):
-        """Row r is ``serial_control_variate`` on that lambda's samples, with
-        the lambda = 0 row's constant weight variate flagged and all-correct
-        labels skipping stage two."""
+        """Row r of each mode is the sample-level estimate on that lambda's
+        oracle samples: their mean, and ``serial_control_variate`` with its
+        coefficients. Per-bin sums round differently from per-sample ones,
+        so values agree to a relative 1e-12. A covariance near 0 is a sum
+        of larger products u_i * (t_i - mean t), so it is held to 1e-12 of
+        their Cauchy-Schwarz bound rms(u) * sd(t), summed over the terms of
+        Cov(u + eta1 * (w - 1), r) at stage two, and eta = -Cov / Var to
+        that bound over Var. The lambda = 0 row's constant weight variate, all-correct labels
+        skipping stage two and the zero coefficients they imply are exact."""
         logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
         lambdas = np.linspace(0.0, 1.0, 11).tolist()
         ctx = _ObjectiveContext(_fit_inputs(logits, labels, weights, 15), lambdas)
-        (u,), ((mean_confidence,),) = ctx.samples(np.array([t]))
-        (values,), _, (stage_one_means,) = ctx.estimates(np.array([t]), EstimatorMode.CV_SERIAL)
-        (plain,), _, _ = ctx.estimates(np.array([t]), EstimatorMode.PLAIN_IWECE)
         skipped = bool(np.all(ctx.correct == ctx.correct[0]))
         assert skipped or not all_correct
+
+        def close(got, want, scale=0.0):
+            return got == want or abs(got - want) <= 1e-12 * max(abs(want), scale)
+
+        def rms(x):
+            return math.sqrt(np.mean(np.square(x)))
+
         for row, lam in enumerate(lambdas):
-            wl = np.power(weights, lam)
-            want, coeffs = serial_control_variate(u[row], wl, ctx.correct, mean_confidence)
-            assert values[row] == want
-            assert plain[row] == u[row].mean()
-            assert stage_one_means[row] == plain[row]
-            assert ctx.at(t, row, EstimatorMode.CV_SERIAL) == (want, coeffs)
-            assert ("constant_variate" in coeffs.flags) == bool(np.all(wl == wl[0]))
-            assert ("constant_correctness" in coeffs.flags) == skipped
+            u, wl, conf, correct = oracle_u(logits, labels, weights, t, lam)
+            want, coeffs = serial_control_variate(u, wl, correct, float(conf.mean()))
+            plain, no_coeffs = ctx.at(t, row, EstimatorMode.PLAIN_IWECE)
+            value, got = ctx.at(t, row, EstimatorMode.CV_SERIAL)
+            assert no_coeffs is None and close(plain, u.mean())
+            assert close(value, want)
+            assert (got.var_t1, got.var_t2) == (coeffs.var_t1, coeffs.var_t2)
+            bound1 = rms(u) * wl.std()
+            assert close(got.cov_u_t1, coeffs.cov_u_t1, bound1)
+            assert close(got.eta1, coeffs.eta1, bound1 / (coeffs.var_t1 or 1.0))
+            assert got.flags == coeffs.flags
+            assert ("constant_variate" in got.flags) == bool(np.all(wl == wl[0]))
+            assert ("constant_correctness" in got.flags) == skipped
             if row == 0:
-                assert "constant_variate" in coeffs.flags and coeffs.eta1 == 0.0
+                assert "constant_variate" in got.flags and got.eta1 == 0.0
             if skipped:
-                assert coeffs.eta2 is None
-                assert want == apply_control_variate(u[row], wl, 1.0)[0]
+                assert got.eta2 is None and coeffs.eta2 is None and got.cov_u_t2 == 0.0
+                assert close(value, apply_control_variate(u, wl, 1.0)[0])
+            else:
+                bound2 = (rms(u) + abs(coeffs.eta1) * rms(wl - 1.0)) * correct.std()
+                assert close(got.cov_u_t2, coeffs.cov_u_t2, bound2)
+                assert close(got.eta2, coeffs.eta2, bound2 / coeffs.var_t2)
 
 
 class TestBatchedTemperatures:
