@@ -11,11 +11,13 @@ agree. For every file under either directory the script prints one of:
 * ``only in A`` or ``only in B``;
 * for a JSON report or a ``fits/*.txt`` fit ``repr`` whose bytes differ:
   each numeric field that moved, with its maximum relative difference
-  |a - b| / max(|a|, |b|) and how many of its entries moved, and each
-  non-numeric difference (a string, flag or type that changed, or a field
-  present on one side only). The position in a list of a field is folded
+  |a - b| / max(|a|, |b|) and how many of its entries moved; each field
+  present on one side only, with how many entries it has; and each
+  non-numeric change (a string, flag or type that changed), with how many
+  entries changed that way. The position in a list of a field is folded
   into ``[*]``, and positions within its items are kept, so
-  ``trace[*][2]`` covers the value of every (t, lambda, value) trace entry;
+  ``trace[*][2]`` covers the value of every (t, lambda, value) trace entry
+  and ``records[*].seed: only in B (8 entries)`` is one line for eight;
 * ``differs`` for any other file whose bytes differ.
 
 Files with identical bytes are not printed. The exit status is 0 when the
@@ -30,6 +32,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 # a repr that Python cannot parse back, such as <EstimatorMode.CV_SERIAL: 'cv_serial'>
@@ -91,29 +94,34 @@ def _relative(a: float, b: float) -> float:
 
 
 def compare_fields(a, b) -> list[str]:
-    """One line per numeric field that moved and per non-numeric difference."""
+    """One line per folded numeric field that moved, per folded field on one
+    side only and per folded field and non-numeric change."""
     fields_a, fields_b = dict(_flatten(a)), dict(_flatten(b))
     moved: dict[str, list] = {}  # pattern -> [max relative difference, entries moved, entries]
-    other: list[str] = []
+    other: Counter[str] = Counter()  # pattern and difference -> entries
     for path in fields_a.keys() | fields_b.keys():
+        pattern = _INDEX.sub("[*]", path)
         if path not in fields_b or path not in fields_a:
-            other.append(f"  {path}: only in {'A' if path in fields_a else 'B'}")
+            other[f"{pattern}: only in {'A' if path in fields_a else 'B'}"] += 1
             continue
         x, y = fields_a[path], fields_b[path]
         if _is_number(x) and _is_number(y):
-            stats = moved.setdefault(_INDEX.sub("[*]", path), [0.0, 0, 0])
+            stats = moved.setdefault(pattern, [0.0, 0, 0])
             stats[2] += 1
             if x != y and not (math.isnan(x) and math.isnan(y)):
                 stats[0] = max(stats[0], _relative(x, y))
                 stats[1] += 1
         elif x != y:
-            other.append(f"  {path}: {x!r} -> {y!r}")
+            other[f"{pattern}: {x!r} -> {y!r}"] += 1
     lines = [
         f"  {pattern}: max rel {worst:.3g} ({count} of {total} moved)"
         for pattern, (worst, count, total) in sorted(moved.items())
         if count
     ]
-    return lines + sorted(other)
+    return lines + [
+        f"  {line} ({count} {'entry' if count == 1 else 'entries'})"
+        for line, count in sorted(other.items())
+    ]
 
 
 def compare_dirs(dir_a: Path, dir_b: Path) -> list[str]:

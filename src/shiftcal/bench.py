@@ -8,9 +8,13 @@ magnitude, target variance scale and distortion temperature so the
 no-shift column doubles as a sanity check: there the closed-form weights
 are exactly one.
 
-The three transcal variants fit the same validation logits, labels and
-weights, so ``run_single`` builds one ``TransCalState`` for that split and
-hands it to each of them. ``transcal-no-variance`` then reads the plain
+Every ``METHODS`` fit takes the ``TransCalState`` of its fitting split.
+``run_single`` builds one for the source validation split whatever the
+methods: a state validates and computes nothing until a transcal fit
+first uses it, so the other fits pay nothing for it, and an invalid split
+raises at the first transcal fit, as it would without a state. The three
+transcal variants fit the same validation logits, labels and weights, so
+they share the state. ``transcal-no-variance`` then reads the plain
 estimates ``transcal`` formed on the way to its control variates,
 ``transcal-no-bias`` reads the lambda = 1 column of what both scored, and
 each fit scores only the temperatures the state lacks for its mode. The
@@ -34,7 +38,6 @@ from .density_ratio import (
 )
 from .metrics import ProbabilitySet, metric_report
 from .scaling import (
-    AffineScaleParam,
     TemperatureParam,
     apply_affine_scaling,
     fit_cpcs_temperature,
@@ -45,13 +48,7 @@ from .scaling import (
     softmax_with_temperature,
 )
 from .synthshift import GeneratedTask, ShiftScenario, generate
-from .transcal import (
-    EstimatorMode,
-    TransCalSolution,
-    TransCalState,
-    optimize_transcal,
-    renyi_diagnostic,
-)
+from .transcal import EstimatorMode, TransCalState, optimize_transcal, renyi_diagnostic
 
 __all__ = [
     "ALL_METHODS",
@@ -69,18 +66,19 @@ __all__ = [
 class Method:
     """One calibration method as ``bench`` and the ``calibrate`` command run it.
 
-    ``fit(logits, labels, weights, bins)`` returns a ``TemperatureParam``,
-    an ``AffineScaleParam`` or a ``TransCalSolution``. ``needs_weights``
-    methods need importance weights for the fitting rows; the others
-    ignore ``weights``. An ``on_target`` method fits on labelled target
-    data. A ``shares_state`` method's fit also takes ``state=``, the
-    ``TransCalState`` of its fitting split.
+    Every method's fit takes the one signature
+    ``fit(logits, labels, weights, bins, state)`` and returns a result
+    whose ``describe()`` gives the fit's report fields and whose
+    ``temperature`` tells ``apply_fit`` how to apply it. ``state`` is the
+    ``TransCalState`` of the fitting split, or None; only the transcal fits
+    read it. ``needs_weights`` methods need importance weights for the
+    fitting rows; the others ignore ``weights``. An ``on_target`` method
+    fits on labelled target data.
     """
 
     fit: Callable
     needs_weights: bool = False
     on_target: bool = False
-    shares_state: bool = False
 
 
 # Entries look the layer functions up in this module's globals at call time,
@@ -88,28 +86,27 @@ class Method:
 # both bench and the CLI run.
 def _transcal(mode: EstimatorMode, freeze_lambda: bool) -> Method:
     return Method(
-        lambda logits, labels, weights, bins, state=None: optimize_transcal(
+        lambda logits, labels, weights, bins, state: optimize_transcal(
             logits, labels, weights, mode=mode, bins=bins, freeze_lambda=freeze_lambda, state=state
         ),
         needs_weights=True,
-        shares_state=True,
     )
 
 
 METHODS = {
-    "uncalibrated": Method(lambda logits, labels, weights, bins: TemperatureParam(t=1.0)),
-    "temp": Method(lambda logits, labels, weights, bins: fit_temperature_nll(logits, labels)),
-    "vector": Method(lambda logits, labels, weights, bins: fit_vector_scaling(logits, labels)),
-    "matrix": Method(lambda logits, labels, weights, bins: fit_matrix_scaling(logits, labels)),
+    "uncalibrated": Method(lambda logits, labels, weights, bins, state: TemperatureParam(t=1.0)),
+    "temp": Method(lambda logits, labels, weights, bins, state: fit_temperature_nll(logits, labels)),
+    "vector": Method(lambda logits, labels, weights, bins, state: fit_vector_scaling(logits, labels)),
+    "matrix": Method(lambda logits, labels, weights, bins, state: fit_matrix_scaling(logits, labels)),
     "cpcs": Method(
-        lambda logits, labels, weights, bins: fit_cpcs_temperature(logits, labels, weights),
+        lambda logits, labels, weights, bins, state: fit_cpcs_temperature(logits, labels, weights),
         needs_weights=True,
     ),
     "transcal": _transcal(EstimatorMode.CV_SERIAL, False),
     "transcal-no-bias": _transcal(EstimatorMode.CV_SERIAL, True),
     "transcal-no-variance": _transcal(EstimatorMode.PLAIN_IWECE, False),
     "oracle": Method(
-        lambda logits, labels, weights, bins: fit_oracle_temperature(logits, labels),
+        lambda logits, labels, weights, bins, state: fit_oracle_temperature(logits, labels),
         on_target=True,
     ),
 }
@@ -118,11 +115,13 @@ DEFAULT_METHODS = ("uncalibrated", "temp", "cpcs", "transcal", "oracle")
 
 
 def apply_fit(fitted, logits: np.ndarray) -> ProbabilitySet:
-    """Push logits through a map returned by a ``METHODS`` entry's ``fit``."""
-    if isinstance(fitted, AffineScaleParam):
-        return apply_affine_scaling(logits, fitted)
-    t = fitted.t_star.t if isinstance(fitted, TransCalSolution) else fitted.t
-    return softmax_with_temperature(logits, t)
+    """Push logits through a map returned by a ``METHODS`` entry's ``fit``.
+
+    A fit whose ``temperature`` is a number is a softmax at that
+    temperature; an affine fit, whose ``temperature`` is None, is its map.
+    """
+    t = fitted.temperature
+    return apply_affine_scaling(logits, fitted) if t is None else softmax_with_temperature(logits, t)
 
 
 def default_grid(
@@ -165,38 +164,22 @@ def estimate_task_weights(
 
 
 def _fit_entry(
-    method: str,
-    task: GeneratedTask,
-    weights: np.ndarray | None,
-    bins: int,
-    state: TransCalState | None,
+    method: str, task: GeneratedTask, weights: np.ndarray | None, bins: int, state: TransCalState
 ) -> dict:
+    """The ``calibrate`` report's fit block, plus the fit's metrics on both splits."""
     spec = METHODS[method]
     if spec.on_target:
-        fitted = spec.fit(task.target_logits, task.target_labels, None, bins)
-    elif spec.shares_state:
-        fitted = spec.fit(task.source_val_logits, task.source_val_labels, weights, bins, state=state)
+        fitted = spec.fit(task.target_logits, task.target_labels, None, bins, None)
     else:
-        fitted = spec.fit(task.source_val_logits, task.source_val_labels, weights, bins)
-    entry: dict = {"method": method}
-    if isinstance(fitted, AffineScaleParam):
-        entry["converged"] = bool(fitted.converged)
-        entry["iterations"] = int(fitted.iterations)
-        entry["final_loss"] = float(fitted.final_loss)
-    elif isinstance(fitted, TransCalSolution):
-        entry["temperature"] = float(fitted.t_star.t)
-        entry["lambda_star"] = fitted.lambda_star
-        entry["objective_value"] = fitted.objective_value
-        entry["max_weight_transformed"] = fitted.diagnostics["max_weight_transformed"]
-        if fitted.coefficients is not None:
-            entry["flags"] = list(fitted.coefficients.flags)
-    else:
-        entry["temperature"] = float(fitted.t)
-    target_probs = apply_fit(fitted, task.target_logits)
-    source_probs = apply_fit(fitted, task.source_val_logits)
-    entry["target"] = metric_report(target_probs, task.target_labels, bins)
-    entry["source_val"] = metric_report(source_probs, task.source_val_labels, bins)
-    return entry
+        fitted = spec.fit(task.source_val_logits, task.source_val_labels, weights, bins, state)
+    return {
+        "method": method,
+        **fitted.describe(),
+        "target": metric_report(apply_fit(fitted, task.target_logits), task.target_labels, bins),
+        "source_val": metric_report(
+            apply_fit(fitted, task.source_val_logits), task.source_val_labels, bins
+        ),
+    }
 
 
 def run_single(
@@ -229,13 +212,8 @@ def run_single(
             "renyi_2": renyi_diagnostic(weights, 1.0),
             "classifier_converged": bool(classifier.converged),
         }
-    # built at the first method that shares it, so that no error moves ahead of an earlier fit
-    state = None
-    record["methods"] = {}
-    for m in methods:
-        if METHODS[m].shares_state and state is None:
-            state = TransCalState(task.source_val_logits, task.source_val_labels, weights, bins)
-        record["methods"][m] = _fit_entry(m, task, weights, bins, state)
+    state = TransCalState(task.source_val_logits, task.source_val_labels, weights, bins)
+    record["methods"] = {m: _fit_entry(m, task, weights, bins, state) for m in methods}
     return record
 
 

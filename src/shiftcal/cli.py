@@ -15,7 +15,6 @@ arguments, 3 when a computation degenerates numerically.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -34,11 +33,10 @@ from .matrixio import (
     stored_probabilities,
 )
 from .metrics import ProbabilitySet, _num_bins, check_weights, metric_report, reliability_bins, weighted_ece
-from .scaling import AffineScaleParam
 from .synthshift import ShiftScenario, generate
-from .transcal import TransCalSolution, renyi_diagnostic
+from .transcal import renyi_diagnostic
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _float_list(text: str) -> list[float]:
@@ -207,32 +205,8 @@ def _cmd_calibrate(args) -> int:
     elif args.weights or any(_feature_files(args)):
         raise ValueError(f"method {args.method!r} does not take importance weights")
 
-    fitted = method.fit(logits, labels, weights, args.bins)
-    fit: dict = {"method": args.method}
-    if isinstance(fitted, AffineScaleParam):
-        fit.update(
-            scale=fitted.scale,
-            bias=fitted.bias,
-            iterations=fitted.iterations,
-            converged=fitted.converged,
-            initial_loss=fitted.initial_loss,
-            final_loss=fitted.final_loss,
-        )
-    elif isinstance(fitted, TransCalSolution):
-        fit.update(
-            temperature=fitted.t_star.t,
-            degenerate=fitted.t_star.degenerate,
-            lambda_star=fitted.lambda_star,
-            objective_value=fitted.objective_value,
-            mode=fitted.mode.value,
-            diagnostics=fitted.diagnostics,
-        )
-        if fitted.coefficients is not None:
-            fit["coefficients"] = dataclasses.asdict(fitted.coefficients)
-    else:
-        fit.update(temperature=fitted.t, degenerate=fitted.degenerate)
-
-    report: dict = {"num_bins": args.bins, "fit": fit}
+    fitted = method.fit(logits, labels, weights, args.bins, None)
+    report: dict = {"num_bins": args.bins, "fit": {"method": args.method, **fitted.describe()}}
 
     if args.apply or args.probs_out or args.apply_labels:
         if not args.apply:

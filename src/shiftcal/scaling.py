@@ -81,6 +81,14 @@ class TemperatureParam:
         if not (math.isfinite(self.t) and self.t > 0.0):
             raise ValueError(f"temperature must be positive and finite, got {self.t!r}")
 
+    @property
+    def temperature(self) -> float:
+        return self.t
+
+    def describe(self) -> dict:
+        """The fit's report fields, as ``calibrate`` and ``bench`` write them."""
+        return {"temperature": self.t, "degenerate": self.degenerate}
+
 
 @dataclass
 class AffineScaleParam:
@@ -98,6 +106,18 @@ class AffineScaleParam:
     converged: bool = False
     initial_loss: float = math.nan
     final_loss: float = math.nan
+    temperature = None  # not a field: an affine map has no single temperature
+
+    def describe(self) -> dict:
+        """The fit's report fields, as ``calibrate`` and ``bench`` write them."""
+        return {
+            "scale": self.scale,
+            "bias": self.bias,
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "initial_loss": self.initial_loss,
+            "final_loss": self.final_loss,
+        }
 
 
 def _softmax_terms(z: np.ndarray, shift: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +217,7 @@ def _minimize_temperature(objective, batch: int) -> tuple[float, float, bool]:
             best_t, best_v = t_new, v_new
         iters += 1
     hit_bound = best_t <= T_MIN + SEARCH_TOL or best_t >= T_MAX - SEARCH_TOL
-    return float(best_t), float(best_v), hit_bound
+    return float(best_t), float(best_v), bool(hit_bound)
 
 
 def fit_temperature_nll(logits: np.ndarray, labels: np.ndarray) -> TemperatureParam:

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
@@ -110,7 +110,6 @@ class ControlVariateCoefficients:
     var_t1: float = 0.0
     cov_u_t2: float | None = None
     var_t2: float | None = None
-    cov_t1_t2: float | None = None
     flags: tuple[str, ...] = ()
 
 
@@ -125,6 +124,23 @@ class TransCalSolution:
     coefficients: ControlVariateCoefficients | None
     trace: list[tuple[float, float, float]] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def temperature(self) -> float:
+        return self.t_star.t
+
+    def describe(self) -> dict:
+        """The fit's report fields, as ``calibrate`` and ``bench`` write them; the trace is left out."""
+        fields = {
+            **self.t_star.describe(),
+            "lambda_star": self.lambda_star,
+            "objective_value": self.objective_value,
+            "mode": self.mode.value,
+            "diagnostics": self.diagnostics,
+        }
+        if self.coefficients is not None:
+            fields["coefficients"] = asdict(self.coefficients)
+        return fields
 
 
 class _Variate(NamedTuple):
@@ -306,10 +322,11 @@ class _ObjectiveContext:
 
     Row r of every (lambdas, n) array belongs to ``lambdas[r]``: the weight
     variate's rows w^lambda and their moments. One evaluation scores every
-    lambda at each of a batch of temperatures; ``batch`` is the largest
-    batch the engine hands it, and (batch, lambdas, n) tiles of the
-    per-sample terms of S1, S2 and S4 feed the ``bincount`` of a whole
-    batch. ``estimates`` says how the four per-bin sums give the estimates.
+    lambda at each of a batch of temperatures; ``batch`` is the engine's
+    grid batch, and (B, lambdas, n) tiles of the per-sample terms of S1, S2
+    and S4, deep enough for the largest batch yet handed, feed the
+    ``bincount`` of a whole batch. ``estimates`` says how the four per-bin
+    sums give the estimates.
 
     ``memo`` maps each scored temperature to ``(arrays, b)``: row b of
     every (B, lambdas) array of the pass that scored it. ``arrays`` holds
@@ -324,6 +341,7 @@ class _ObjectiveContext:
         self.lambdas = tuple(lambdas)
         n, k = self.logits.shape
         self.batch = _grid_batch(max(len(self.lambdas), k) * n)
+        self._tiles: tuple[np.ndarray, np.ndarray] | None = None
         self.memo: dict[float, tuple[tuple[np.ndarray, ...], int]] = {}
 
     @cached_property
@@ -338,20 +356,21 @@ class _ObjectiveContext:
     def flattened(self) -> np.ndarray:
         return self.weight_variate.t
 
-    @cached_property
-    def tiles(self) -> tuple[np.ndarray, np.ndarray]:
-        """(batch, lambdas, n) copies of w^lambda, w^lambda * correct and
-        w^lambda * (w^lambda - mean w^lambda), stacked, and the
-        (batch, lambdas, 1) bin offsets of every (temperature, lambda) row."""
-        weights = self.weight_variate
-        rows = (weights.t, weights.t * self.correct, weights.t * weights.centred)
-        tiles = np.empty((len(rows), self.batch, *weights.t.shape))
-        for tile, values in zip(tiles, rows):
-            tile[:] = values
-        offsets = (np.arange(self.batch * len(self.lambdas)) * self.num_bins).reshape(
-            self.batch, len(self.lambdas), 1
-        )
-        return tiles, offsets
+    def tiles(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(B, lambdas, n) copies of w^lambda, w^lambda * correct and
+        w^lambda * (w^lambda - mean w^lambda), stacked, and the (B, lambdas, 1)
+        bin offsets of every (temperature, lambda) row; B is the largest ``size`` yet."""
+        if self._tiles is None or self._tiles[1].shape[0] < size:
+            weights = self.weight_variate
+            rows = (weights.t, weights.t * self.correct, weights.t * weights.centred)
+            tiles = np.empty((len(rows), size, *weights.t.shape))
+            for tile, values in zip(tiles, rows):
+                tile[:] = values
+            offsets = (np.arange(size * len(self.lambdas)) * self.num_bins).reshape(
+                size, len(self.lambdas), 1
+            )
+            self._tiles = tiles, offsets
+        return self._tiles
 
     @cached_property
     def cross(self) -> np.ndarray:
@@ -392,7 +411,7 @@ class _ObjectiveContext:
         """
         size, cv = t.shape[0], mode is EstimatorMode.CV_SERIAL
         conf = self.confidences(t)
-        tiles, offsets = self.tiles
+        tiles, offsets = self.tiles(size)
         wl = self.flattened
         shape = (size, len(self.lambdas), self.num_bins)
         flat = (bin_indices(conf, self.num_bins)[:, None, :] + offsets[:size]).ravel()
@@ -456,26 +475,31 @@ _LAMBDAS = tuple(np.linspace(0.0, 1.0, _LAMBDA_GRID_SIZE).tolist())
 class TransCalState:
     """The scores the transcal fits on one fitting split share.
 
-    Holds the validated inputs, the 11-lambda context of the free-lambda
-    fits, the 1-lambda context of the frozen ones (built on first use) and
-    their memos. Pass it to ``optimize_transcal`` as ``state`` with the very
-    arrays and bins it was built from, and do not modify those arrays while
-    it is in use. A frozen fit first copies the lambda = 1 column of what
-    the free fits scored. The module docstring says why sharing is exact.
+    Holds the 11-lambda context of the free-lambda fits, the 1-lambda
+    context of the frozen ones and their memos, each built on first use:
+    building a state validates nothing, and the first fit that uses it
+    raises what a fit without one would. Pass it to ``optimize_transcal``
+    as ``state`` with the very arrays and bins it was built from, and do
+    not modify those arrays while it is in use. A frozen fit first copies
+    the lambda = 1 column of what the free fits scored. The module
+    docstring says why sharing is exact.
     """
 
     def __init__(self, logits, labels, weights, bins: int = 15):
-        self._arrays = (logits, labels, weights)
-        self.full = _ObjectiveContext(_fit_inputs(logits, labels, weights, bins), _LAMBDAS)
+        self._arguments = (logits, labels, weights, bins)
+
+    @cached_property
+    def full(self) -> _ObjectiveContext:
+        return _ObjectiveContext(_fit_inputs(*self._arguments), _LAMBDAS)
 
     @cached_property
     def frozen(self) -> _ObjectiveContext:
         return _ObjectiveContext(self.full.inputs, (1.0,))
 
     def built_from(self, logits, labels, weights, bins) -> bool:
-        """Whether the state was built from these very arrays and this bin count."""
-        same = all(a is b for a, b in zip(self._arrays, (logits, labels, weights)))
-        return same and _num_bins(bins) == self.full.num_bins
+        """Whether the state was built from these arrays and bin count; validates its own inputs first."""
+        same = all(a is b for a, b in zip(self._arguments, (logits, labels, weights)))
+        return self.full.num_bins == _num_bins(bins) and same
 
     def context(self, freeze_lambda: bool) -> _ObjectiveContext:
         return self.frozen if freeze_lambda else self.full

@@ -222,7 +222,7 @@ def test_criterion_08_lambda_tames_weights_and_reduces_bias(sweep):
             if raw_max < 1.0:
                 continue
             for method in ("transcal", "transcal-no-bias", "transcal-no-variance"):
-                post = run["methods"][method]["max_weight_transformed"]
+                post = run["methods"][method]["diagnostics"]["max_weight_transformed"]
                 assert post <= raw_max, (method, post, raw_max)
                 taming_checks += 1
 

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import shiftcal
-from shiftcal import bench
+from shiftcal import bench, generate
 from shiftcal.cli import main
 from shiftcal.matrixio import (
     RAW_MAGIC,
+    dump_json,
     load_labels,
     load_matrix,
     load_probabilities,
@@ -49,7 +50,7 @@ def read_json(path):
 class TestGenSynth:
     def test_file_set_and_manifest(self, task_dir):
         manifest = read_json(task_dir / "manifest.json")
-        assert manifest["schema_version"] == 1
+        assert manifest["schema_version"] == 2
         assert manifest["kind"] == "synthetic_task"
         assert manifest["n_source_train"] == 480
         assert manifest["n_source_val"] == 120
@@ -533,6 +534,37 @@ class TestBench:
         assert code == 2
         assert "dimension must be at least 1, got 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_every_method_entry_carries_the_calibrate_fit_block(self, tmp_path):
+        """A method's bench entry, less its name and metrics, is the fit block of
+        ``calibrate`` on the same split, with weights estimated the same way."""
+        (_, scenario), = bench.default_grid(shifts=(1.0,), scales=(1.0,), temperatures=(2.0,))
+        n, seed = 300, 5
+        dump_json(tmp_path / "record.json", bench.run_single(scenario, n, n, seed, bench.ALL_METHODS))
+        entries = read_json(tmp_path / "record.json")["methods"]
+        task = generate(scenario, n, n, seed)
+        for name in ("source_train", "source_val", "target"):
+            save_matrix(tmp_path / f"{name}_features.csv", getattr(task, name))
+        for name in ("source_val", "target"):
+            save_matrix(tmp_path / f"{name}_logits.csv", getattr(task, f"{name}_logits"))
+            save_labels(tmp_path / f"{name}_labels.csv", getattr(task, f"{name}_labels"))
+        features = [
+            "--source-features", tmp_path / "source_train_features.csv",
+            "--target-features", tmp_path / "target_features.csv",
+            "--eval-features", tmp_path / "source_val_features.csv", "--seed", seed,
+        ]
+        for method, spec in bench.METHODS.items():
+            split = "target" if spec.on_target else "source_val"
+            out = tmp_path / f"{method}.json"
+            assert run(
+                "calibrate", "--method", method, "--logits", tmp_path / f"{split}_logits.csv",
+                "--labels", tmp_path / f"{split}_labels.csv",
+                *(features if spec.needs_weights else []), "--out", out,
+            ) == 0
+            fit = read_json(out)["fit"]
+            assert fit.pop("method") == method
+            entry = {k: v for k, v in entries[method].items() if k not in ("method", "target", "source_val")}
+            assert entry == fit, method
 
     def test_run_grid_rejects_empty_methods(self):
         scenarios = bench.default_grid(shifts=(0.0,), scales=(1.0,), temperatures=(1.0,))

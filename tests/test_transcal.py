@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from shiftcal import (
     DegeneracyError,
     EstimatorMode,
+    ShiftScenario,
     apply_control_variate,
+    generate,
     optimize_transcal,
     renyi_diagnostic,
     serial_control_variate,
@@ -338,6 +341,22 @@ class TestOptimizeTranscal:
         assert d["max_weight_transformed"] <= max(d["max_weight_raw"], 1.0) + 1e-12
         assert isinstance(d["refined"], bool)
 
+    def test_flags_are_python_bools_when_the_grid_point_wins(self):
+        # the K = 3 gen-synth task (seed 3) with every other weight 0: at 7 bins
+        # without control variates no golden-section step beats the grid
+        scenario = ShiftScenario.axis_aligned(
+            dimension=4, num_classes=3, spacing=2.0, shift_magnitude=1.0, distortion_temperature=2.0
+        )
+        task = generate(scenario, 600, 400, 3)
+        weights = task.true_weights.copy()
+        weights[::2] = 0.0
+        sol = optimize_transcal(
+            task.source_val_logits, task.source_val_labels, weights, EstimatorMode.PLAIN_IWECE, 7
+        )
+        assert sol.diagnostics["refined"] is False
+        assert type(sol.t_star.degenerate) is bool
+        assert type(sol.diagnostics["refined"]) is bool
+
     def test_all_zero_weights_degenerate(self):
         logits = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         labels = np.array([0, 1, 0])
@@ -558,6 +577,15 @@ class TestSharedState:
         assert optimize_transcal(logits, labels, weights, state=state) == optimize_transcal(
             logits, labels, weights
         )
+
+    def test_a_state_validates_its_inputs_at_the_first_fit(self):
+        logits, labels, _ = sampled_task(np.random.default_rng(97), n=60, k=3)
+        for weights, bins in ((np.zeros(60), 15), (None, 15), (np.ones(60), 0)):
+            state = TransCalState(logits, labels, weights, bins)  # checks nothing yet
+            with pytest.raises((ValueError, DegeneracyError)) as without_state:
+                optimize_transcal(logits, labels, weights, bins=bins)
+            with pytest.raises(type(without_state.value), match=re.escape(str(without_state.value))):
+                optimize_transcal(logits, labels, weights, bins=bins, state=state)
 
 
 class TestRenyiDiagnostic:
