@@ -193,6 +193,7 @@ def bad_runs(out: Path) -> list[tuple[str, int, str]]:
     (bad / "ragged.csv").write_text("0.5,0.5\n0.25,0.25,0.5\n", encoding="ascii")
     np.savetxt(bad / "one-class.csv", np.linspace(-1.0, 1.0, 50)[:, None], fmt="%.17g")
     np.savetxt(bad / "one-class-labels.csv", np.zeros(50, dtype=np.int64), fmt="%d")
+    np.savetxt(bad / "zero-labels.csv", np.zeros(120, dtype=np.int64), fmt="%d")
     nan = np.zeros((120, 3))
     nan[0, 0] = np.nan
     save_matrix(bad / "nan.f32", nan)
@@ -218,6 +219,10 @@ def bad_runs(out: Path) -> list[tuple[str, int, str]]:
         "temp-bins-0": [*fit, "--method", "temp", "--bins", "0"],
         "temp-one-class": ["calibrate", "--method", "temp", "--logits", bad / "one-class.csv",
                            "--labels", bad / "one-class-labels.csv"],
+        "vector-one-class-labels": ["calibrate", "--method", "vector", "--logits", d / "source_val_logits.csv",
+                                    "--labels", bad / "zero-labels.csv"],
+        "matrix-one-class-labels": ["calibrate", "--method", "matrix", "--logits", d / "source_val_logits.csv",
+                                    "--labels", bad / "zero-labels.csv"],
         "calibrate-f32-nan": ["calibrate", "--method", "temp", "--logits", bad / "nan.f32",
                               "--labels", d / "source_val_labels.csv"],
         "gen-synth-dimension-0": ["gen-synth", "--dimension", "0", "--classes", "0"],

@@ -6,18 +6,20 @@ point is then w(x) = (1 - H(x)) / H(x). Weights are evaluated on the
 source validation split, never on the discriminator's training data.
 
 The fit has no settings: the L2 strength is 1/n for n pooled rows, and
-the Newton iteration stops at GRADIENT_TOLERANCE or after
-MAX_NEWTON_STEPS steps.
+it runs the package's one damped Newton driver (``newton.damped_newton``,
+shared with vector and matrix scaling), which stops at GRADIENT_TOLERANCE
+or after MAX_NEWTON_STEPS steps. The classifier supplies the direction
+from its dense Hessian.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import check_array
+from .newton import GRADIENT_TOLERANCE, damped_newton  # noqa: F401 (GRADIENT_TOLERANCE re-exported)
 
 __all__ = [
     "DomainClassifier",
@@ -27,12 +29,6 @@ __all__ = [
 ]
 
 H_CLAMP = 1e-6
-# the fit converges once the gradient norm is below GRADIENT_TOLERANCE,
-# and stops unconverged after MAX_NEWTON_STEPS Newton steps
-GRADIENT_TOLERANCE = 1e-6
-MAX_NEWTON_STEPS = 5000
-# backtracking halves a Newton step at most this many times before the fit gives up
-MAX_HALVINGS = 60
 
 
 @dataclass
@@ -95,10 +91,10 @@ def train_domain_classifier(source_features, target_features) -> DomainClassifie
     pooled rows.
 
     Each step solves the (d+1)x(d+1) system H delta = g for the Newton
-    direction (least squares when H is singular) and halves the step
-    length until the loss is finite and does not rise. The fit converges
-    when the gradient norm drops below GRADIENT_TOLERANCE; it stops
-    unconverged after MAX_NEWTON_STEPS steps, or when no step length
+    direction (least squares when H is singular); ``newton.damped_newton``
+    halves the step length until the loss is finite and does not rise. The
+    fit converges when the gradient norm drops below GRADIENT_TOLERANCE; it
+    stops unconverged after MAX_NEWTON_STEPS steps, or when no step length
     down to 2**-MAX_HALVINGS gives an acceptable loss.
     """
     # imported here: scipy.special takes about 0.3 s and 25 MB to load, and only the classifier uses it
@@ -125,22 +121,16 @@ def train_domain_classifier(source_features, target_features) -> DomainClassifie
         margins = xs @ w + theta[d]
         # log(1 + exp(m)) - y*m, numerically stable for large |m|
         loss = float(np.mean(np.logaddexp(0.0, margins) - y * margins))
-        return loss + 0.5 * l2 * float(w @ w), margins
+        return loss + 0.5 * l2 * float(w @ w), expit(margins)
 
     penalty = np.full(d + 1, l2)
     penalty[d] = 0.0
-    theta = np.zeros(d + 1)
-    loss, margins = loss_at(theta)
-    converged = False
-    iterations = 0
-    for _ in range(MAX_NEWTON_STEPS):
-        iterations += 1
-        p = expit(margins)
+
+    def gradient(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
         residual = (p - y) / n
-        grad = np.append(xs.T @ residual, residual.sum()) + penalty * theta
-        if math.sqrt(float(grad @ grad)) < GRADIENT_TOLERANCE:
-            converged = True
-            break
+        return np.append(xs.T @ residual, residual.sum()) + penalty * theta
+
+    def direction(theta: np.ndarray, p: np.ndarray, grad: np.ndarray) -> np.ndarray:
         curvature = p * (1.0 - p) / n
         weighted = xs.T * curvature
         hess = np.empty((d + 1, d + 1))
@@ -149,31 +139,20 @@ def train_domain_classifier(source_features, target_features) -> DomainClassifie
         hess[d, d] = curvature.sum()
         hess += np.diag(penalty)
         try:
-            step = np.linalg.solve(hess, grad)
+            return np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        alpha = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            cand = theta - alpha * step
-            # an overflowing trial step is expected here and rejected below
-            with np.errstate(over="ignore", invalid="ignore"):
-                cand_loss, cand_margins = loss_at(cand)
-            if math.isfinite(cand_loss) and cand_loss <= loss:
-                break
-            alpha *= 0.5
-        else:
-            break  # no step length gave a finite, non-increasing loss
-        theta, loss, margins = cand, cand_loss, cand_margins
+            return np.linalg.lstsq(hess, grad, rcond=None)[0]
 
+    fit = damped_newton(np.zeros(d + 1), loss_at, gradient, direction)
     return DomainClassifier(
-        weights=theta[:d],
-        bias=float(theta[d]),
+        weights=fit.x[:d],
+        bias=float(fit.x[d]),
         feature_mean=mean,
         feature_std=std,
         l2_strength=float(l2),
-        iterations=iterations,
-        converged=converged,
-        final_loss=loss,
+        iterations=fit.iterations,
+        converged=fit.converged,
+        final_loss=fit.loss,
     )
 
 

@@ -359,6 +359,17 @@ class TestCalibrate:
         assert "logits must be a 2-d array with at least two classes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["vector", "matrix"])
+    def test_one_class_labels_have_no_affine_minimizer(self, tmp_path, capsys, method):
+        logits, labels = tmp_path / "logits.csv", tmp_path / "labels.csv"
+        save_matrix(logits, np.random.default_rng(0).standard_normal((200, 3)))
+        save_labels(labels, np.zeros(200, dtype=np.int64))
+        out = tmp_path / "fit.json"
+        code = run("calibrate", "--method", method, "--logits", logits, "--labels", labels, "--out", out)
+        assert code == 3
+        assert f"{method} scaling has no minimizer: every label is class 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", bench.ALL_METHODS)
     def test_every_method_fits_and_applies(self, task_dir, tmp_path, method):
         spec = bench.METHODS[method]
@@ -796,8 +807,6 @@ codes = [run("gen-synth", "--out", task, "--dimension", 3, "--classes", 3,
 files = json.load(open(task + "/manifest.json"))["files"]
 f = {stem: task + "/" + name for stem, name in files.items()}
 for method, spec in shiftcal.bench.METHODS.items():
-    if method in ("vector", "matrix"):
-        continue
     split = "target" if spec.on_target else "source_val"
     weights = ["--weights", f["true_weights"]] if spec.needs_weights else []
     codes.append(run("calibrate", "--method", method, "--logits", f[split + "_logits"],
@@ -813,15 +822,13 @@ seen["scipy_codes"] = [
     run("weights", "--source-features", f["source_train_features"],
         "--target-features", f["target_features"], "--eval-features", f["source_val_features"],
         "--out", out + "/w.csv"),
-    run("calibrate", "--method", "vector", "--logits", f["source_val_logits"],
-        "--labels", f["source_val_labels"], "--out", out + "/vector.json"),
 ]
 seen["scipy"] = loaded()
 print(json.dumps(seen))
 """
 
     def test_numpy_only_commands_never_load_scipy(self, tmp_path):
-        """Only the classifier and the affine fits load scipy.special and scipy.optimize."""
+        """Only the classifier loads scipy (scipy.special); nothing loads scipy.optimize."""
         src = Path(shiftcal.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")])
@@ -833,10 +840,10 @@ print(json.dumps(seen))
         assert result.returncode == 0, result.stderr
         seen = json.loads(result.stdout.splitlines()[-1])
         assert seen["import"] == []
-        assert seen["numpy_only_codes"] == [0] * (len(bench.ALL_METHODS) + 1)
+        assert seen["numpy_only_codes"] == [0] * (len(bench.METHODS) + 3)
         assert seen["numpy_only"] == []
-        assert seen["scipy_codes"] == [0, 0]
-        assert seen["scipy"] == ["scipy.optimize", "scipy.special"]
+        assert seen["scipy_codes"] == [0]
+        assert seen["scipy"] == ["scipy.special"]
 
 
 class TestReadme:

@@ -6,7 +6,8 @@ same inputs. Fits are compared up to the search tolerance: reordering or
 repeating rows changes the floating-point summation order, which can move
 the temperature on a flat objective by a few 1e-5 but not beyond
 2 * SEARCH_TOL. Relabelling the classes does the same to the softmax row
-sums.
+sums. Vector and matrix scaling are compared to GRADIENT_TOLERANCE on
+synthetic tasks with 40 rows per class, where the fits have a minimizer.
 """
 
 import math
@@ -18,15 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftcal import (
+    ShiftScenario,
     ece,
     fit_cpcs_temperature,
+    fit_matrix_scaling,
     fit_temperature_nll,
+    fit_vector_scaling,
+    generate,
     optimize_transcal,
     softmax_with_temperature,
     weighted_ece,
 )
 from shiftcal.matrixio import load_probabilities, save_matrix
 from shiftcal.metrics import ROW_SUM_TOL, bin_indices
+from shiftcal.newton import GRADIENT_TOLERANCE
 from shiftcal.scaling import SEARCH_TOL, T_MAX, T_MIN
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -89,6 +95,52 @@ def test_class_relabelling_leaves_the_fit_unchanged(seed, n, k, method):
     t_again, lambda_again = fit(logits[:, order], relabel[labels], weights)
     assert abs(t_again - t_star) <= 2 * SEARCH_TOL, (t_star, t_again)
     assert lambda_again == lambda_star, (lambda_star, lambda_again)
+
+
+AFFINE_FITS = {"vector": fit_vector_scaling, "matrix": fit_matrix_scaling}
+
+
+def affine_task(seed, k, noise):
+    """Source-validation logits and labels of a K-class synthetic task, 40 rows per class.
+
+    With ``noise`` the logits are standard normal draws, independent of the labels.
+    """
+    scenario = ShiftScenario.axis_aligned(k, k, spacing=2.0, distortion_temperature=2.0)
+    task = generate(scenario, 200 * k, 1, seed)
+    logits = task.source_val_logits
+    if noise:
+        logits = np.random.default_rng(seed).standard_normal(logits.shape)
+    return logits, task.source_val_labels
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=SEEDS, k=st.integers(2, 10), noise=st.booleans(), kind=st.sampled_from(sorted(AFFINE_FITS)))
+def test_class_relabelling_permutes_the_affine_fits(seed, k, noise, kind):
+    logits, labels = affine_task(seed, k, noise)
+    fit = AFFINE_FITS[kind]
+    param = fit(logits, labels)
+    order = np.random.default_rng(seed).permutation(k)
+    if np.array_equal(order, np.arange(k)):
+        order = order[::-1]
+    # new column j is old class order[j]: a vector fit's entries move with it,
+    # and a matrix fit's scale is conjugated by the permutation
+    again = fit(logits[:, order], np.argsort(order)[labels])
+    scale = param.scale[order] if kind == "vector" else param.scale[np.ix_(order, order)]
+    assert np.abs(again.scale - scale).max() <= GRADIENT_TOLERANCE
+    assert np.abs(again.bias - param.bias[order]).max() <= GRADIENT_TOLERANCE
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=SEEDS, k=st.integers(2, 10), noise=st.booleans(), kind=st.sampled_from(sorted(AFFINE_FITS)))
+def test_affine_fits_stay_on_the_identity_coset(seed, k, noise, kind):
+    # adding one vector to every class's row leaves the loss unchanged; the fit
+    # reports the representative with sum(bias) = 0 and columns of W - I summing to 0
+    logits, labels = affine_task(seed, k, noise)
+    param = AFFINE_FITS[kind](logits, labels)
+    rounding = 1e-12 * max(1.0, np.abs(param.scale).max(), np.abs(param.bias).max())
+    assert abs(param.bias.sum()) <= rounding
+    if kind == "matrix":
+        assert np.abs((param.scale - np.eye(k)).sum(axis=0)).max() <= rounding
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

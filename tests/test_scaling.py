@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from shiftcal import (
 )
 from shiftcal import scaling
 from shiftcal.metrics import _brier_rows
+from shiftcal.newton import GRADIENT_TOLERANCE
 from shiftcal.scaling import (
     SEARCH_TOL,
     T_MAX,
@@ -295,6 +297,38 @@ class TestTemperatureFitsValidateLabels:
             fit_temperature_nll(logits, self.BAD_LABELS[case])
 
 
+AFFINE_FITS = {"vector": fit_vector_scaling, "matrix": fit_matrix_scaling}
+
+
+def affine_nll(logits, labels, scale, bias):
+    """Mean NLL of softmax(scale o logits + bias) from a plain log-softmax."""
+    z = logits * scale + bias if scale.ndim == 1 else logits @ scale.T + bias
+    z = z - z.max(axis=1, keepdims=True)
+    log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-log_p[np.arange(len(labels)), labels].mean())
+
+
+def lbfgsb_reference(logits, labels, kind):
+    """scipy's L-BFGS-B with its default options from the identity map: the affine fits' former solver."""
+    from scipy.optimize import minimize
+
+    n, k = logits.shape
+    identity = np.ones(k) if kind == "vector" else np.eye(k)
+    onehot = np.eye(k)[labels]
+
+    def loss_and_grad(x):
+        scale, bias = x[:-k].reshape(identity.shape), x[-k:]
+        z = logits * scale + bias if kind == "vector" else logits @ scale.T + bias
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        d = (p - onehot) / n
+        grad_scale = (d * logits).sum(axis=0) if kind == "vector" else d.T @ logits
+        return affine_nll(logits, labels, scale, bias), np.concatenate([grad_scale.ravel(), d.sum(axis=0)])
+
+    x0 = np.concatenate([identity.ravel(), np.zeros(k)])
+    return minimize(loss_and_grad, x0, jac=True, method="L-BFGS-B")
+
+
 class TestAffineScaling:
     def test_vector_identity_when_already_calibrated(self):
         # labels drawn from the softmax itself leave little to improve
@@ -344,7 +378,47 @@ class TestAffineScaling:
         p[np.arange(len(labels)), labels] -= 1.0
         p /= len(labels)
         grad_scale = (p * logits).sum(axis=0) if param.kind == "vector" else p.T @ logits
-        assert max(np.abs(grad_scale).max(), np.abs(p.sum(axis=0)).max()) < 5e-4
+        assert max(np.abs(grad_scale).max(), np.abs(p.sum(axis=0)).max()) < GRADIENT_TOLERANCE
+
+    @pytest.mark.parametrize("kind", ["vector", "matrix"])
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_final_loss_is_at_most_the_lbfgsb_reference(self, kind, k):
+        scenario = ShiftScenario.axis_aligned(max(k, 4), k, spacing=2.0, shift_magnitude=1.0, distortion_temperature=2.0)
+        task = generate(scenario, 5000, 500, 3, 0.2)
+        logits, labels = task.source_val_logits, task.source_val_labels
+        param = AFFINE_FITS[kind](logits, labels)
+        reference = lbfgsb_reference(logits, labels, kind)
+        ours = affine_nll(logits, labels, param.scale, param.bias)
+        assert ours == pytest.approx(param.final_loss, rel=1e-12, abs=0.0)
+        assert ours <= reference.fun
+
+    def test_matrix_scaling_at_k65_stays_far_below_a_dense_hessian(self):
+        # the K(K+1) = 4290 parameters would need a (K(K+1))**2 float64 Hessian: 147 MB.
+        # Features in 5 dimensions keep the 2000 rows' logits low-rank, so a minimizer
+        # exists: full-rank logits with more parameters than rows are separable
+        k = 65
+        rng = np.random.default_rng(5)
+        scenario = ShiftScenario(
+            class_means=1.5 * rng.standard_normal((k, 5)), class_variance=1.0,
+            shift=np.zeros(5), variance_scale=1.0, distortion_temperature=2.0,
+        )
+        task = generate(scenario, 10000, 10, 0, 0.2)
+        assert task.source_val_logits.shape == (2000, k)
+        tracemalloc.start()
+        try:
+            param = fit_matrix_scaling(task.source_val_logits, task.source_val_labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert param.converged
+        assert param.final_loss < param.initial_loss
+        assert peak < (k * (k + 1)) ** 2 * 8 / 10
+
+    @pytest.mark.parametrize("kind", ["vector", "matrix"])
+    def test_one_class_labels_have_no_minimizer(self, kind):
+        logits = np.random.default_rng(0).standard_normal((200, 3))
+        with pytest.raises(DegeneracyError, match=f"{kind} scaling has no minimizer: every label is class 2"):
+            AFFINE_FITS[kind](logits, np.full(200, 2))
 
     def test_apply_uses_transformed_logits_for_predictions(self):
         # a sign flip in the vector scale reverses the ranking
