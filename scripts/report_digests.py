@@ -188,6 +188,9 @@ def bad_runs(out: Path) -> list[tuple[str, int, str]]:
     huge = np.ones((120, 1))
     huge[0, 0] = 1e200
     np.savetxt(bad / "huge.csv", huge, fmt="%.17g")
+    # sum and sum of squares stay finite, but the Kish ESS is about 1
+    huge[0, 0] = 1e100
+    np.savetxt(bad / "one-sample.csv", huge, fmt="%.17g")
     np.savetxt(bad / "overflowing.csv", np.full((120, 1), 1e307), fmt="%.17g")
     np.savetxt(bad / "wide.csv", np.ones((4, 2)), fmt="%.17g", delimiter=",")
     (bad / "ragged.csv").write_text("0.5,0.5\n0.25,0.25,0.5\n", encoding="ascii")
@@ -212,9 +215,13 @@ def bad_runs(out: Path) -> list[tuple[str, int, str]]:
         "cpcs-negative-weight": [*fit, "--method", "cpcs", "--weights", bad / "negative.csv"],
         "cpcs-zero-weights": [*fit, "--method", "cpcs", "--weights", bad / "zeros.csv"],
         "cpcs-overflowing-weights": [*fit, "--method", "cpcs", "--weights", bad / "overflowing.csv"],
+        "cpcs-one-sample-weight": [*fit, "--method", "cpcs", "--weights", bad / "one-sample.csv"],
         "transcal-no-weights": [*fit, "--method", "transcal"],
         "transcal-zero-weights": [*fit, "--method", "transcal", "--weights", bad / "zeros.csv"],
         "transcal-huge-weight": [*fit, "--method", "transcal", "--weights", bad / "huge.csv"],
+        "transcal-one-sample-weight": [*fit, "--method", "transcal", "--weights", bad / "one-sample.csv"],
+        "transcal-no-bias-one-sample-weight": [*fit, "--method", "transcal-no-bias",
+                                               "--weights", bad / "one-sample.csv"],
         "transcal-bins-0": [*fit, "--method", "transcal", *weights, "--bins", "0"],
         "temp-bins-0": [*fit, "--method", "temp", "--bins", "0"],
         "temp-one-class": ["calibrate", "--method", "temp", "--logits", bad / "one-class.csv",

@@ -14,13 +14,14 @@ methods: a state validates and computes nothing until a transcal fit
 first uses it, so the other fits pay nothing for it, and an invalid split
 raises at the first transcal fit, as it would without a state. The three
 transcal variants fit the same validation logits, labels and weights, so
-they share the state. ``transcal-no-variance`` then reads the plain
-estimates ``transcal`` formed on the way to its control variates,
-``transcal-no-bias`` reads the lambda = 1 column of what both scored, and
-each fit scores only the temperatures the state lacks for its mode. The
-sharing is exact: every value of a scoring pass depends only on its own
-temperature and lambda, so a value read from the state is the one the fit
-would have scored itself.
+they share the state. ``transcal-no-variance`` fits at ``transcal``'s
+lambda and reads the plain estimates ``transcal`` formed on the way to its
+control variates; ``transcal-no-bias`` fits at lambda = 1 and, when the
+weights' lambda is 1 as well, reads everything ``transcal`` scored. Each
+fit scores only the temperatures the state lacks for its mode. The sharing
+is exact: every value of a scoring pass depends only on its own
+temperature, so a value read from the state is the one the fit would have
+scored itself.
 """
 
 from __future__ import annotations

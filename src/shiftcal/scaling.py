@@ -10,8 +10,7 @@ An objective maps a 1-d array of temperatures to a 1-d array of values.
 The engine evaluates the grid in consecutive slices of ``batch``
 temperatures and each golden-section step as a 1-element array. A fit
 picks its batch with ``_grid_batch`` from the float64 elements one
-temperature touches (n * K for the NLL and Brier objectives, the larger
-of the lambda count and K, times n, for the transcal profile), so that a
+temperature touches (n * K for every temperature objective), so that a
 batch's arrays stay near ``_BATCH_ELEMENTS``: numpy call overhead, not
 arithmetic, dominates one temperature at a few hundred rows, and a batch
 that outgrows the cache loses again. Batching never changes a value:
@@ -26,8 +25,8 @@ temperature path shifts its softmax by ``rowmax / t`` (see
 ``ProbabilitySet``, and the NLL one normalizes only the label column.
 Softmax and Brier row sums over fewer than 16 classes are column adds in
 numpy's own order, sequential below 8 classes and pairwise from 8 on
-(``metrics._row_sums``). The transcal profile scores all
-11 lambdas in one pass per batch of temperatures (see ``transcal``).
+(``metrics._row_sums``). The transcal objective scores its one lambda in
+one pass per batch of temperatures (see ``transcal``).
 
 Vector and matrix scaling minimize the mean NLL of softmax(scale o logits +
 bias), which is convex, from the identity map on the package's one damped
@@ -263,14 +262,22 @@ def fit_oracle_temperature(target_logits: np.ndarray, target_labels: np.ndarray)
 
 
 def _require_weight_mass(w: np.ndarray) -> None:
-    """Raise DegeneracyError unless sum(w) is positive and sum(w) and sum(w**2) are finite."""
-    if float(w.max()) == 0.0:
+    """Raise DegeneracyError unless sum(w) is positive, sum(w) and sum(w**2) are
+    finite, and the Kish effective sample size (sum w)^2 / sum(w**2) is at least 2."""
+    top = float(w.max())
+    if top == 0.0:
         raise DegeneracyError("importance weights are all zero")
     with np.errstate(over="ignore"):
         if not (math.isfinite(float(w.sum())) and math.isfinite(float(np.dot(w, w)))):
             raise DegeneracyError(
                 "importance weights overflow: their sum or sum of squares is not finite"
             )
+    scaled = w / top
+    ess = float(scaled.sum()) ** 2 / float(np.dot(scaled, scaled))
+    if ess < 2.0:
+        raise DegeneracyError(
+            f"importance weights rest on fewer than two samples: Kish effective sample size {ess:.3g}"
+        )
 
 
 def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> TemperatureParam:
@@ -279,8 +286,9 @@ def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> Tem
     The objective is sum(w_i * bs_i) / sum(w_i) where bs_i is the
     per-sample Brier score at the candidate temperature. Weight vectors
     concentrated on few samples can drive the optimum to a bound; the
-    degenerate flag reports that. All-zero weights, and weights whose sum
-    or sum of squares overflows, raise DegeneracyError.
+    degenerate flag reports that. All-zero weights, weights whose sum or
+    sum of squares overflows, and weights with a Kish effective sample size
+    below 2 raise DegeneracyError.
     """
     logits, labels = _check_fit_inputs(logits, labels)
     w = check_weights(weights, logits.shape[0])

@@ -144,3 +144,9 @@ def objective_samples(confidences, correct, weights, num_bins):
         if weight_sum[m] > 0.0:
             gaps[m] = abs(acc_sum[m] / weight_sum[m] - conf_sum[m] / weight_sum[m])
     return [weights[i] * gaps[idx[i]] for i in range(n)]
+
+
+def kish_ess(weights):
+    """Kish effective sample size (sum w)^2 / sum w^2."""
+    total = sum(float(w) for w in weights)
+    return total * total / sum(float(w) * float(w) for w in weights)

@@ -346,6 +346,28 @@ class TestCalibrate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "method", [m for m in bench.ALL_METHODS if bench.METHODS[m].needs_weights]
+    )
+    def test_one_huge_finite_weight_exits_three(self, tmp_path, capsys, method):
+        # the gen-synth task at seed 3 (K = 3, 120 validation rows), with every
+        # weight 1 but one at 1e100: sum and sum of squares stay finite, but
+        # the Kish ESS (sum w)^2 / sum w^2 is about 1, below the floor of 2
+        assert run("gen-synth", "--out", tmp_path, "--n-source", 600, "--seed", 3) == 0
+        weights = np.ones((120, 1))
+        weights[0, 0] = 1e100
+        save_matrix(tmp_path / "huge.csv", weights)
+        out = tmp_path / "fit.json"
+        code = run(
+            "calibrate", "--method", method,
+            "--logits", tmp_path / "source_val_logits.csv",
+            "--labels", tmp_path / "source_val_labels.csv",
+            "--weights", tmp_path / "huge.csv", "--out", out,
+        )
+        assert code == 3
+        assert "Kish effective sample size 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", [m for m in bench.ALL_METHODS if m != "uncalibrated"])
     def test_one_class_logits_exit_two(self, tmp_path, capsys, method):
         logits, labels, weights = tmp_path / "logits.csv", tmp_path / "labels.csv", tmp_path / "w.csv"

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftcal import (
+    EstimatorMode,
     ShiftScenario,
     ece,
     fit_cpcs_temperature,
@@ -51,15 +52,18 @@ def task(seed, n, k):
     return logits, labels, rng.lognormal(0.0, 0.5, size=n), rng
 
 
-def _transcal(logits, labels, weights):
-    solution = optimize_transcal(logits, labels, weights)
-    return solution.t_star.t, solution.lambda_star
+def _transcal(mode: EstimatorMode, freeze_lambda: bool):
+    def fit(logits, labels, weights):
+        solution = optimize_transcal(logits, labels, weights, mode, freeze_lambda=freeze_lambda)
+        return solution.t_star.t, solution.lambda_star
+
+    return fit
 
 
 FITS = {
     "temp": lambda logits, labels, weights: (fit_temperature_nll(logits, labels).t, None),
     "cpcs": lambda logits, labels, weights: (fit_cpcs_temperature(logits, labels, weights).t, None),
-    "transcal": _transcal,
+    "transcal": _transcal(EstimatorMode.CV_SERIAL, False),
 }
 
 
@@ -95,6 +99,33 @@ def test_class_relabelling_leaves_the_fit_unchanged(seed, n, k, method):
     t_again, lambda_again = fit(logits[:, order], relabel[labels], weights)
     assert abs(t_again - t_star) <= 2 * SEARCH_TOL, (t_star, t_again)
     assert lambda_again == lambda_star, (lambda_star, lambda_again)
+
+
+WEIGHTED_FITS = {
+    "cpcs": FITS["cpcs"],
+    "transcal": FITS["transcal"],
+    "transcal-no-bias": _transcal(EstimatorMode.CV_SERIAL, True),
+    "transcal-no-variance": _transcal(EstimatorMode.PLAIN_IWECE, False),
+}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=SEEDS,
+    n=st.integers(10, 300),
+    k=CLASSES,
+    sigma=st.sampled_from((0.5, 1.0, 2.0)),
+    method=st.sampled_from(sorted(WEIGHTED_FITS)),
+)
+def test_weight_scale_leaves_the_fit_unchanged(seed, n, k, sigma, method):
+    logits, labels, _, rng = task(seed, n, k)
+    weights = rng.lognormal(0.0, sigma, size=n)
+    fit = WEIGHTED_FITS[method]
+    t_star, lambda_star = fit(logits, labels, weights)
+    for c in (2.0**-3, 2.0, 2.0**10):
+        t_again, lambda_again = fit(logits, labels, c * weights)
+        assert lambda_again == lambda_star, (c, lambda_star, lambda_again)
+        assert abs(t_again - t_star) <= SEARCH_TOL, (c, t_star, t_again)
 
 
 AFFINE_FITS = {"vector": fit_vector_scaling, "matrix": fit_matrix_scaling}

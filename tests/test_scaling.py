@@ -34,6 +34,8 @@ from shiftcal.scaling import (
     _softmax_terms,
 )
 
+from oracles import kish_ess
+
 
 def random_logits(rng, n, k, scale=3.0):
     return rng.standard_normal((n, k)) * scale
@@ -90,6 +92,16 @@ def search_objective(fit, *args):
     return seen[0]
 
 
+def cpcs_objective(logits, labels, w):
+    """``cpcs``'s search objective, or None after checking that weights with a
+    Kish effective sample size below 2 raise instead of reaching the search."""
+    if kish_ess(w) < 2.0:
+        with pytest.raises(DegeneracyError, match="Kish effective sample size"):
+            fit_cpcs_temperature(logits, labels, w)
+        return None
+    return search_objective(fit_cpcs_temperature, logits, labels, w)
+
+
 class TestPrecomputedRowMax:
     """Temperature paths shift by rowmax / t from the raw logits' row max,
     and the NLL and Brier objectives skip the public ProbabilitySet; all of
@@ -110,14 +122,16 @@ class TestPrecomputedRowMax:
         labels = rng.integers(0, k, size=n)
         w = rng.lognormal(0.0, 1.0, size=n)
         nll_objective = search_objective(fit_temperature_nll, logits, labels)
-        cpcs_objective = search_objective(fit_cpcs_temperature, logits, labels, w)
+        brier_objective = cpcs_objective(logits, labels, w)
         for t in (T_MIN, 0.37, 1.0, 2.7, T_MAX):
             probs = softmax_with_temperature(logits, t)
             z, sums = _softmax_terms(logits / t)
             assert np.array_equal(probs.probs, z / sums)
             assert nll_objective(np.array([t]))[0] == nll(probs, labels)
-            brier_rows = _brier_rows(probs.probs.copy(), labels)
-            assert cpcs_objective(np.array([t]))[0] == float(np.dot(w, brier_rows)) / float(w.sum())
+            if brier_objective is not None:
+                brier_rows = _brier_rows(probs.probs.copy(), labels)
+                want = float(np.dot(w, brier_rows)) / float(w.sum())
+                assert brier_objective(np.array([t]))[0] == want
 
 
 def temperature_batch(rng, size):
@@ -128,16 +142,15 @@ def temperature_batch(rng, size):
 
 
 def nll_and_brier_objectives(seed, n, k):
-    """The objectives ``temp`` and ``cpcs`` hand the engine on a generated task."""
+    """The objectives ``temp`` and ``cpcs`` hand the engine on a generated task;
+    ``cpcs``'s only where its weights reach a Kish effective sample size of 2."""
     rng = np.random.default_rng(seed)
     logits = random_logits(rng, n, k)
     logits[0] *= 300.0
     labels = rng.integers(0, k, size=n)
     w = rng.lognormal(0.0, 1.0, size=n)
-    return (
-        search_objective(fit_temperature_nll, logits, labels),
-        search_objective(fit_cpcs_temperature, logits, labels, w),
-    )
+    objectives = (search_objective(fit_temperature_nll, logits, labels), cpcs_objective(logits, labels, w))
+    return [objective for objective in objectives if objective is not None]
 
 
 class TestBatchedGrid:
@@ -273,6 +286,21 @@ class TestCpcs:
             fit_cpcs_temperature(logits, labels, np.array([1.0, -1.0]))
         with pytest.raises(DegeneracyError):
             fit_cpcs_temperature(logits, labels, np.zeros(2))
+
+    def test_weights_on_fewer_than_two_samples_raise(self):
+        # sum and sum of squares stay finite, but one weight carries the fit:
+        # Kish ESS (sum w)^2 / sum w^2 is about 1
+        rng = np.random.default_rng(31)
+        logits = random_logits(rng, 120, 3)
+        labels = rng.integers(0, 3, size=120)
+        w = np.ones(120)
+        w[0] = 1e100
+        with pytest.raises(DegeneracyError, match="Kish effective sample size 1"):
+            fit_cpcs_temperature(logits, labels, w)
+        # two equal weights are two samples
+        w = np.zeros(120)
+        w[:2] = 1.0
+        assert fit_cpcs_temperature(logits, labels, w).t > 0.0
 
 
 class TestTemperatureFitsValidateLabels:
