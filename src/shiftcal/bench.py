@@ -8,14 +8,12 @@ magnitude, target variance scale and distortion temperature so the
 no-shift column doubles as a sanity check: there the closed-form weights
 are exactly one.
 
-Every ``METHODS`` fit takes the ``TransCalState`` of its fitting split.
-``run_single`` builds one for the source validation split whatever the
-methods: a state validates and computes nothing until a transcal fit
-first uses it, so the other fits pay nothing for it, and an invalid split
-raises at the first transcal fit, as it would without a state. The three
-transcal variants fit the same validation logits, labels and weights, so
-they share the state. ``transcal-no-variance`` fits at ``transcal``'s
-lambda and reads the plain estimates ``transcal`` formed on the way to its
+Every ``METHODS`` fit takes the ``TransCalState`` of its fitting split,
+or None. ``run_single`` builds one for the source validation split when a
+method needs weights, which validates the split there. The three transcal
+variants fit the same validation logits, labels and weights, so they
+share the state. ``transcal-no-variance`` fits at ``transcal``'s lambda
+and reads the plain estimates ``transcal`` formed on the way to its
 control variates; ``transcal-no-bias`` fits at lambda = 1 and, when the
 weights' lambda is 1 as well, reads everything ``transcal`` scored. Each
 fit scores only the temperatures the state lacks for its mode. The sharing
@@ -165,7 +163,7 @@ def estimate_task_weights(
 
 
 def _fit_entry(
-    method: str, task: GeneratedTask, weights: np.ndarray | None, bins: int, state: TransCalState
+    method: str, task: GeneratedTask, weights: np.ndarray | None, bins: int, state: TransCalState | None
 ) -> dict:
     """The ``calibrate`` report's fit block, plus the fit's metrics on both splits."""
     spec = METHODS[method]
@@ -196,7 +194,7 @@ def run_single(
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {ALL_METHODS}")
     task = generate(scenario, n_source, n_target, seed)
-    weights = None
+    weights = state = None
     record: dict = {
         "seed": int(seed),
         "n_source": int(n_source),
@@ -213,7 +211,7 @@ def run_single(
             "renyi_2": renyi_diagnostic(weights, 1.0),
             "classifier_converged": bool(classifier.converged),
         }
-    state = TransCalState(task.source_val_logits, task.source_val_labels, weights, bins)
+        state = TransCalState(task.source_val_logits, task.source_val_labels, weights, bins)
     record["methods"] = {m: _fit_entry(m, task, weights, bins, state) for m in methods}
     return record
 

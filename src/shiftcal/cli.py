@@ -39,18 +39,19 @@ from .transcal import renyi_diagnostic
 SCHEMA_VERSION = 2
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _list_of(kind: type, noun: str):
+    """An argparse type for comma-separated ``kind`` values, called ``noun`` in its error."""
+
+    def parse(text: str) -> list:
+        try:
+            return [kind(p) for p in text.split(",") if p != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+_float_list, _int_list = _list_of(float, "numbers"), _list_of(int, "integers")
 
 
 def _load_weights(path) -> np.ndarray:

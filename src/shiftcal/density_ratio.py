@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import check_array
-from .newton import GRADIENT_TOLERANCE, damped_newton  # noqa: F401 (GRADIENT_TOLERANCE re-exported)
+from .newton import damped_newton
 
 __all__ = [
     "DomainClassifier",

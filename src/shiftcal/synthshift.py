@@ -187,12 +187,14 @@ def _as_points(x, dimension: int) -> np.ndarray:
 
 def sample_labels(scenario: ShiftScenario, features, seed) -> np.ndarray:
     """Draw labels from the shared conditional, reproducibly for a given seed."""
-    x = _as_points(features, scenario.dimension)
-    posterior = np.exp(scenario.log_posterior(x))
-    cumulative = np.cumsum(posterior, axis=1)
+    return _draw_labels(scenario.log_posterior(_as_points(features, scenario.dimension)), seed)
+
+
+def _draw_labels(log_posterior: np.ndarray, seed) -> np.ndarray:
+    """One label per row of ``log_posterior``, by inverse-CDF draws from ``seed``'s stream."""
+    cumulative = np.cumsum(np.exp(log_posterior), axis=1)
     cumulative[:, -1] = 1.0
-    rng = np.random.default_rng(seed)
-    draws = rng.random(x.shape[0])
+    draws = np.random.default_rng(seed).random(log_posterior.shape[0])
     return (draws[:, None] < cumulative).argmax(axis=1).astype(np.int64)
 
 
@@ -235,12 +237,14 @@ def generate(
         + math.sqrt(scenario.variance_scale) * sigma * rng.standard_normal((n_target, d))
     )
 
-    y_source = sample_labels(scenario, x_source, label_stream_seed(seed, "source"))
-    y_target = sample_labels(scenario, x_target, label_stream_seed(seed, "target"))
+    posterior_source = scenario.log_posterior(x_source)
+    posterior_target = scenario.log_posterior(x_target)
+    y_source = _draw_labels(posterior_source, label_stream_seed(seed, "source"))
+    y_target = _draw_labels(posterior_target, label_stream_seed(seed, "target"))
 
     t_true = scenario.distortion_temperature
-    logits_source = t_true * scenario.log_posterior(x_source)
-    logits_target = t_true * scenario.log_posterior(x_target)
+    logits_source = t_true * posterior_source
+    logits_target = t_true * posterior_target
 
     x_train, x_val = x_source[:n_train], x_source[n_train:]
     true_w = np.exp(true_log_weight(scenario, x_val))

@@ -44,16 +44,16 @@ where a sample-level evaluation sums over samples, so they agree with
 ``apply_control_variate`` and ``serial_control_variate``, the
 sample-level references, to rounding, not bit for bit.
 
-A ``TransCalState`` holds one fitting split's contexts, one per lambda,
-each with a memo of every scored temperature: the corrected estimate with
-its control-variate moments, and the plain estimate. Fits that share a
-state score only the temperatures their mode is missing. The variants of
-the paper's ablation fit the same split, so ``transcal-no-variance``
-reads most of its path from ``transcal``'s plain estimates, and when the
-rule's lambda is 1, ``transcal-no-bias`` reads all of ``transcal``'s;
-every fit reads its coefficients at t* instead of scoring t* again.
-Sharing is exact for the reasons batching is: each value of a pass
-depends only on its own temperature.
+A ``TransCalState`` validates one fitting split when it is built and
+holds one context per lambda, each with a memo of every scored
+temperature: the corrected estimate with its control-variate moments, and
+the plain estimate. Fits that share a state score only the temperatures
+their mode is missing. The variants of the paper's ablation fit the same
+split, so ``transcal-no-variance`` reads most of its path from
+``transcal``'s plain estimates, and when the rule's lambda is 1,
+``transcal-no-bias`` reads all of ``transcal``'s; every fit reads its
+coefficients at t* instead of scoring t* again. Sharing is exact for the
+reasons batching is: each value of a pass depends only on its own temperature.
 """
 
 from __future__ import annotations
@@ -308,40 +308,18 @@ def _ess_lambda(weights: np.ndarray) -> float:
     )
 
 
-class _FitInputs(NamedTuple):
-    """A fitting split validated once, shared by the contexts of every lambda."""
-
-    logits: np.ndarray
-    rowmax: np.ndarray
-    correct: np.ndarray
-    correct_variate: _Variate
-    weights: np.ndarray
-    num_bins: int
-
-
-def _fit_inputs(logits, labels, weights, bins) -> _FitInputs:
-    """Validate a fitting split; weights without usable mass raise DegeneracyError."""
-    logits, labels = _check_fit_inputs(logits, labels)
-    weights = check_weights(weights, logits.shape[0])
-    num_bins = _num_bins(bins)
-    _require_weight_mass(weights)
-    correct = (np.argmax(logits, axis=1) == labels).astype(np.float64)
-    rowmax = logits.max(axis=1, keepdims=True)
-    return _FitInputs(logits, rowmax, correct, _variate(correct), weights, num_bins)
-
-
 def _holds(entry: tuple | None, cv: bool) -> bool:
     """Whether a memo entry has the corrected estimates (``cv``) or the plain ones."""
     return entry is not None and len(entry[0]) > cv
 
 
 class _ObjectiveContext:
-    """Everything a fit's evaluations at one lambda share, computed once per fit.
+    """Everything a fit's evaluations at one lambda share, on its state's split.
 
     The weight variate's samples are the self-normalized weights w~ of
-    ``lam``. One evaluation scores each of a batch of temperatures;
-    ``batch`` is the engine's grid batch, and ``estimates`` says how the
-    four per-bin sums give the estimates.
+    ``lam``; ``terms`` holds w~, w~ * correct and w~ * (w~ - mean w~), the
+    per-sample terms of S1, S2 and S4, and ``estimates`` says how the
+    per-bin sums give a batch of temperatures' estimates.
 
     ``memo`` maps each scored temperature to ``(arrays, b)``: entry b of
     every (B,) array of the pass that scored it. ``arrays`` holds the plain
@@ -350,27 +328,14 @@ class _ObjectiveContext:
     replaces a plain entry.
     """
 
-    def __init__(self, inputs: _FitInputs, lam: float):
-        self.logits, self.rowmax, self.correct, self.correct_variate, self.weights, self.num_bins = inputs
-        self.lam = lam
-        self.batch = _grid_batch(self.logits.size)
+    def __init__(self, state: TransCalState, lam: float):
+        # the state's arrays, not the state, so that the two form no reference cycle
+        self.logits, self.rowmax, self.num_bins = state.logits, state.rowmax, state.num_bins
+        self.correct_variate, self.lam = state.correct_variate, lam
+        weights = self.weight_variate = _variate(_normalized_power(state.weights, lam))
+        self.terms = (weights.t, weights.t * state.correct, weights.t * weights.centred)
+        self.cross = ((weights.t - 1.0) * state.correct_variate.centred).sum()
         self.memo: dict[float, tuple[tuple[np.ndarray, ...], int]] = {}
-
-    @cached_property
-    def weight_variate(self) -> _Variate:
-        """The weight variate, whose samples are the self-normalized weights w~."""
-        return _variate(_normalized_power(self.weights, self.lam))
-
-    @cached_property
-    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The per-sample terms of S1, S2 and S4: w~, w~ * correct and w~ * (w~ - mean w~)."""
-        weights = self.weight_variate
-        return weights.t, weights.t * self.correct, weights.t * weights.centred
-
-    @cached_property
-    def cross(self) -> float:
-        """Sum over samples of (w~ - 1) * (correct - mean correct)."""
-        return ((self.weight_variate.t - 1.0) * self.correct_variate.centred).sum()
 
     def confidences(self, t: np.ndarray) -> np.ndarray:
         """Top-class softmax probabilities, one row per temperature in ``t``."""
@@ -461,38 +426,42 @@ class _ObjectiveContext:
 
 
 class TransCalState:
-    """The scores the transcal fits on one fitting split share.
+    """One fitting split and the scores the transcal fits on it share.
 
-    Holds one context per lambda, with its memo: lambda = 1 for the frozen
-    fits, the ``_ess_lambda`` rule's for the others, one context when the
-    rule gives 1. Each is built on first use: building a state validates
-    nothing, and the first fit that uses it raises what a fit without one
-    would. Pass it to ``optimize_transcal`` as ``state`` with the very
-    arrays and bins it was built from, and do not modify those arrays while
-    it is in use. The module docstring says why sharing is exact.
+    Building a state validates the split and raises what a fit without one
+    would. It keeps the checked arrays, the engine's grid batch and one
+    ``_ObjectiveContext`` per lambda, built at its first use: lambda = 1 for
+    the frozen fits, the ``_ess_lambda`` rule's for the others. Pass it to
+    ``optimize_transcal`` as ``state`` with the very arrays and bins it was
+    built from, and do not modify those arrays while it is in use. The
+    module docstring says why sharing is exact.
     """
 
     def __init__(self, logits, labels, weights, bins: int = 15):
-        self._arguments = (logits, labels, weights, bins)
+        self._arguments = (logits, labels, weights)
+        logits, labels = _check_fit_inputs(logits, labels)
+        self.weights = check_weights(weights, logits.shape[0])
+        self.num_bins = _num_bins(bins)
+        _require_weight_mass(self.weights)
+        self.logits = logits
+        self.rowmax = logits.max(axis=1, keepdims=True)
+        self.correct = (np.argmax(logits, axis=1) == labels).astype(np.float64)
+        self.correct_variate = _variate(self.correct)
+        self.batch = _grid_batch(logits.size)
         self._contexts: dict[float, _ObjectiveContext] = {}
 
     @cached_property
-    def inputs(self) -> _FitInputs:
-        return _fit_inputs(*self._arguments)
-
-    @cached_property
     def rule_lambda(self) -> float:
-        return _ess_lambda(self.inputs.weights)
+        return _ess_lambda(self.weights)
 
     def built_from(self, logits, labels, weights, bins) -> bool:
-        """Whether the state was built from these arrays and bin count; validates its own inputs first."""
+        """Whether the state was built from these arrays and bin count."""
         same = all(a is b for a, b in zip(self._arguments, (logits, labels, weights)))
-        return self.inputs.num_bins == _num_bins(bins) and same
+        return self.num_bins == _num_bins(bins) and same
 
-    def context(self, freeze_lambda: bool) -> _ObjectiveContext:
-        lam = 1.0 if freeze_lambda else self.rule_lambda
+    def context(self, lam: float) -> _ObjectiveContext:
         if lam not in self._contexts:
-            self._contexts[lam] = _ObjectiveContext(self.inputs, lam)
+            self._contexts[lam] = _ObjectiveContext(self, lam)
         return self._contexts[lam]
 
 
@@ -513,10 +482,10 @@ def transcal_objective(
     usable mass raise DegeneracyError as in ``optimize_transcal``.
     """
     mode = EstimatorMode(mode)
-    ctx = _ObjectiveContext(_fit_inputs(logits, labels, weights, bins), float(lam))
-    if not (0.0 <= ctx.lam <= 1.0):
+    state = TransCalState(logits, labels, weights, bins)
+    if not (0.0 <= float(lam) <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    return ctx.at(TemperatureParam(float(t)).t, mode)[0]
+    return state.context(float(lam)).at(TemperatureParam(float(t)).t, mode)[0]
 
 
 def optimize_transcal(
@@ -552,7 +521,7 @@ def optimize_transcal(
         raise ValueError(
             "state was built from other inputs; build one TransCalState per fitting split"
         )
-    ctx = state.context(freeze_lambda)
+    ctx = state.context(1.0 if freeze_lambda else state.rule_lambda)
     trace: list[tuple[float, float, float]] = []
 
     def objective(t: np.ndarray) -> np.ndarray:
@@ -560,9 +529,9 @@ def optimize_transcal(
         trace.extend(zip(t.tolist(), repeat(ctx.lam), values.tolist()))
         return values
 
-    chosen_t, best_v, at_bound = _minimize_temperature(objective, ctx.batch)
+    chosen_t, best_v, at_bound = _minimize_temperature(objective, state.batch)
     objective_value, coefficients = ctx.at(chosen_t, mode)
-    raw = ctx.weights
+    raw = state.weights
     diagnostics = {
         "max_weight_raw": float(raw.max()),
         # the max of w^lambda before self-normalization, which never exceeds max(w, 1)

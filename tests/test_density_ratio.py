@@ -9,7 +9,8 @@ from shiftcal import (
     upsample_balance,
 )
 from shiftcal.bench import default_grid
-from shiftcal.density_ratio import GRADIENT_TOLERANCE, H_CLAMP
+from shiftcal.density_ratio import H_CLAMP
+from shiftcal.newton import GRADIENT_TOLERANCE
 
 
 def two_blobs(rng, n, separation=4.0, dim=3):
@@ -28,7 +29,7 @@ def regularized_gradient(clf, source, target):
     return np.append(grad_w, np.mean(p - y))
 
 
-class TestFeatureSet:
+class TestFeatureValidation:
     def test_validation(self):
         """Both entry points reject 1-d, non-finite or empty feature matrices on either side."""
         good = np.ones((3, 2))

@@ -178,6 +178,19 @@ class TestGenerate:
         c = generate(scn, 120, 60, seed=12)
         assert not np.array_equal(a.target, c.target)
 
+    def test_one_log_posterior_per_split(self, monkeypatch):
+        """Each split's labels and logits come from one log-posterior evaluation."""
+        rows = []
+        log_posterior = ShiftScenario.log_posterior
+
+        def counted(scenario, x):
+            rows.append(len(x))
+            return log_posterior(scenario, x)
+
+        monkeypatch.setattr(ShiftScenario, "log_posterior", counted)
+        generate(basic_scenario(), 100, 50, seed=3)
+        assert rows == [100, 50]
+
     def test_true_weights_are_closed_form_on_val_split(self):
         scn = basic_scenario()
         task = generate(scn, 150, 70, seed=13)

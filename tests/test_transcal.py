@@ -19,10 +19,10 @@ from shiftcal import (
     softmax_with_temperature,
     transcal_objective,
 )
-from shiftcal import transcal
+from shiftcal import bench, transcal
 from shiftcal.metrics import bin_indices
 from shiftcal.scaling import T_MAX, T_MIN, _minimize_temperature, _softmax_terms
-from shiftcal.transcal import TransCalState, _fit_inputs, _ObjectiveContext
+from shiftcal.transcal import TransCalState
 
 from oracles import kish_ess, objective_samples
 
@@ -165,7 +165,7 @@ class TestTranscalObjective:
         rng = np.random.default_rng(41)
         logits, labels, weights = sampled_task(rng, n=200, k=10)
         logits[0] *= 300.0  # a row far from zero exercises the max shift
-        ctx = _ObjectiveContext(_fit_inputs(logits, labels, weights, 15), 1.0)
+        ctx = TransCalState(logits, labels, weights, 15).context(1.0)
         for t in (0.05, 0.37, 1.0, 2.7, 100.0):
             want = softmax_with_temperature(logits, t).confidences
             assert np.array_equal(ctx.confidences(np.array([t]))[0], want)
@@ -470,10 +470,11 @@ class TestOneLambdaPerPass:
         logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
         if kish_ess(weights) < 2.0:
             with pytest.raises(DegeneracyError, match="Kish effective sample size"):
-                _fit_inputs(logits, labels, weights, 15)
+                TransCalState(logits, labels, weights, 15)
             return
-        ctx = _ObjectiveContext(_fit_inputs(logits, labels, weights, 15), lam)
-        skipped = bool(np.all(ctx.correct == ctx.correct[0]))
+        state = TransCalState(logits, labels, weights, 15)
+        ctx = state.context(lam)
+        skipped = bool(np.all(state.correct == state.correct[0]))
         assert skipped or not all_correct
 
         def close(got, want, scale=0.0):
@@ -532,7 +533,8 @@ class TestBatchedTemperatures:
             return
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(transcal, "_grid_batch", lambda footprint: size)
-            ctx = _ObjectiveContext(_fit_inputs(logits, labels, weights, bins), 1.0 if frozen else 0.6)
+            state = TransCalState(logits, labels, weights, bins)
+        ctx = state.context(1.0 if frozen else 0.6)
         rng = np.random.default_rng(seed)
         t = np.exp(rng.uniform(math.log(T_MIN), math.log(T_MAX), size))
         t[0], t[-1] = T_MIN, T_MAX
@@ -627,14 +629,27 @@ class TestSharedState:
             logits, labels, weights
         )
 
-    def test_a_state_validates_its_inputs_at_the_first_fit(self):
+    def test_a_state_validates_its_inputs_when_it_is_built(self, monkeypatch):
+        """Building a state raises what a fit without one raises, and
+        ``run_single`` builds one only when a method needs weights."""
         logits, labels, _ = sampled_task(np.random.default_rng(97), n=60, k=3)
         for weights, bins in ((np.zeros(60), 15), (None, 15), (np.ones(60), 0)):
-            state = TransCalState(logits, labels, weights, bins)  # checks nothing yet
             with pytest.raises((ValueError, DegeneracyError)) as without_state:
                 optimize_transcal(logits, labels, weights, bins=bins)
             with pytest.raises(type(without_state.value), match=re.escape(str(without_state.value))):
-                optimize_transcal(logits, labels, weights, bins=bins, state=state)
+                TransCalState(logits, labels, weights, bins)
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return TransCalState(*args)
+
+        monkeypatch.setattr(bench, "TransCalState", counted)
+        scenario = ShiftScenario.axis_aligned(dimension=2, num_classes=2, shift_magnitude=0.5)
+        bench.run_single(scenario, 200, 200, seed=0, methods=("uncalibrated", "temp", "oracle"))
+        assert built == []
+        bench.run_single(scenario, 200, 200, seed=0, methods=("uncalibrated", "transcal", "transcal-no-bias"))
+        assert len(built) == 1
 
 
 class TestRenyiDiagnostic:
