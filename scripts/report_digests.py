@@ -22,8 +22,10 @@ in-process (whichever ``shiftcal`` the import path finds) for:
 * in-process fits on the K = 3 and K = 10 source-validation splits:
   ``optimize_transcal`` in both modes, with free and frozen lambda, at 7
   and 15 bins, with the true weights and (K = 3) the half-zero weights,
-  plus ``fit_temperature_nll`` and ``fit_cpcs_temperature``; the ``repr``
-  of each result, search trace included, goes to ``fits/<name>.txt``;
+  once more with control variates on K = 3 labels set to the predicted
+  class, so that constant correctness is flagged, plus
+  ``fit_temperature_nll`` and ``fit_cpcs_temperature``; the ``repr`` of
+  each result, search trace included, goes to ``fits/<name>.txt``;
 * a list of bad inputs, each printed with its exit code and stderr.
 
 An uncaught exception is recorded as ``exit 1: <Type>: <message>``, the
@@ -154,6 +156,10 @@ def fit_runs(out: Path) -> list[str]:
         (fits / f"{name}.txt").write_text(repr(result) + "\n", encoding="utf-8")
         lines.append(f"fit {name}: {summary}")
 
+    def record_transcal(name: str, sol) -> None:
+        record(name, sol, f"t={sol.t_star.t!r} lambda={sol.lambda_star!r} "
+                          f"value={sol.objective_value!r} evaluations={len(sol.trace)}")
+
     for task, weight_files in (("k3", ("true", "half_zero")), ("k10", ("true",))):
         d = out / task
         logits = load_matrix(d / "source_val_logits.csv")
@@ -172,8 +178,11 @@ def fit_runs(out: Path) -> list[str]:
                     for freeze in (False, True):
                         sol = optimize_transcal(logits, labels, weights, mode, bins, freeze)
                         name = f"{task}-{weights_name}-bins{bins}-{mode.value}{'-frozen' if freeze else ''}"
-                        record(name, sol, f"t={sol.t_star.t!r} lambda={sol.lambda_star!r} "
-                                          f"value={sol.objective_value!r} evaluations={len(sol.trace)}")
+                        record_transcal(name, sol)
+        if task == "k3":
+            all_correct = np.argmax(logits, axis=1)
+            record_transcal("k3-true-bins15-cv_serial-all-correct",
+                            optimize_transcal(logits, all_correct, true_weights))
     return lines
 
 

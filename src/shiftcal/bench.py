@@ -47,7 +47,7 @@ from .scaling import (
     softmax_with_temperature,
 )
 from .synthshift import GeneratedTask, ShiftScenario, generate
-from .transcal import EstimatorMode, TransCalState, optimize_transcal, renyi_diagnostic
+from .transcal import EstimatorMode, TransCalState, optimize_transcal
 
 __all__ = [
     "ALL_METHODS",
@@ -205,13 +205,13 @@ def run_single(
         classifier, weights = estimate_task_weights(
             task.source_train, task.target, task.source_val, seed
         )
+        state = TransCalState(task.source_val_logits, task.source_val_labels, weights, bins)
         record["weights"] = {
             "max": float(weights.max()),
             "mean": float(weights.mean()),
-            "renyi_2": renyi_diagnostic(weights, 1.0),
+            "renyi_2": state.renyi_raw["1.0"],
             "classifier_converged": bool(classifier.converged),
         }
-        state = TransCalState(task.source_val_logits, task.source_val_labels, weights, bins)
     record["methods"] = {m: _fit_entry(m, task, weights, bins, state) for m in methods}
     return record
 

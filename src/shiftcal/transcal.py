@@ -1,48 +1,46 @@
 """Importance-weighted calibration-error estimation and temperature search.
 
-The estimator family shares one structure: per-sample contributions u_i to
-the weighted calibration error, optionally corrected by control variates
-with known expectations. Two variates are available, the transformed
-importance weights (expectation 1 under the source marginal) and the
-correctness indicator (expectation equal to the mean confidence when the
-model is calibrated). They are applied serially: the second stage adjusts
-the residuals of the first.
+Per-sample contributions u_i to the weighted calibration error are
+optionally corrected by control variates with known expectations: the
+paper's ``serial_control_variate`` regresses out the importance weights
+(mean 1 under the source) and then the correctness indicator (mean equal
+to the mean confidence when the model is calibrated).
 
-The weights are flattened to w^lambda and self-normalized to mean one,
-w~ = w^lambda / mean(w^lambda) (the self-normalized importance-sampling
-estimator; Owen, *Monte Carlo theory, methods and examples*, ch. 9), so
-a fit does not depend on the weights' overall scale. Lambda is fixed from
-the weights alone before the temperature search: ``_ess_lambda`` takes the
+The search flattens the weights to w^lambda, keeping zero weights at
+zero, and self-normalizes them, w~ = w^lambda / mean(w^lambda) (Owen,
+*Monte Carlo theory, methods and examples*, ch. 8-9), so a fit does not
+depend on the weights' scale. Self-normalization is the ratio estimator
+that uses the weights' known mean, so it is the weight variate: a weight
+stage would add eta * (mean w~ - 1), 0 to rounding. The search's
+``CV_SERIAL`` thus regresses out correctness alone. Lambda is fixed from
+the weights before the temperature search: ``_ess_lambda`` takes the
 largest lambda on an 11-point grid over [0, 1] whose flattened weights
 keep a Kish effective sample size (sum w^lambda)^2 / sum w^(2 lambda) of
-at least n / 2, that is mean(w~^2) <= 2: the weights may at most double
-the variance of an unweighted mean (the d_2 term of Cortes, Mansour &
-Mohri, NeurIPS 2010, "Learning bounds for importance weighting"). The
-temperature is then searched at that one lambda by
-``scaling._minimize_temperature``, the engine every temperature fit
-shares; the objective is piecewise smooth at best (argmax, binning,
+at least m / 2, with m the count of nonzero weights, that is
+mean(w~^2) <= 2 n / m: the weights may at most double the variance of an
+unweighted mean over the samples they keep (the d_2 term of Cortes,
+Mansour & Mohri, NeurIPS 2010). The temperature is then searched at that
+lambda by ``scaling._minimize_temperature``, the engine every temperature
+fit shares; the objective is piecewise smooth at best (argmax, binning,
 absolute values), so the search is derivative-free.
 
 Each pass scores a batch of B temperatures, the batch
 ``scaling._minimize_temperature`` hands the objective. A contribution is
 u_i = w~_i * gap_m for the sample's confidence bin m, so every sum the
-estimate and both corrections need is a per-bin sum times gap_m. A pass
+estimate and the correction need is a per-bin sum times gap_m. A pass
 therefore reduces the samples once, with ``bincount`` over bin indices
-offset by temperature, to four per-bin sums: S1, S2 and S3 of w~,
-w~ * correctness and w~ * confidence, which give gap_m = |S2/S1 - S3/S1|,
-and S4 of w~ * (w~ - mean w~). Everything after that works on (B, bins)
-arrays (see ``_ObjectiveContext.estimates``). Everything that does not
-depend on t is computed once per fit: w~ and its products, both
-variates' moments and the cross sum of w~ - 1 with centred correctness.
-The batch changes no value: elementwise operations do not depend on
-position, every reduction runs over the last axis, and ``bincount`` adds
-each bin's samples in sample order whatever its offset.
+offset by temperature, to three per-bin sums S1, S2 and S3 of w~,
+w~ * correctness and w~ * confidence, which give gap_m = |S2/S1 - S3/S1|.
+Everything after that works on (B, bins) arrays (see
+``_ObjectiveContext.estimates``); what does not depend on t is computed
+once per fit. The batch changes no value: elementwise operations do
+not depend on position, every reduction runs over the last axis, and
+``bincount`` adds each bin's samples in sample order whatever its offset.
 
 S1 to S3, and so the gaps, are the sums ``metrics._bin_statistics``
-forms. The estimates and covariances are sums over bins of those sums,
-where a sample-level evaluation sums over samples, so they agree with
-``apply_control_variate`` and ``serial_control_variate``, the
-sample-level references, to rounding, not bit for bit.
+forms. The estimate and covariance are sums over bins of those sums,
+where ``apply_control_variate`` on the self-normalized samples, the
+sample-level reference, sums over samples, so the two agree to rounding.
 
 A ``TransCalState`` validates one fitting split when it is built and
 holds one context per lambda, each with a memo of every scored
@@ -94,8 +92,9 @@ __all__ = [
 class EstimatorMode(enum.Enum):
     """Variance reduction for the weighted-error estimate.
 
-    ``PLAIN_IWECE`` uses no control variates; ``CV_SERIAL`` applies the
-    weight variate, then the correctness variate to its residuals.
+    ``PLAIN_IWECE`` uses no control variates. ``CV_SERIAL`` is the paper's
+    serial correction; on self-normalized weights, which make the weight
+    variate void, it regresses out correctness alone.
     """
 
     PLAIN_IWECE = "plain_iwece"
@@ -106,8 +105,9 @@ class EstimatorMode(enum.Enum):
 class ControlVariateCoefficients:
     """Fitted control-variate coefficients and the moments behind them.
 
-    ``eta2`` and the t2 moments are None for single-variate corrections.
-    ``flags`` records degeneracies (constant variates).
+    A single-variate correction, such as the transcal search's correctness
+    variate, fills the t1 fields, and ``eta2`` and the t2 moments stay
+    None. ``flags`` records degeneracies (constant variates).
     """
 
     eta1: float
@@ -150,10 +150,9 @@ class TransCalSolution:
 
 
 class _Variate(NamedTuple):
-    """Samples of a control variate t and the moments every adjustment reuses:
-    their mean, the samples minus it, and the mean square of those."""
+    """What every adjustment reuses of a control variate's samples t: their
+    mean, the samples minus it, and the mean square of those."""
 
-    t: np.ndarray
     mean: float
     centred: np.ndarray
     var: float
@@ -167,7 +166,7 @@ def _mean(x: np.ndarray) -> np.ndarray:
 def _variate(t: np.ndarray) -> _Variate:
     mean = _mean(t)
     centred = t - mean
-    return _Variate(t, mean, centred, _mean(centred * centred))
+    return _Variate(mean, centred, _mean(centred * centred))
 
 
 def _stage(mean, cov, variate: _Variate, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -198,20 +197,13 @@ def _adjust(u: np.ndarray, variate: _Variate, tau) -> tuple[float, float, float]
     return estimate, eta, cov
 
 
-def _serial_coefficients(
-    weights: _Variate, correctness: _Variate, eta1, cov1, eta2, cov2
-) -> ControlVariateCoefficients:
-    var1, var2 = float(weights.var), float(correctness.var)
-    skipped = var2 == 0.0
+def _coefficients(eta, cov, var) -> ControlVariateCoefficients:
+    """The coefficients of one correction stage, flagged when its variate is constant."""
     return ControlVariateCoefficients(
-        eta1=float(eta1),
-        eta2=None if skipped else float(eta2),
-        cov_u_t1=float(cov1),
-        var_t1=var1,
-        cov_u_t2=float(cov2),
-        var_t2=var2,
-        flags=(("constant_variate",) if var1 == 0.0 else ())
-        + (("constant_correctness",) if skipped else ()),
+        eta1=float(eta),
+        cov_u_t1=float(cov),
+        var_t1=float(var),
+        flags=("constant_variate",) if var == 0.0 else (),
     )
 
 
@@ -246,14 +238,7 @@ def apply_control_variate(
     tau = _check_tau(tau)
     variate = _variate(t)
     estimate, eta, cov = _adjust(u, variate, tau)
-    var = float(variate.var)
-    coeffs = ControlVariateCoefficients(
-        eta1=float(eta),
-        cov_u_t1=float(cov),
-        var_t1=var,
-        flags=("constant_variate",) if var == 0.0 else (),
-    )
-    return float(estimate), u + eta * (t - tau), coeffs
+    return float(estimate), u + eta * (t - tau), _coefficients(eta, cov, variate.var)
 
 
 def serial_control_variate(
@@ -269,9 +254,10 @@ def serial_control_variate(
     with the correctness indicator against ``mean_confidence``, the value
     correctness would average to under perfect calibration. Constant
     correctness (all right or all wrong) skips stage two with a flag.
-    ``weights`` is a 1-d array of the (possibly flattened and
-    self-normalized) weights, one per sample. This is the sample-level
-    reference for the transcal search's ``CV_SERIAL`` estimates.
+    ``weights`` is a 1-d array of raw weights, one per sample. This is
+    the paper's estimator; the transcal search, whose self-normalized
+    weights have mean one exactly, skips stage one and applies
+    ``apply_control_variate`` with correctness to its samples.
     """
     u, w = _check_samples(u_samples, weights)
     _, r = _check_samples(u, correctness)
@@ -279,9 +265,17 @@ def serial_control_variate(
     weight_variate, correct_variate = _variate(w), _variate(r)
     est1, eta1, cov1 = _adjust(u, weight_variate, 1.0)
     est2, eta2, cov2 = _adjust(u + eta1 * (w - 1.0), correct_variate, tau)
-    estimate = est1 if correct_variate.var == 0.0 else est2
-    return float(estimate), _serial_coefficients(
-        weight_variate, correct_variate, eta1, cov1, eta2, cov2
+    var1, var2 = float(weight_variate.var), float(correct_variate.var)
+    skipped = var2 == 0.0
+    return float(est1 if skipped else est2), ControlVariateCoefficients(
+        eta1=float(eta1),
+        eta2=None if skipped else float(eta2),
+        cov_u_t1=float(cov1),
+        var_t1=var1,
+        cov_u_t2=float(cov2),
+        var_t2=var2,
+        flags=(("constant_variate",) if var1 == 0.0 else ())
+        + (("constant_correctness",) if skipped else ()),
     )
 
 
@@ -290,21 +284,24 @@ _LAMBDAS = tuple(np.linspace(0.0, 1.0, 11).tolist())
 
 def _normalized_power(weights: np.ndarray, lam: float) -> np.ndarray:
     """w^lam divided by its mean, from w / max(w): the power never overflows, and
-    weights scaled by a power of two give the same values, bit for bit."""
-    flat = np.power(weights / weights.max(), lam)
+    weights scaled by a power of two give the same values, bit for bit. Zero
+    weights stay zero at every lambda, 0 included."""
+    flat = np.power(weights / weights.max(), lam, where=weights > 0.0, out=np.zeros(weights.shape))
     return flat / _mean(flat)
 
 
 def _ess_lambda(weights: np.ndarray) -> float:
     """The largest lambda in linspace(0, 1, 11) whose flattened weights w^lambda
-    keep a Kish effective sample size of at least n / 2.
+    keep a Kish effective sample size of at least m / 2, with m the count of
+    nonzero weights.
 
     The Kish ESS of w^lambda is (sum w^lambda)^2 / sum w^(2 lambda), so the
-    condition is mean(w~^2) <= 2 for the self-normalized weights w~.
-    Lambda = 0 always qualifies, with ESS = n.
+    condition is mean(w~^2) <= 2 n / m for the self-normalized weights w~.
+    Lambda = 0 always qualifies, with ESS = m.
     """
+    bound = 2.0 * weights.shape[0] / np.count_nonzero(weights)
     return next(
-        lam for lam in reversed(_LAMBDAS) if _mean(np.square(_normalized_power(weights, lam))) <= 2.0
+        lam for lam in reversed(_LAMBDAS) if _mean(np.square(_normalized_power(weights, lam))) <= bound
     )
 
 
@@ -316,15 +313,14 @@ def _holds(entry: tuple | None, cv: bool) -> bool:
 class _ObjectiveContext:
     """Everything a fit's evaluations at one lambda share, on its state's split.
 
-    The weight variate's samples are the self-normalized weights w~ of
-    ``lam``; ``terms`` holds w~, w~ * correct and w~ * (w~ - mean w~), the
-    per-sample terms of S1, S2 and S4, and ``estimates`` says how the
-    per-bin sums give a batch of temperatures' estimates.
+    ``terms`` holds the self-normalized weights w~ of ``lam`` and
+    w~ * correct, the per-sample terms of S1 and S2, and ``estimates`` says
+    how the per-bin sums give a batch of temperatures' estimates.
 
     ``memo`` maps each scored temperature to ``(arrays, b)``: entry b of
     every (B,) array of the pass that scored it. ``arrays`` holds the plain
     estimates, and after a ``CV_SERIAL`` pass also the corrected estimates
-    and the (eta, Cov) of both correction stages; a ``CV_SERIAL`` pass
+    and the correctness variate's eta and Cov; a ``CV_SERIAL`` pass
     replaces a plain entry.
     """
 
@@ -332,9 +328,8 @@ class _ObjectiveContext:
         # the state's arrays, not the state, so that the two form no reference cycle
         self.logits, self.rowmax, self.num_bins = state.logits, state.rowmax, state.num_bins
         self.correct_variate, self.lam = state.correct_variate, lam
-        weights = self.weight_variate = _variate(_normalized_power(state.weights, lam))
-        self.terms = (weights.t, weights.t * state.correct, weights.t * weights.centred)
-        self.cross = ((weights.t - 1.0) * state.correct_variate.centred).sum()
+        weights = _normalized_power(state.weights, lam)
+        self.terms = (weights, weights * state.correct)
         self.memo: dict[float, tuple[tuple[np.ndarray, ...], int]] = {}
 
     def confidences(self, t: np.ndarray) -> np.ndarray:
@@ -352,16 +347,15 @@ class _ObjectiveContext:
 
         A sample in confidence bin m contributes u_i = w~_i * gap_m, with
         gap_m = |A_m - C_m| the gap between the bin's w~-weighted accuracy
-        and mean confidence, so the per-bin sums S1, S2, S3 and S4 of w~,
-        w~ * r, w~ * conf and w~ * (w~ - mean w~), with r the correctness,
-        give:
+        and mean confidence, so the per-bin sums S1, S2 and S3 of w~,
+        w~ * r and w~ * conf, with r the correctness, give:
 
         - plain = sum_m gap_m * S1_m / n, the binned importance-weighted
           calibration error with mass convention 1/n;
-        - Cov(u, w~) = sum_m gap_m * S4_m / n, and stage one's estimate;
-        - Cov(stage-one residuals, r) = (sum_m gap_m * (S2_m - mean r * S1_m)
-          + eta1 * ``cross``) / n, and stage two's estimate, which is stage
-          one's when correctness is constant.
+        - Cov(u, r) = sum_m gap_m * (S2_m - mean r * S1_m) / n, and the
+          correctness variate's estimate against the mean confidence,
+          which is the plain one when correctness is constant. It is the
+          only variate: self-normalization is the weight variate.
 
         Offsetting the bin indices of temperature b by b * bins puts every
         temperature's bins into one ``bincount`` per sum; a bin of
@@ -373,11 +367,9 @@ class _ObjectiveContext:
         shape = (size, self.num_bins)
         offsets = np.arange(size)[:, None] * self.num_bins
         flat = (bin_indices(conf, self.num_bins) + offsets).ravel()
-        mass_term, correct_term, spread_term = self.terms
-        terms = [np.tile(mass_term, size), np.tile(correct_term, size), (mass_term * conf).ravel()]
-        if cv:
-            terms.append(np.tile(spread_term, size))
-        mass, correct_sum, conf_sum, *spread = (
+        mass_term, correct_term = self.terms
+        terms = (np.tile(mass_term, size), np.tile(correct_term, size), (mass_term * conf).ravel())
+        mass, correct_sum, conf_sum = (
             sums.reshape(shape) for sums in _bin_sums(flat, math.prod(shape), *terms)
         )
         occupied = mass > 0.0
@@ -387,13 +379,10 @@ class _ObjectiveContext:
         plain = (gap * mass).sum(axis=-1) / n
         if not cv:
             return plain, None, plain
-        cov1 = (gap * spread[0]).sum(axis=-1) / n
-        est1, eta1 = _stage(plain, cov1, self.weight_variate, 1.0)
         correctness = self.correct_variate
-        residual_cov = (gap * (correct_sum - correctness.mean * mass)).sum(axis=-1)
-        cov2 = (residual_cov + eta1 * self.cross) / n
-        values, eta2 = _stage(est1, cov2, correctness, _mean(conf))
-        return values, (eta1, cov1, eta2, cov2), plain
+        cov = (gap * (correct_sum - correctness.mean * mass)).sum(axis=-1) / n
+        values, eta = _stage(plain, cov, correctness, _mean(conf))
+        return values, (eta, cov), plain
 
     def scores(self, t: np.ndarray, mode: EstimatorMode) -> np.ndarray:
         """The mode's estimate at each temperature in ``t``.
@@ -420,16 +409,16 @@ class _ObjectiveContext:
         arrays, b = self.memo[t]
         if mode is EstimatorMode.PLAIN_IWECE:
             return float(arrays[0][b]), None
-        return float(arrays[1][b]), _serial_coefficients(
-            self.weight_variate, self.correct_variate, *(m[b] for m in arrays[2:])
-        )
+        _, values, eta, cov = arrays
+        return float(values[b]), _coefficients(eta[b], cov[b], self.correct_variate.var)
 
 
 class TransCalState:
     """One fitting split and the scores the transcal fits on it share.
 
     Building a state validates the split and raises what a fit without one
-    would. It keeps the checked arrays, the engine's grid batch and one
+    would. It keeps the checked arrays, the engine's grid batch, the raw
+    weights' facts every fit reports (computed once, at first use) and one
     ``_ObjectiveContext`` per lambda, built at its first use: lambda = 1 for
     the frozen fits, the ``_ess_lambda`` rule's for the others. Pass it to
     ``optimize_transcal`` as ``state`` with the very arrays and bins it was
@@ -453,6 +442,15 @@ class TransCalState:
     @cached_property
     def rule_lambda(self) -> float:
         return _ess_lambda(self.weights)
+
+    @cached_property
+    def max_weight_raw(self) -> float:
+        return float(self.weights.max())
+
+    @cached_property
+    def renyi_raw(self) -> dict[str, float]:
+        """``renyi_diagnostic`` of the raw weights at alpha = 0.5, 1 and 2, keyed by alpha."""
+        return {str(a): renyi_diagnostic(self.weights, a) for a in (0.5, 1.0, 2.0)}
 
     def built_from(self, logits, labels, weights, bins) -> bool:
         """Whether the state was built from these arrays and bin count."""
@@ -531,12 +529,11 @@ def optimize_transcal(
 
     chosen_t, best_v, at_bound = _minimize_temperature(objective, state.batch)
     objective_value, coefficients = ctx.at(chosen_t, mode)
-    raw = state.weights
     diagnostics = {
-        "max_weight_raw": float(raw.max()),
+        "max_weight_raw": state.max_weight_raw,
         # the max of w^lambda before self-normalization, which never exceeds max(w, 1)
-        "max_weight_transformed": float(np.power(raw, ctx.lam).max()),
-        "renyi_raw": {str(a): renyi_diagnostic(raw, a) for a in (0.5, 1.0, 2.0)},
+        "max_weight_transformed": float(np.power(state.weights, ctx.lam).max()),
+        "renyi_raw": dict(state.renyi_raw),
         "grid_evaluations": _GRID_SIZE,
         "total_evaluations": len(trace),
         "refined": best_v < min(v for _, _, v in trace[:_GRID_SIZE]),

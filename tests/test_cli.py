@@ -50,7 +50,7 @@ def read_json(path):
 class TestGenSynth:
     def test_file_set_and_manifest(self, task_dir):
         manifest = read_json(task_dir / "manifest.json")
-        assert manifest["schema_version"] == 2
+        assert manifest["schema_version"] == 3
         assert manifest["kind"] == "synthetic_task"
         assert manifest["n_source_train"] == 480
         assert manifest["n_source_val"] == 120

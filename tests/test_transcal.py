@@ -39,9 +39,10 @@ def sampled_task(rng, n=300, k=4, t_true=2.0):
 
 
 def normalized_power(weights, lam):
-    """w^lam over its mean, formed as the package does: from w / max(w)."""
+    """w^lam over its mean, formed as the package does: from w / max(w), with
+    zero weights kept at zero for every lambda."""
     w = np.asarray(weights, dtype=np.float64)
-    flat = np.power(w / w.max(), lam)
+    flat = np.power(w / w.max(), lam, where=w > 0.0, out=np.zeros(w.shape))
     return flat / flat.mean()
 
 
@@ -141,12 +142,12 @@ class TestTranscalObjective:
             )
             assert abs(got - u.mean()) < 1e-12
 
-    def test_serial_mode_matches_manual_two_stage(self):
+    def test_serial_mode_matches_the_correctness_correction(self):
         rng = np.random.default_rng(23)
         logits, labels, weights = sampled_task(rng, n=200)
         t, lam = 1.4, 0.6
-        u, wl, conf, correct = oracle_u(logits, labels, weights, t, lam)
-        want, _ = serial_control_variate(u, wl, correct, float(conf.mean()))
+        u, _, conf, correct = oracle_u(logits, labels, weights, t, lam)
+        want, _, _ = apply_control_variate(u, correct, float(conf.mean()))
         got = transcal_objective(logits, labels, weights, t, lam, mode="cv_serial")
         assert abs(got - want) < 1e-12
 
@@ -179,20 +180,20 @@ class TestTranscalObjective:
 
     def test_bins_of_zero_weight_samples_contribute_nothing(self):
         """A bin holding only zero-weight samples has no accuracy or confidence;
-        its samples get u = 0, so the estimate stays finite (pinned values)."""
+        its samples get u = 0, so the estimate stays finite (pinned values).
+        Zero weights stay zero at lambda = 0 too."""
         rng = np.random.default_rng(1)
         logits, labels, weights = sampled_task(rng)
         weights[::2] = 0.0
         pinned = {
-            (1.0, 1.0): 0.17824324777580383,
-            (0.3, 0.5): 0.3274274692956447,
-            (5.0, 0.0): 0.1526645875992837,  # 0 ** 0 = 1: no zero weights at lambda = 0
+            (1.0, 1.0): 0.18722127949017237,
+            (0.3, 0.5): 0.35434241742296935,
+            (5.0, 0.0): 0.1813558430949718,
         }
         for (t, lam), want in pinned.items():
-            if lam > 0.0:
-                idx = bin_indices(softmax_with_temperature(logits, t).confidences)
-                mass = np.bincount(idx, weights=weights, minlength=15)
-                assert np.any((np.bincount(idx, minlength=15) > 0) & (mass == 0.0))
+            idx = bin_indices(softmax_with_temperature(logits, t).confidences)
+            mass = np.bincount(idx, weights=weights, minlength=15)
+            assert np.any((np.bincount(idx, minlength=15) > 0) & (mass == 0.0))
             assert transcal_objective(logits, labels, weights, t, lam) == want
 
     @pytest.mark.parametrize(
@@ -292,17 +293,22 @@ class TestOptimizeTranscal:
             )[0]
             assert sol.t_star.t == want
 
+    @pytest.mark.parametrize("zero_every_other", [False, True])
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.8, 1.2, 2.0, 3.0])
-    def test_lambda_star_is_the_largest_lambda_keeping_half_the_sample(self, sigma):
+    def test_lambda_star_is_the_largest_lambda_keeping_half_the_sample(self, sigma, zero_every_other):
         """Brute force of the rule: the largest lambda on the 11-point grid
-        whose w^lambda keeps a Kish ESS of at least n / 2, whatever the mode
+        whose w^lambda, zero weights kept at zero, keeps a Kish ESS of at
+        least m / 2, with m the count of nonzero weights, whatever the mode
         or temperature; the frozen fit keeps 1."""
         logits, labels, _ = sampled_task(np.random.default_rng(73), n=300)
         weights = np.random.default_rng(74).lognormal(0.0, sigma, size=300)
+        if zero_every_other:
+            weights[::2] = 0.0
+        nonzero = weights > 0.0
         want = 0.0
         for lam in np.linspace(0.0, 1.0, 11).tolist():
-            flat = np.power(weights, lam)
-            if flat.sum() ** 2 / np.dot(flat, flat) >= 300 / 2:
+            flat = np.power(weights[nonzero], lam)
+            if flat.sum() ** 2 / np.dot(flat, flat) >= nonzero.sum() / 2:
                 want = lam
         for mode in EstimatorMode:
             assert optimize_transcal(logits, labels, weights, mode=mode).lambda_star == want
@@ -317,6 +323,8 @@ class TestOptimizeTranscal:
         weights = np.r_[25.0, 25.0, np.ones(8)]
         assert kish_ess(weights) < 5.0 <= kish_ess(np.sqrt(weights))
         assert optimize_transcal(logits, labels, weights).lambda_star == 0.5
+        # half the weights 0 and the rest equal: ESS = m = n / 2 at every lambda
+        assert optimize_transcal(logits, labels, np.r_[np.zeros(5), np.full(5, 3.0)]).lambda_star == 1.0
 
     def test_confidences_computed_once_per_temperature(self, monkeypatch):
         rng = np.random.default_rng(79)
@@ -456,17 +464,14 @@ class TestOneLambdaPerPass:
         self, seed, n, k, zero_every_other, all_correct, t, lam
     ):
         """A one-lambda context's estimates are the sample-level ones on that
-        lambda's self-normalized oracle samples: their mean, and
-        ``serial_control_variate`` with its coefficients, which for constant
-        correctness is ``apply_control_variate``'s stage one. Per-bin sums
-        round differently from per-sample ones, so values agree to a
-        relative 1e-12. A covariance near 0 is a sum of larger products
-        u_i * (t_i - mean t), so it is held to 1e-12 of their
-        Cauchy-Schwarz bound rms(u) * sd(t), summed over the terms of
-        Cov(u + eta1 * (w - 1), r) at stage two, and eta = -Cov / Var to
-        that bound over Var. Lambda = 0's constant weight variate,
-        all-correct labels skipping stage two and the zero coefficients
-        they imply are exact."""
+        lambda's self-normalized oracle samples u: their mean, and
+        ``apply_control_variate`` of u with correctness against the mean
+        confidence, with its coefficients. Per-bin sums round differently
+        from per-sample ones, so values agree to a relative 1e-12. A
+        covariance near 0 is a sum of larger products u_i * (r_i - mean r),
+        so it is held to 1e-12 of their Cauchy-Schwarz bound rms(u) * sd(r),
+        and eta = -Cov / Var to that bound over Var. All-correct labels, a
+        constant variate, and the zero coefficient they imply are exact."""
         logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
         if kish_ess(weights) < 2.0:
             with pytest.raises(DegeneracyError, match="Kish effective sample size"):
@@ -474,38 +479,49 @@ class TestOneLambdaPerPass:
             return
         state = TransCalState(logits, labels, weights, 15)
         ctx = state.context(lam)
-        skipped = bool(np.all(state.correct == state.correct[0]))
-        assert skipped or not all_correct
+        constant = bool(np.all(state.correct == state.correct[0]))
+        assert constant or not all_correct
 
         def close(got, want, scale=0.0):
             return got == want or abs(got - want) <= 1e-12 * max(abs(want), scale)
 
-        def rms(x):
-            return math.sqrt(np.mean(np.square(x)))
-
         u, wl, conf, correct = oracle_u(logits, labels, weights, t, lam)
-        assert np.array_equal(ctx.weight_variate.t, wl)
-        want, coeffs = serial_control_variate(u, wl, correct, float(conf.mean()))
+        assert np.array_equal(ctx.terms[0], wl)
+        want, _, coeffs = apply_control_variate(u, correct, float(conf.mean()))
         plain, no_coeffs = ctx.at(t, EstimatorMode.PLAIN_IWECE)
         value, got = ctx.at(t, EstimatorMode.CV_SERIAL)
         assert no_coeffs is None and close(plain, u.mean())
         assert close(value, want)
-        assert (got.var_t1, got.var_t2) == (coeffs.var_t1, coeffs.var_t2)
-        bound1 = rms(u) * wl.std()
-        assert close(got.cov_u_t1, coeffs.cov_u_t1, bound1)
-        assert close(got.eta1, coeffs.eta1, bound1 / (coeffs.var_t1 or 1.0))
-        assert got.flags == coeffs.flags
-        assert ("constant_variate" in got.flags) == bool(np.all(wl == wl[0]))
-        assert ("constant_correctness" in got.flags) == skipped
-        if lam == 0.0:
-            assert "constant_variate" in got.flags and got.eta1 == 0.0
-        if skipped:
-            assert got.eta2 is None and coeffs.eta2 is None and got.cov_u_t2 == 0.0
-            assert close(value, apply_control_variate(u, wl, 1.0)[0])
-        else:
-            bound2 = (rms(u) + abs(coeffs.eta1) * rms(wl - 1.0)) * correct.std()
-            assert close(got.cov_u_t2, coeffs.cov_u_t2, bound2)
-            assert close(got.eta2, coeffs.eta2, bound2 / coeffs.var_t2)
+        assert got.var_t1 == coeffs.var_t1
+        bound = math.sqrt(np.mean(np.square(u))) * correct.std()
+        assert close(got.cov_u_t1, coeffs.cov_u_t1, bound)
+        assert close(got.eta1, coeffs.eta1, bound / (coeffs.var_t1 or 1.0))
+        assert got.eta2 is got.cov_u_t2 is got.var_t2 is None
+        assert got.flags == coeffs.flags == (("constant_variate",) if constant else ())
+        if constant:
+            assert got.eta1 == got.cov_u_t1 == 0.0 and value == plain
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        sigma=st.floats(0.1, 3.0),
+        lam=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+    )
+    def test_self_normalization_voids_the_weight_stage(self, seed, n, sigma, lam):
+        """Why the search has no weight stage: on self-normalized positive
+        weights w~, ``serial_control_variate``'s stage one (its estimate
+        when constant correctness skips stage two) adds eta1 * (mean w~ - 1)
+        to mean(u), and mean w~ is 1 to rounding. eta1 grows as 1 / sd(w~),
+        so lambda * sigma stays at least 0.005 unless lambda = 0, where w~ is
+        constant and eta1 = 0: w^lambda that are equal to rounding would make
+        eta1 times a rounding error as large as mean(u)."""
+        rng = np.random.default_rng(seed)
+        wl = normalized_power(rng.lognormal(0.0, sigma, size=n), lam)
+        u = wl * rng.uniform(size=n)
+        stage_one, coeffs = serial_control_variate(u, wl, np.ones(n), 0.5)
+        assert "constant_correctness" in coeffs.flags
+        assert abs(stage_one - u.mean()) <= 1e-12 * abs(u.mean())
 
 
 class TestBatchedTemperatures:
@@ -531,10 +547,7 @@ class TestBatchedTemperatures:
         logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
         if raises_below_two_samples(logits, labels, weights, bins=bins):
             return
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(transcal, "_grid_batch", lambda footprint: size)
-            state = TransCalState(logits, labels, weights, bins)
-        ctx = state.context(1.0 if frozen else 0.6)
+        ctx = TransCalState(logits, labels, weights, bins).context(1.0 if frozen else 0.6)
         rng = np.random.default_rng(seed)
         t = np.exp(rng.uniform(math.log(T_MIN), math.log(T_MAX), size))
         t[0], t[-1] = T_MIN, T_MAX
@@ -543,8 +556,11 @@ class TestBatchedTemperatures:
             singles = [ctx.estimates(t[i : i + 1], mode) for i in range(size)]
             assert np.array_equal(values, np.concatenate([v for v, _, _ in singles]))
             assert np.array_equal(plain, np.concatenate([p for _, _, p in singles]))
-            for j, batched in enumerate(moments or ()):
-                assert np.array_equal(batched, np.concatenate([m[j] for _, m, _ in singles]))
+            if mode is EstimatorMode.CV_SERIAL:
+                for j in range(2):  # eta and Cov of the correctness variate
+                    assert np.array_equal(moments[j], np.concatenate([m[j] for _, m, _ in singles]))
+            else:
+                assert moments is None and all(m is None for _, m, _ in singles)
 
     @settings(derandomize=True, max_examples=6, deadline=None)
     @given(
