@@ -24,8 +24,10 @@ in-process (whichever ``shiftcal`` the import path finds) for:
   and 15 bins, with the true weights and (K = 3) the half-zero weights,
   once more with control variates on K = 3 labels set to the predicted
   class, so that constant correctness is flagged, plus
-  ``fit_temperature_nll`` and ``fit_cpcs_temperature``; the ``repr`` of
-  each result, search trace included, goes to ``fits/<name>.txt``;
+  ``fit_temperature_nll`` and ``fit_cpcs_temperature``, and (K = 3)
+  ``fit_temperature_nll`` on those all-correct labels and on rows of tied
+  logits; the ``repr`` of each result, search trace included, goes to
+  ``fits/<name>.txt``;
 * a list of bad inputs, each printed with its exit code and stderr.
 
 An uncaught exception is recorded as ``exit 1: <Type>: <message>``, the
@@ -183,6 +185,11 @@ def fit_runs(out: Path) -> list[str]:
             all_correct = np.argmax(logits, axis=1)
             record_transcal("k3-true-bins15-cv_serial-all-correct",
                             optimize_transcal(logits, all_correct, true_weights))
+            # minima beyond a bound: all-correct labels, and rows of tied logits
+            tied = np.repeat(logits[:, :1], logits.shape[1], axis=1)
+            for name, fit in (("nll-all-correct", fit_temperature_nll(logits, all_correct)),
+                              ("nll-tied-rows", fit_temperature_nll(tied, labels))):
+                record(f"k3-{name}", fit, f"t={fit.t!r} degenerate={fit.degenerate!r}")
     return lines
 
 

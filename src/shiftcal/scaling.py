@@ -1,10 +1,17 @@
 """Post-hoc calibration maps fitted on held-out logits.
 
-Every temperature fit (``temp``, ``cpcs``, ``oracle`` and the transcal
-variants) runs one search engine, ``_minimize_temperature``, on log t over
-[T_MIN, T_MAX]: a 50-point log-spaced grid brackets the optimum,
-golden-section search refines it to SEARCH_TOL in t, and the returned
-temperature is never worse than any grid point.
+The plain NLL temperature (``temp`` and ``oracle``) is the root of a
+monotone slope: the mean NLL of softmax(logits / t) is convex in 1 / t, so
+``fit_temperature_nll`` runs a bracketed Newton iteration on 1 / t that
+needs a handful of passes over the rows, each on the logits minus their
+row maxima.
+
+The weighted temperature fits (``cpcs`` and the transcal variants) run one
+search engine, ``_minimize_temperature``, on log t over [T_MIN, T_MAX]: a
+50-point log-spaced grid brackets the optimum, golden-section search
+refines it to SEARCH_TOL in t, and the returned temperature is never worse
+than any grid point. Their objectives need not be smooth (transcal bins
+its confidences), so the search is derivative-free.
 
 An objective maps a 1-d array of temperatures to a 1-d array of values.
 The engine evaluates the grid in consecutive slices of ``batch``
@@ -20,9 +27,8 @@ order whatever the leading axes.
 
 An objective evaluation does only the work that depends on t. Inputs are
 validated and the logits' row maxima computed once per fit; every
-temperature path shifts its softmax by ``rowmax / t`` (see
-``_softmax_terms``). The NLL and Brier objectives build no
-``ProbabilitySet``, and the NLL one normalizes only the label column.
+objective shifts its softmax by ``rowmax / t`` (see
+``_softmax_terms``). The Brier objective builds no ``ProbabilitySet``.
 Softmax and Brier row sums over fewer than 16 classes are column adds in
 numpy's own order, sequential below 8 classes and pairwise from 8 on
 (``metrics._row_sums``). The transcal objective scores its one lambda in
@@ -49,7 +55,6 @@ from .errors import DegeneracyError
 from .metrics import (
     ProbabilitySet,
     _brier_rows,
-    _nll_sum,
     _row_sums,
     check_array,
     check_labels,
@@ -77,6 +82,12 @@ SEARCH_TOL = 1e-4
 _GRID_SIZE = 50
 # float64 elements per grid batch: about 256 KiB, so a batch stays in cache
 _BATCH_ELEMENTS = 2**15
+# the NLL fit solves for beta = 1 / t in [_BETA_MIN, _BETA_MAX]; it stops once a step
+# moves beta by at most _BETA_RTOL of it, or after _MAX_PASSES passes over the rows
+# (bisection alone narrows the whole bracket that far in about 30)
+_BETA_MIN, _BETA_MAX = 1.0 / T_MAX, 1.0 / T_MIN
+_BETA_RTOL = 1e-8
+_MAX_PASSES = 100
 
 
 @dataclass
@@ -229,27 +240,92 @@ def _minimize_temperature(objective, batch: int) -> tuple[float, float, bool]:
     return float(best_t), float(best_v), bool(hit_bound)
 
 
+def _nll_derivatives(shifted: np.ndarray, label_shifted: np.ndarray, beta: float) -> tuple[float, float]:
+    """First and second derivatives in beta of the mean NLL of softmax(beta * logits).
+
+    ``shifted`` holds the logits minus their row max and ``label_shifted``
+    its label column. The slope is mean(E_p[L] - L_y) and the curvature
+    mean(Var_p(L)) >= 0, with p = softmax(beta * L): one pass over the rows
+    gives both. Shifting by the row max changes neither, and keeps every
+    exponential at most 1.
+    """
+    # row sums as a product with ones: faster than .sum(axis=1) on a narrow (n, K) array
+    ones = np.ones(shifted.shape[1])
+    e = np.exp(beta * shifted)
+    sums = e @ ones
+    e *= shifted
+    mean = (e @ ones) / sums
+    e *= shifted
+    n = shifted.shape[0]
+    slope = float((mean - label_shifted).sum()) / n
+    curvature = float(((e @ ones) / sums - mean * mean).sum()) / n
+    return slope, curvature
+
+
 def fit_temperature_nll(logits: np.ndarray, labels: np.ndarray) -> TemperatureParam:
     """Fit the temperature minimizing NLL on held-out logits.
 
+    The mean NLL of softmax(beta * logits) is convex in beta = 1 / t, so its
+    minimum is the root of its slope, which never falls as beta grows. A
+    safeguarded Newton iteration (rtsafe: Press et al., *Numerical Recipes*,
+    9.4) finds that root in [1 / T_MAX, 1 / T_MIN], starting at beta = 1;
+    each pass over the rows gives the slope and curvature together
+    (``_nll_derivatives``). Newton steps are taken on log beta, since a
+    temperature is a scale. Every evaluated beta narrows a bracket around
+    the root. A Newton step that leaves the bracket, or is longer than half
+    the last step, bisects the bracket (in log beta) instead, unless it
+    heads towards a bound whose slope is not known yet: the fit evaluates
+    that bound, and if the minimum lies beyond it returns the bound,
+    flagged degenerate. All-correct separable labels give T_MIN this way,
+    labels that are every row's smallest logit T_MAX. The iteration stops
+    once a step moves beta by at most ``_BETA_RTOL`` of it.
+
     Degenerate input (all logit rows identical and all labels identical)
     returns the upper temperature bound with the degenerate flag set.
+    Rows whose logits are all tied make the NLL flat; the fit returns
+    T_MIN, flagged degenerate, as a search that prefers the smaller of
+    tied temperatures would. A minimum within SEARCH_TOL of a bound is
+    flagged too.
     """
     logits, labels = _check_fit_inputs(logits, labels)
     if np.all(logits == logits[0]) and np.all(labels == labels[0]):
         return TemperatureParam(t=T_MAX, degenerate=True)
-    rowmax = logits.max(axis=1, keepdims=True)
-    label_index = np.arange(logits.shape[0]) * logits.shape[1] + labels
-
-    def objective(t: np.ndarray) -> np.ndarray:
-        # nll(softmax_with_temperature(logits, t), labels) per t, dividing only the label column
-        t = t[:, None, None]
-        z, sums = _softmax_terms(logits / t, rowmax / t)
-        label_z = np.take(z.reshape(t.shape[0], -1), label_index, axis=1)
-        return _nll_sum(label_z / sums[..., 0])
-
-    t_star, _, hit_bound = _minimize_temperature(objective, _grid_batch(logits.size))
-    return TemperatureParam(t=t_star, degenerate=hit_bound)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    label_shifted = shifted[np.arange(shifted.shape[0]), labels]
+    lo, hi = _BETA_MIN, _BETA_MAX
+    lo_seen = hi_seen = False
+    beta, last_step = 1.0, math.inf
+    for _ in range(_MAX_PASSES):
+        slope, curvature = _nll_derivatives(shifted, label_shifted, beta)
+        if slope <= 0.0:  # the minimum lies at a larger beta, or the NLL is flat
+            if beta == _BETA_MAX:
+                return TemperatureParam(t=T_MIN, degenerate=True)
+            lo, lo_seen = beta, True
+        else:
+            if beta == _BETA_MIN:
+                return TemperatureParam(t=T_MAX, degenerate=True)
+            hi, hi_seen = beta, True
+        # a Newton step on log beta: from beta = 1 a step on beta itself often
+        # leaves the bracket when the root is near, and then costs more passes
+        if curvature > 0.0:
+            step = -slope / (beta * curvature)
+        else:
+            step = math.inf if slope <= 0.0 else -math.inf
+        if math.log(lo / beta) <= step <= math.log(hi / beta) and abs(step) <= 0.5 * last_step:
+            target = beta * math.exp(step)
+        # the step leaves the bracket or is longer than half the last one, as
+        # steps towards a minimum beyond a bound are: try that bound, else bisect
+        elif step > 0.0 and not hi_seen:
+            target = hi
+        elif step < 0.0 and not lo_seen:
+            target = lo
+        else:
+            target = math.sqrt(lo * hi)
+        last_step, beta = abs(math.log(target / beta)), target
+        if last_step <= _BETA_RTOL:
+            break
+    t = 1.0 / beta
+    return TemperatureParam(t=t, degenerate=not T_MIN + SEARCH_TOL < t < T_MAX - SEARCH_TOL)
 
 
 def fit_oracle_temperature(target_logits: np.ndarray, target_labels: np.ndarray) -> TemperatureParam:

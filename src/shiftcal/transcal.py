@@ -20,9 +20,9 @@ at least m / 2, with m the count of nonzero weights, that is
 mean(w~^2) <= 2 n / m: the weights may at most double the variance of an
 unweighted mean over the samples they keep (the d_2 term of Cortes,
 Mansour & Mohri, NeurIPS 2010). The temperature is then searched at that
-lambda by ``scaling._minimize_temperature``, the engine every temperature
-fit shares; the objective is piecewise smooth at best (argmax, binning,
-absolute values), so the search is derivative-free.
+lambda by ``scaling._minimize_temperature``, the grid and golden-section
+engine it shares with ``cpcs``; the objective is piecewise smooth at best
+(argmax, binning, absolute values), so the search is derivative-free.
 
 Each pass scores a batch of B temperatures, the batch
 ``scaling._minimize_temperature`` hands the objective. A contribution is
@@ -164,9 +164,16 @@ def _mean(x: np.ndarray) -> np.ndarray:
 
 
 def _variate(t: np.ndarray) -> _Variate:
+    """The variate of the samples ``t``, with a variance of 0 when their spread
+    is at rounding level: a standard deviation at most n * eps * max|t|, the
+    rounding error that bounds their computed mean (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 4.2), cannot be told from rounding,
+    and a correction by it would scale that rounding by 1 / sd(t)."""
     mean = _mean(t)
     centred = t - mean
-    return _Variate(mean, centred, _mean(centred * centred))
+    var = _mean(centred * centred)
+    resolution = t.shape[0] * np.finfo(float).eps * float(np.abs(t).max())
+    return _Variate(mean, centred, 0.0 if var <= resolution * resolution else var)
 
 
 def _stage(mean, cov, variate: _Variate, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +181,9 @@ def _stage(mean, cov, variate: _Variate, tau) -> tuple[np.ndarray, np.ndarray]:
 
     The optimal coefficient is eta = -Cov(u, t) / Var(t) and the corrected
     estimate is mean + eta * (t_mean - tau), the mean of the adjusted
-    samples u_i + eta * (t_i - tau). A variate with zero variance leaves
-    the mean, with eta = 0. tau broadcasts against the estimates. Returns
+    samples u_i + eta * (t_i - tau). A variate with zero variance, which
+    includes one at rounding level (see ``_variate``), leaves the mean,
+    with eta = 0. tau broadcasts against the estimates. Returns
     the estimates and eta.
     """
     if variate.var == 0.0:
@@ -229,8 +237,10 @@ def apply_control_variate(
 
     The optimal coefficient is eta = -Cov(u, t) / Var(t); the adjusted
     samples are u_i + eta * (t_i - tau) and the returned estimate is their
-    mean. A variate with zero variance leaves the samples unchanged and is
-    flagged. Adjusted samples are returned so corrections can be chained.
+    mean. A variate with zero variance, or with a spread at rounding level
+    (a standard deviation of at most n * eps * max|t|), leaves the samples
+    unchanged and is flagged. Adjusted samples are returned so corrections
+    can be chained.
     This is the sample-level reference for the transcal search, which
     forms the same covariances from per-bin sums instead.
     """
@@ -501,7 +511,8 @@ def optimize_transcal(
     rule, or 1 with ``freeze_lambda`` (the no-bias-reduction variant);
     ``mode=PLAIN_IWECE`` drops the variance correction instead. The
     temperature search is ``scaling._minimize_temperature``, the engine
-    every temperature fit shares; ties resolve to the smaller temperature.
+    the weighted temperature fits share; ties resolve to the smaller
+    temperature.
     The search is deterministic and every evaluation is recorded in the
     trace as (t, lambda, value), whether it was scored or read from the
     memo.

@@ -22,6 +22,7 @@ from shiftcal import (
     softmax_with_temperature,
 )
 from shiftcal import scaling
+from shiftcal.bench import default_grid
 from shiftcal.metrics import _brier_rows
 from shiftcal.newton import GRADIENT_TOLERANCE
 from shiftcal.scaling import (
@@ -104,8 +105,8 @@ def cpcs_objective(logits, labels, w):
 
 class TestPrecomputedRowMax:
     """Temperature paths shift by rowmax / t from the raw logits' row max,
-    and the NLL and Brier objectives skip the public ProbabilitySet; all of
-    it must equal the public path bit for bit."""
+    and the Brier objective skips the public ProbabilitySet; all of it must
+    equal the public path bit for bit."""
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(
@@ -121,13 +122,11 @@ class TestPrecomputedRowMax:
             logits[0] *= 300.0  # a row far from zero exercises the max shift
         labels = rng.integers(0, k, size=n)
         w = rng.lognormal(0.0, 1.0, size=n)
-        nll_objective = search_objective(fit_temperature_nll, logits, labels)
         brier_objective = cpcs_objective(logits, labels, w)
         for t in (T_MIN, 0.37, 1.0, 2.7, T_MAX):
             probs = softmax_with_temperature(logits, t)
             z, sums = _softmax_terms(logits / t)
             assert np.array_equal(probs.probs, z / sums)
-            assert nll_objective(np.array([t]))[0] == nll(probs, labels)
             if brier_objective is not None:
                 brier_rows = _brier_rows(probs.probs.copy(), labels)
                 want = float(np.dot(w, brier_rows)) / float(w.sum())
@@ -141,16 +140,16 @@ def temperature_batch(rng, size):
     return t
 
 
-def nll_and_brier_objectives(seed, n, k):
-    """The objectives ``temp`` and ``cpcs`` hand the engine on a generated task;
-    ``cpcs``'s only where its weights reach a Kish effective sample size of 2."""
+def brier_objectives(seed, n, k):
+    """The objective ``cpcs`` hands the engine on a generated task, in a list
+    that is empty where its weights do not reach a Kish effective sample size of 2."""
     rng = np.random.default_rng(seed)
     logits = random_logits(rng, n, k)
     logits[0] *= 300.0
     labels = rng.integers(0, k, size=n)
     w = rng.lognormal(0.0, 1.0, size=n)
-    objectives = (search_objective(fit_temperature_nll, logits, labels), cpcs_objective(logits, labels, w))
-    return [objective for objective in objectives if objective is not None]
+    objective = cpcs_objective(logits, labels, w)
+    return [] if objective is None else [objective]
 
 
 class TestBatchedGrid:
@@ -167,17 +166,168 @@ class TestBatchedGrid:
     )
     def test_a_batch_equals_one_temperature_at_a_time(self, seed, n, k, size):
         t = temperature_batch(np.random.default_rng(seed), size)
-        for objective in nll_and_brier_objectives(seed, n, k):
+        for objective in brier_objectives(seed, n, k):
             want = np.array([objective(t[i : i + 1])[0] for i in range(size)])
             assert np.array_equal(objective(t), want)
 
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), k=st.integers(2, 10))
     def test_the_search_does_not_depend_on_the_batch(self, seed, n, k):
-        for objective in nll_and_brier_objectives(seed, n, k):
+        for objective in brier_objectives(seed, n, k):
             one = _minimize_temperature(objective, 1)
             for batch in (3, 7, 50):
                 assert _minimize_temperature(objective, batch) == one
+
+
+def sampled_task(seed, n, k, scale, t_true):
+    """Gaussian logits times ``scale`` and labels drawn from softmax(logits / t_true)."""
+    rng = np.random.default_rng(seed)
+    logits = random_logits(rng, n, k, scale)
+    cum = np.cumsum(softmax_with_temperature(logits, t_true).probs, axis=1)
+    cum[:, -1] = 1.0
+    return logits, (rng.random(n)[:, None] < cum).argmax(axis=1)
+
+
+def public_nll(logits, labels, t):
+    return nll(softmax_with_temperature(logits, t), labels)
+
+
+def counted_passes(patch):
+    """Count the passes the NLL fit makes over the rows from here on."""
+    count = [0]
+    derivatives = scaling._nll_derivatives
+
+    def counting(*args):
+        count[0] += 1
+        return derivatives(*args)
+
+    patch.setattr(scaling, "_nll_derivatives", counting)
+    return count
+
+
+class TestNllNewton:
+    """``fit_temperature_nll`` solves for beta = 1 / t by safeguarded Newton
+    steps on the slope of the mean NLL."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        k=st.integers(2, 6),
+        beta=st.sampled_from((0.05, 0.4, 1.0, 1.7)),
+    )
+    def test_derivatives_match_the_public_nll(self, seed, n, k, beta):
+        """The pass's slope is the central difference of the public mean NLL
+        in beta, and its curvature mean Var_p(L) under the public softmax."""
+        logits, labels = sampled_task(seed, n, k, 2.0, 1.0)
+        rows = np.arange(n)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        slope, curvature = scaling._nll_derivatives(shifted, shifted[rows, labels], beta)
+        probs = softmax_with_temperature(logits, 1.0 / beta).probs
+        # the public NLL clamps tiny probabilities, where it is no longer the NLL being solved
+        assert probs[rows, labels].min() > 1e-9
+        h = 1e-5 * beta
+
+        def mean_nll(b):
+            return public_nll(logits, labels, 1.0 / b) / n
+
+        difference = (mean_nll(beta + h) - mean_nll(beta - h)) / (2.0 * h)
+        assert abs(slope - difference) <= 1e-7 * (1.0 + abs(slope))
+        centred = logits - (probs * logits).sum(axis=1, keepdims=True)
+        variance = float((probs * centred * centred).sum(axis=1).mean())
+        assert abs(curvature - variance) <= 1e-10 * variance
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        k=st.integers(2, 6),
+        scale=st.floats(0.1, 5.0),
+        t_true=st.floats(0.2, 10.0),
+    )
+    def test_matches_the_grid_search_on_the_public_nll(self, seed, n, k, scale, t_true):
+        """The fit lands within SEARCH_TOL of the engine's search on the public
+        NLL, never above its NLL, with the same bound flag."""
+        logits, labels = sampled_task(seed, n, k, scale, t_true)
+        param = fit_temperature_nll(logits, labels)
+
+        def objective(t):
+            return np.array([public_nll(logits, labels, ti) for ti in t])
+
+        t_ref, _, hit_bound = _minimize_temperature(objective, _GRID_SIZE)
+        assert abs(param.t - t_ref) <= SEARCH_TOL
+        reference = public_nll(logits, labels, t_ref)
+        assert public_nll(logits, labels, param.t) <= reference + 1e-12 * reference
+        assert param.degenerate == hit_bound
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(50, 300),
+        k=st.integers(2, 6),
+        scale=st.floats(0.5, 3.0),
+        t_true=st.floats(0.5, 5.0),
+    )
+    def test_is_equivariant_to_logit_scale(self, seed, n, k, scale, t_true):
+        """fit(c * L) = c * fit(L) wherever both minima lie inside the bounds."""
+        logits, labels = sampled_task(seed, n, k, scale, t_true)
+        base = fit_temperature_nll(logits, labels)
+        for c in (2.0**-3, 1.37, 2.0, 3.0):
+            if base.degenerate or not T_MIN < c * base.t < T_MAX:
+                continue
+            scaled = fit_temperature_nll(c * logits, labels)
+            assert not scaled.degenerate
+            assert abs(scaled.t - c * base.t) <= 1e-6 * c * base.t
+
+    @pytest.mark.parametrize(
+        "case, t",
+        [("all_correct", T_MIN), ("all_wrong", T_MAX), ("tied_rows", T_MIN), ("tied_rows_one_label", T_MIN)],
+    )
+    def test_minima_beyond_a_bound_return_it_flagged(self, case, t):
+        """All-correct labels make the NLL fall without end as t shrinks,
+        labels at every row's smallest logit as t grows, and rows of tied
+        logits make it flat: a search preferring the smaller of tied
+        temperatures gives T_MIN. None may return a silent interior t."""
+        rng = np.random.default_rng(23)
+        logits = random_logits(rng, 200, 4)
+        labels = {"all_correct": logits.argmax(axis=1), "all_wrong": logits.argmin(axis=1)}.get(case)
+        if case.startswith("tied_rows"):
+            logits = np.repeat(logits[:, :1], 4, axis=1)
+            labels = np.zeros(200, dtype=int) if case == "tied_rows_one_label" else rng.integers(0, 4, size=200)
+        with pytest.MonkeyPatch.context() as patch:
+            passes = counted_passes(patch)
+            param = fit_temperature_nll(logits, labels)
+        assert (param.t, param.degenerate) == (t, True)
+        assert passes[0] <= 4
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 400),
+        k=st.integers(2, 8),
+        scale=st.floats(0.05, 30.0),
+        t_true=st.floats(0.1, 20.0),
+    )
+    def test_passes_are_bounded(self, seed, n, k, scale, t_true):
+        with pytest.MonkeyPatch.context() as patch:
+            passes = counted_passes(patch)
+            fit_temperature_nll(*sampled_task(seed, n, k, scale, t_true))
+        assert passes[0] <= 12
+
+    @pytest.mark.parametrize("cell", range(0, 24, 5))
+    def test_sweep_splits_take_few_passes(self, cell):
+        """``temp`` and ``oracle`` on default-grid tasks of 2000 rows per split."""
+        _, scenario = default_grid()[cell]
+        task = generate(scenario, 2000, 2000, cell, 0.5)
+        for logits, labels in (
+            (task.source_val_logits, task.source_val_labels),
+            (task.target_logits, task.target_labels),
+        ):
+            with pytest.MonkeyPatch.context() as patch:
+                passes = counted_passes(patch)
+                param = fit_temperature_nll(logits, labels)
+            assert not param.degenerate
+            assert passes[0] <= 10
 
 
 class TestTemperatureParam:

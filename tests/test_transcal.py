@@ -75,6 +75,27 @@ class TestApplyControlVariate:
         assert coeffs.flags == ("constant_variate",)
         assert coeffs.eta1 == 0.0
 
+    def test_a_spread_at_rounding_level_counts_as_constant(self):
+        """Samples one ulp apart have a variance at rounding level; eta = -Cov / Var
+        would scale the rounding of mean(t) - tau by about 1 / sd(t)."""
+        u = np.array([1.0, 5.0, 3.0, 2.0])
+        t = np.array([4.0, np.nextafter(4.0, 5.0), 4.0, np.nextafter(4.0, 3.0)])
+        estimate, adjusted, coeffs = apply_control_variate(u, t, 4.0 + 1e-15)
+        assert estimate == u.mean()
+        assert np.array_equal(adjusted, u)
+        assert coeffs.flags == ("constant_variate",)
+        assert coeffs.eta1 == coeffs.var_t1 == 0.0
+
+    def test_a_rare_correctness_indicator_is_a_variate(self):
+        """A 0/1 variate has a variance of at least about 1 / n, far above rounding."""
+        n = 100_000
+        t = np.zeros(n)
+        t[7] = 1.0
+        u = np.linspace(0.0, 1.0, n)
+        _, _, coeffs = apply_control_variate(u, t, 0.5)
+        assert coeffs.flags == ()
+        assert coeffs.var_t1 == float(np.mean((t - t.mean()) ** 2))
+
     def test_never_increases_variance(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -506,16 +527,19 @@ class TestOneLambdaPerPass:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 300),
         sigma=st.floats(0.1, 3.0),
-        lam=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+        lam=st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(1e-17, 3e-16)),
     )
     def test_self_normalization_voids_the_weight_stage(self, seed, n, sigma, lam):
         """Why the search has no weight stage: on self-normalized positive
         weights w~, ``serial_control_variate``'s stage one (its estimate
         when constant correctness skips stage two) adds eta1 * (mean w~ - 1)
-        to mean(u), and mean w~ is 1 to rounding. eta1 grows as 1 / sd(w~),
-        so lambda * sigma stays at least 0.005 unless lambda = 0, where w~ is
-        constant and eta1 = 0: w^lambda that are equal to rounding would make
-        eta1 times a rounding error as large as mean(u)."""
+        to mean(u), and mean w~ is 1 to rounding. eta1 grows as 1 / sd(w~).
+        At lambda = 0 w~ is constant, and for lambda * sigma below about
+        1e-15 its spread is at rounding level, so the variate counts as
+        constant and eta1 = 0. Between that and lambda * sigma of about
+        1e-4, w^lambda are distinct but so close that eta1 times the
+        rounding error of mean w~ exceeds 1e-12 of mean(u), so lambda * sigma
+        stays at least 0.005 unless it is below 1e-15."""
         rng = np.random.default_rng(seed)
         wl = normalized_power(rng.lognormal(0.0, sigma, size=n), lam)
         u = wl * rng.uniform(size=n)
