@@ -16,9 +16,12 @@ in-process (whichever ``shiftcal`` the import path finds) for:
 * ``calibrate --method transcal`` on the K = 3 task with ``--bins 7``, and
   with a weight file whose every other entry is 0, so that some bins hold
   samples but no weight;
+* ``calibrate --method temp --apply`` and ``--method cpcs --apply`` on the
+  K = 3 source-validation split plus one correctly predicted row
+  [1e308, -1e308, 0] of weight 1, whose logit range overflows float64;
 * ``bench --seeds 0,1`` with every method on a small grid, and once more
-  with only the three transcal variants in reverse order, so that the one
-  without control variates fills the shared search state first;
+  with only the three transcal variants in reverse order, a check that
+  the order of the fits that share a search state changes no report;
 * in-process fits on the K = 3 and K = 10 source-validation splits:
   ``optimize_transcal`` in both modes, with free and frozen lambda, at 7
   and 15 bins, with the true weights and (K = 3) the half-zero weights,
@@ -58,7 +61,7 @@ import numpy as np
 
 import shiftcal
 from shiftcal import bench, cli
-from shiftcal.matrixio import load_labels, load_matrix, save_matrix
+from shiftcal.matrixio import load_labels, load_matrix, save_labels, save_matrix
 from shiftcal.scaling import fit_cpcs_temperature, fit_temperature_nll
 from shiftcal.transcal import EstimatorMode, optimize_transcal
 
@@ -139,6 +142,16 @@ def good_runs(out: Path) -> None:
     save_matrix(d / "half_zero_weights.csv", half_zero)
     checked(out, [*transcal, "--weights", d / "half_zero_weights.csv",
                   "--out", d / "transcal-half-zero.json"])
+    # %.17g round-trips 1e308 and -1e308
+    save_matrix(d / "overflow_logits.csv",
+                np.vstack([load_matrix(d / "source_val_logits.csv"), [[1e308, -1e308, 0.0]]]))
+    save_labels(d / "overflow_labels.csv", np.r_[load_labels(d / "source_val_labels.csv"), 0])
+    save_matrix(d / "overflow_weights.csv", np.r_[load_matrix(d / "true_weights.csv")[:, 0], 1.0][:, None])
+    for method, extra in (("temp", []), ("cpcs", ["--weights", d / "overflow_weights.csv"])):
+        checked(out, ["calibrate", "--method", method, *extra,
+                      "--logits", d / "overflow_logits.csv", "--labels", d / "overflow_labels.csv",
+                      "--apply", d / "target_logits.csv", "--apply-labels", d / "target_labels.csv",
+                      "--out", d / f"{method}-overflow-row.json"])
     checked(out, ["bench", "--out", out / "bench.json", "--seeds", "0,1",
                   "--methods", ",".join(bench.ALL_METHODS), "--n-source", "600", "--n-target", "600",
                   "--shifts", "0,1.5", "--scales", "1,1.2", "--t-trues", "2"])

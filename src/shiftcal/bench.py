@@ -12,14 +12,14 @@ Every ``METHODS`` fit takes the ``TransCalState`` of its fitting split,
 or None. ``run_single`` builds one for the source validation split when a
 method needs weights, which validates the split there. The three transcal
 variants fit the same validation logits, labels and weights, so they
-share the state. ``transcal-no-variance`` fits at ``transcal``'s lambda
-and reads the plain estimates ``transcal`` formed on the way to its
-control variates; ``transcal-no-bias`` fits at lambda = 1 and, when the
-weights' lambda is 1 as well, reads everything ``transcal`` scored. Each
-fit scores only the temperatures the state lacks for its mode. The sharing
-is exact: every value of a scoring pass depends only on its own
-temperature, so a value read from the state is the one the fit would have
-scored itself.
+share the state. Every scoring pass forms both the plain and the corrected
+estimates, so ``transcal-no-variance``, at ``transcal``'s lambda, reads
+every temperature ``transcal`` scored and the other way round;
+``transcal-no-bias`` fits at lambda = 1 and, when the weights' lambda is 1
+as well, reads them too. Each fit scores only the temperatures the state
+lacks at its lambda. The sharing is exact: every value of a scoring pass
+depends only on its own temperature, so a value read from the state is the
+one the fit would have scored itself.
 """
 
 from __future__ import annotations

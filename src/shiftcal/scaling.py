@@ -26,13 +26,13 @@ every reduction runs over the last axis, which sums each row in the same
 order whatever the leading axes.
 
 An objective evaluation does only the work that depends on t. Inputs are
-validated and the logits' row maxima computed once per fit; every
-objective shifts its softmax by ``rowmax / t`` (see
-``_softmax_terms``). The Brier objective builds no ``ProbabilitySet``.
-Softmax and Brier row sums over fewer than 16 classes are column adds in
-numpy's own order, sequential below 8 classes and pairwise from 8 on
-(``metrics._row_sums``). The transcal objective scores its one lambda in
-one pass per batch of temperatures (see ``transcal``).
+validated and shifted by their row maxima (``_shifted``) once per fit;
+every temperature path divides that one array by t. The Brier objective
+builds no ``ProbabilitySet``. Softmax and Brier row sums over fewer than
+16 classes are column adds in numpy's own order, sequential below 8
+classes and pairwise from 8 on (``metrics._row_sums``). The transcal
+objective scores its one lambda in one pass per batch of temperatures
+(see ``transcal``).
 
 Vector and matrix scaling minimize the mean NLL of softmax(scale o logits +
 bias), which is convex, from the identity map on the package's one damped
@@ -140,19 +140,27 @@ class AffineScaleParam:
         }
 
 
-def _softmax_terms(z: np.ndarray, shift: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted exponentials of the rows of ``z`` and their row sums.
+def _shifted(logits: np.ndarray) -> np.ndarray:
+    """The logits minus their row max, floored at -float max: shift once, then
+    scale by 1 / t (Blanchard, Higham & Higham, *IMA J. Numer. Anal.* 2021).
+
+    The floor keeps a row whose logit range overflows finite, where -inf
+    would make 0 * -inf = NaN in the NLL slope. Scaling may still overflow
+    an entry to -inf, whose exponential is the 0 it underflows to anyway.
+    """
+    with np.errstate(over="ignore"):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+    return np.maximum(shifted, -np.finfo(float).max, out=shifted)
+
+
+def _softmax_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exponentials of the rows of ``z``, whose max is 0, and their row sums.
 
     Rows run along the last axis, so ``z`` may stack one (n, K) block per
-    temperature. Overwrites ``z``: subtracts each row's max, exponentiates in
-    place and returns ``(z, z.sum(axis=-1, keepdims=True))``, summed by
-    ``_row_sums``. The softmax is
-    ``z / sums``. ``shift`` is the column of row maxima when the caller has
-    it. Temperature paths pass ``rowmax / t`` for z = logits / t, computed
-    from the logits' row maxima once per fit: for t > 0 rounding x / t is
-    monotone in x, so max(fl(L / t)) is exactly fl(max(L) / t).
+    temperature. Overwrites ``z``: exponentiates it in place and returns
+    ``(z, z.sum(axis=-1, keepdims=True))``, summed by ``_row_sums``. The
+    softmax is ``z / sums``.
     """
-    z -= z.max(axis=-1, keepdims=True) if shift is None else shift
     np.exp(z, out=z)
     return z, _row_sums(z)
 
@@ -178,7 +186,8 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> Probabil
     """
     logits = check_array(logits, "logits", 2)
     t = TemperatureParam(float(temperature)).t
-    p, sums = _softmax_terms(logits / t, logits.max(axis=1, keepdims=True) / t)
+    with np.errstate(over="ignore"):
+        p, sums = _softmax_terms(_shifted(logits) / t)
     p /= sums
     return ProbabilitySet(probs=p, predictions=np.argmax(logits, axis=1))
 
@@ -251,7 +260,8 @@ def _nll_derivatives(shifted: np.ndarray, label_shifted: np.ndarray, beta: float
     """
     # row sums as a product with ones: faster than .sum(axis=1) on a narrow (n, K) array
     ones = np.ones(shifted.shape[1])
-    e = np.exp(beta * shifted)
+    with np.errstate(over="ignore"):
+        e = np.exp(beta * shifted)
     sums = e @ ones
     e *= shifted
     mean = (e @ ones) / sums
@@ -290,7 +300,7 @@ def fit_temperature_nll(logits: np.ndarray, labels: np.ndarray) -> TemperaturePa
     logits, labels = _check_fit_inputs(logits, labels)
     if np.all(logits == logits[0]) and np.all(labels == labels[0]):
         return TemperatureParam(t=T_MAX, degenerate=True)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = _shifted(logits)
     label_shifted = shifted[np.arange(shifted.shape[0]), labels]
     lo, hi = _BETA_MIN, _BETA_MAX
     lo_seen = hi_seen = False
@@ -370,11 +380,11 @@ def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> Tem
     w = check_weights(weights, logits.shape[0])
     _require_weight_mass(w)
     w_total = float(w.sum())
-    rowmax = logits.max(axis=1, keepdims=True)
+    shifted = _shifted(logits)
 
     def objective(t: np.ndarray) -> np.ndarray:
-        t = t[:, None, None]
-        p, sums = _softmax_terms(logits / t, rowmax / t)
+        with np.errstate(over="ignore"):
+            p, sums = _softmax_terms(shifted / t[:, None, None])
         p /= sums
         # one dot per temperature: a matrix-vector product could sum in another order
         return np.array([np.dot(w, row) for row in _brier_rows(p, labels)]) / w_total
@@ -396,9 +406,9 @@ def _softmax_nll(transformed: np.ndarray, labels: np.ndarray) -> tuple[float, np
     """
     n = transformed.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        rowmax = transformed.max(axis=1, keepdims=True)
-        label_shifted = transformed[np.arange(n), labels] - rowmax[:, 0]
-        probs, sums = _softmax_terms(transformed, rowmax)
+        transformed -= transformed.max(axis=1, keepdims=True)
+        label_shifted = transformed[np.arange(n), labels]
+        probs, sums = _softmax_terms(transformed)
         loss = float((np.log(sums[:, 0]) - label_shifted).sum()) / n
         probs /= sums
     return loss, probs
@@ -552,6 +562,8 @@ def apply_affine_scaling(logits: np.ndarray, param: AffineScaleParam) -> Probabi
     predictions come from the transformed logits.
     """
     logits = check_array(logits, "logits", 2)
-    p, sums = _softmax_terms(_affine_map(logits, param.scale, param.bias))
+    z = _affine_map(logits, param.scale, param.bias)
+    z -= z.max(axis=1, keepdims=True)
+    p, sums = _softmax_terms(z)
     p /= sums
     return ProbabilitySet(probs=p, predictions=np.argmax(p, axis=1))

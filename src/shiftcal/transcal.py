@@ -43,15 +43,16 @@ where ``apply_control_variate`` on the self-normalized samples, the
 sample-level reference, sums over samples, so the two agree to rounding.
 
 A ``TransCalState`` validates one fitting split when it is built and
-holds one context per lambda, each with a memo of every scored
-temperature: the corrected estimate with its control-variate moments, and
-the plain estimate. Fits that share a state score only the temperatures
-their mode is missing. The variants of the paper's ablation fit the same
-split, so ``transcal-no-variance`` reads most of its path from
-``transcal``'s plain estimates, and when the rule's lambda is 1,
-``transcal-no-bias`` reads all of ``transcal``'s; every fit reads its
-coefficients at t* instead of scoring t* again. Sharing is exact for the
-reasons batching is: each value of a pass depends only on its own temperature.
+holds its shifted logits (``scaling._shifted``) and one context per
+lambda, each with a memo of every scored temperature. Every pass forms
+the plain and the corrected estimates, at O(B * (bins + n)) beyond the
+softmax, and a mode only picks which one a fit reads. So fits that share
+a state score only the temperatures no fit at their lambda has scored,
+whatever their order: ``transcal`` and ``transcal-no-variance`` share
+theirs, and so does ``transcal-no-bias`` when the rule's lambda is 1.
+Every fit reads its coefficients at t* instead of scoring t* again.
+Sharing is exact for the reasons batching is: each value of a pass
+depends only on its own temperature.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from .scaling import (
     _grid_batch,
     _minimize_temperature,
     _require_weight_mass,
+    _shifted,
     _softmax_terms,
 )
 
@@ -315,11 +317,6 @@ def _ess_lambda(weights: np.ndarray) -> float:
     )
 
 
-def _holds(entry: tuple | None, cv: bool) -> bool:
-    """Whether a memo entry has the corrected estimates (``cv``) or the plain ones."""
-    return entry is not None and len(entry[0]) > cv
-
-
 class _ObjectiveContext:
     """Everything a fit's evaluations at one lambda share, on its state's split.
 
@@ -328,15 +325,14 @@ class _ObjectiveContext:
     how the per-bin sums give a batch of temperatures' estimates.
 
     ``memo`` maps each scored temperature to ``(arrays, b)``: entry b of
-    every (B,) array of the pass that scored it. ``arrays`` holds the plain
-    estimates, and after a ``CV_SERIAL`` pass also the corrected estimates
-    and the correctness variate's eta and Cov; a ``CV_SERIAL`` pass
-    replaces a plain entry.
+    every (B,) array of the pass that scored it. ``arrays`` is the pass's
+    ``estimates``: the plain and corrected estimates, and the correctness
+    variate's eta and Cov.
     """
 
     def __init__(self, state: TransCalState, lam: float):
         # the state's arrays, not the state, so that the two form no reference cycle
-        self.logits, self.rowmax, self.num_bins = state.logits, state.rowmax, state.num_bins
+        self.shifted, self.num_bins = state.shifted, state.num_bins
         self.correct_variate, self.lam = state.correct_variate, lam
         weights = _normalized_power(state.weights, lam)
         self.terms = (weights, weights * state.correct)
@@ -346,14 +342,12 @@ class _ObjectiveContext:
         """Top-class softmax probabilities, one row per temperature in ``t``."""
         # the predicted class's shifted exponential is exp(0) = 1, so its
         # softmax probability is 1 / row sum, with no gather and no full matrix
-        t = t[:, None, None]
-        return 1.0 / _softmax_terms(self.logits / t, self.rowmax / t)[1][..., 0]
+        with np.errstate(over="ignore"):
+            return 1.0 / _softmax_terms(self.shifted / t[:, None, None])[1][..., 0]
 
-    def estimates(
-        self, t: np.ndarray, mode: EstimatorMode
-    ) -> tuple[np.ndarray, tuple | None, np.ndarray]:
-        """The mode's estimate at each temperature in ``t``, the control-variate
-        moments behind them, and the plain estimates, as (B,) arrays.
+    def estimates(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The plain and corrected estimates at each temperature in ``t``, and the
+        correctness variate's eta and Cov behind the corrected ones, as (B,) arrays.
 
         A sample in confidence bin m contributes u_i = w~_i * gap_m, with
         gap_m = |A_m - C_m| the gap between the bin's w~-weighted accuracy
@@ -372,7 +366,7 @@ class _ObjectiveContext:
         zero-weight samples has no accuracy or confidence and gets gap 0.
         Nothing here reads or fills the memo.
         """
-        size, cv = t.shape[0], mode is EstimatorMode.CV_SERIAL
+        size = t.shape[0]
         conf = self.confidences(t)
         shape = (size, self.num_bins)
         offsets = np.arange(size)[:, None] * self.num_bins
@@ -387,40 +381,33 @@ class _ObjectiveContext:
         gap = np.abs(accuracy - np.divide(conf_sum, mass, out=np.zeros(shape), where=occupied))
         n = mass_term.shape[0]
         plain = (gap * mass).sum(axis=-1) / n
-        if not cv:
-            return plain, None, plain
         correctness = self.correct_variate
         cov = (gap * (correct_sum - correctness.mean * mass)).sum(axis=-1) / n
-        values, eta = _stage(plain, cov, correctness, _mean(conf))
-        return values, (eta, cov), plain
+        corrected, eta = _stage(plain, cov, correctness, _mean(conf))
+        return plain, corrected, eta, cov
 
     def scores(self, t: np.ndarray, mode: EstimatorMode) -> np.ndarray:
         """The mode's estimate at each temperature in ``t``.
 
-        Only the temperatures whose memo entry lacks the mode's estimates are
-        scored, in one pass; the kernel is batch-invariant, so a remembered
-        value is the one a fresh pass would give, bit for bit.
+        The temperatures the memo lacks are scored in one pass, and every
+        value is then read from the memo; the kernel is batch-invariant, so
+        a remembered value is the one a fresh pass would give, bit for bit.
         """
-        cv = mode is EstimatorMode.CV_SERIAL
         keys = t.tolist()
-        missing = [key for key in keys if not _holds(self.memo.get(key), cv)]
+        missing = [key for key in keys if key not in self.memo]
         if missing:
-            fresh = len(missing) == len(keys)
-            values, moments, plain = self.estimates(t if fresh else np.array(missing), mode)
-            arrays = (plain, values, *moments) if cv else (plain,)
+            arrays = self.estimates(np.array(missing))
             self.memo.update(zip(missing, zip(repeat(arrays), range(len(missing)))))
-            if fresh:
-                return values
-        return np.array([arrays[cv][b] for arrays, b in map(self.memo.__getitem__, keys)])
+        cv = mode is EstimatorMode.CV_SERIAL
+        return np.array([entry[cv][b] for entry, b in map(self.memo.__getitem__, keys)])
 
     def at(self, t: float, mode: EstimatorMode) -> tuple[float, ControlVariateCoefficients | None]:
         """Estimate and control-variate coefficients at t, from the memo."""
-        self.scores(np.array([t]), mode)
-        arrays, b = self.memo[t]
+        value = float(self.scores(np.array([t]), mode)[0])
         if mode is EstimatorMode.PLAIN_IWECE:
-            return float(arrays[0][b]), None
-        _, values, eta, cov = arrays
-        return float(values[b]), _coefficients(eta[b], cov[b], self.correct_variate.var)
+            return value, None
+        (*_, eta, cov), b = self.memo[t]
+        return value, _coefficients(eta[b], cov[b], self.correct_variate.var)
 
 
 class TransCalState:
@@ -442,8 +429,7 @@ class TransCalState:
         self.weights = check_weights(weights, logits.shape[0])
         self.num_bins = _num_bins(bins)
         _require_weight_mass(self.weights)
-        self.logits = logits
-        self.rowmax = logits.max(axis=1, keepdims=True)
+        self.shifted = _shifted(logits)
         self.correct = (np.argmax(logits, axis=1) == labels).astype(np.float64)
         self.correct_variate = _variate(self.correct)
         self.batch = _grid_batch(logits.size)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shiftcal import (
     DegeneracyError,
@@ -23,7 +24,7 @@ from shiftcal import (
 )
 from shiftcal import scaling
 from shiftcal.bench import default_grid
-from shiftcal.metrics import _brier_rows
+from shiftcal.metrics import ROW_SUM_TOL, _brier_rows
 from shiftcal.newton import GRADIENT_TOLERANCE
 from shiftcal.scaling import (
     SEARCH_TOL,
@@ -32,8 +33,8 @@ from shiftcal.scaling import (
     TemperatureParam,
     _GRID_SIZE,
     _minimize_temperature,
-    _softmax_terms,
 )
+from shiftcal.transcal import TransCalState
 
 from oracles import kish_ess
 
@@ -78,6 +79,25 @@ class TestSoftmaxWithTemperature:
         with pytest.raises(ValueError):
             softmax_with_temperature(np.array([1.0, 2.0]), 1.0)
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        logits=arrays(
+            np.float64,
+            st.tuples(st.integers(2, 20), st.integers(2, 6)),
+            elements=st.floats(-1e308, 1e308) | st.sampled_from((-1e308, 1e308)),
+        ),
+        t=st.floats(T_MIN, T_MAX),
+    )
+    def test_rows_stay_finite_for_logits_up_to_float_max(self, logits, t):
+        """Logit ranges that overflow float64 still give finite rows summing to 1,
+        and the transcal fit's confidences are the public ones, bit for bit."""
+        p = softmax_with_temperature(logits, t)
+        assert np.all(np.isfinite(p.probs))
+        assert np.max(np.abs(p.probs.sum(axis=1) - 1.0)) <= ROW_SUM_TOL
+        n = logits.shape[0]
+        ctx = TransCalState(logits, np.zeros(n, dtype=int), np.ones(n)).context(1.0)
+        assert np.array_equal(ctx.confidences(np.array([t]))[0], p.confidences)
+
 
 def search_objective(fit, *args):
     """The objective ``fit`` hands to the temperature search engine."""
@@ -104,9 +124,9 @@ def cpcs_objective(logits, labels, w):
 
 
 class TestPrecomputedRowMax:
-    """Temperature paths shift by rowmax / t from the raw logits' row max,
-    and the Brier objective skips the public ProbabilitySet; all of it must
-    equal the public path bit for bit."""
+    """Temperature paths divide the logits minus their row max, computed once
+    per fit, by t, and the Brier objective skips the public ProbabilitySet;
+    all of it must equal the public path bit for bit."""
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(
@@ -125,8 +145,9 @@ class TestPrecomputedRowMax:
         brier_objective = cpcs_objective(logits, labels, w)
         for t in (T_MIN, 0.37, 1.0, 2.7, T_MAX):
             probs = softmax_with_temperature(logits, t)
-            z, sums = _softmax_terms(logits / t)
-            assert np.array_equal(probs.probs, z / sums)
+            # the standard max-shift softmax: shift by the row max, then scale
+            z = np.exp((logits - logits.max(axis=1, keepdims=True)) / t)
+            assert np.array_equal(probs.probs, z / z.sum(axis=1, keepdims=True))
             if brier_objective is not None:
                 brier_rows = _brier_rows(probs.probs.copy(), labels)
                 want = float(np.dot(w, brier_rows)) / float(w.sum())

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -352,15 +353,40 @@ class TestOptimizeTranscal:
         logits, labels, weights = sampled_task(rng, n=200)
         calls = []
 
-        def counted(z, shift=None):
-            calls.append(1)
-            return _softmax_terms(z, shift)
+        def counted(z):
+            calls.append(z.shape[0])
+            return _softmax_terms(z)
 
         monkeypatch.setattr(transcal, "_softmax_terms", counted)
         sol = optimize_transcal(logits, labels, weights)
         temperatures = {t for t, _, _ in sol.trace}
-        # at most one pass per searched temperature; t* is read from the memo, not scored again
+        # at most one pass per searched temperature, and each scored once;
+        # t* is read from the memo, not scored again
         assert len(calls) <= len(temperatures)
+        assert sum(calls) == len(temperatures)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("method", [name for name, m in bench.METHODS.items() if m.needs_weights] + ["temp"])
+    def test_a_row_whose_logit_range_overflows_changes_nothing(self, method, seed):
+        """A correctly predicted row [1e308, -1e308, 0] overflows L - rowmax. It
+        has confidence 1 at every temperature, so its fit is bit for bit that
+        of a merely large row [1e5, -1e5, 0], and within 1e-6 of the fit
+        without it: the row adds 0 to the NLL slope and the Brier sum. For the
+        transcal variants it also enters the correctness variate's mean, so
+        there the agreement with the split without it is close, not exact."""
+        logits, labels, weights = sampled_task(np.random.default_rng(seed), n=200, k=3)
+        fit = bench.METHODS[method].fit
+
+        def with_row(row):
+            return np.vstack([logits, [row]]), np.r_[labels, 0], np.r_[weights, 1.0], 15, None
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit(*with_row([1e308, -1e308, 0.0]))
+        assert repr(got) == repr(fit(*with_row([1e5, -1e5, 0.0])))
+        without = fit(logits, labels, weights, 15, None)
+        assert not got.describe()["degenerate"]
+        assert abs(got.temperature - without.temperature) <= 1e-6 * without.temperature
 
     def test_constant_objective_breaks_ties_downward(self):
         # identical logit values give constant confidence 1/K and a zero
@@ -575,16 +601,11 @@ class TestBatchedTemperatures:
         rng = np.random.default_rng(seed)
         t = np.exp(rng.uniform(math.log(T_MIN), math.log(T_MAX), size))
         t[0], t[-1] = T_MIN, T_MAX
-        for mode in EstimatorMode:
-            values, moments, plain = ctx.estimates(t, mode)
-            singles = [ctx.estimates(t[i : i + 1], mode) for i in range(size)]
-            assert np.array_equal(values, np.concatenate([v for v, _, _ in singles]))
-            assert np.array_equal(plain, np.concatenate([p for _, _, p in singles]))
-            if mode is EstimatorMode.CV_SERIAL:
-                for j in range(2):  # eta and Cov of the correctness variate
-                    assert np.array_equal(moments[j], np.concatenate([m[j] for _, m, _ in singles]))
-            else:
-                assert moments is None and all(m is None for _, m, _ in singles)
+        batch = ctx.estimates(t)
+        singles = [ctx.estimates(t[i : i + 1]) for i in range(size)]
+        assert len(batch) == 4  # plain, corrected, and the correctness variate's eta and Cov
+        for j, array in enumerate(batch):
+            assert np.array_equal(array, np.concatenate([single[j] for single in singles]))
 
     @settings(derandomize=True, max_examples=6, deadline=None)
     @given(
@@ -653,6 +674,41 @@ class TestSharedState:
                 assert got.coefficients == want.coefficients
                 assert got.diagnostics == want.diagnostics
                 assert got.trace == want.trace
+
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 400),
+        k=st.integers(2, 5),
+        zero_every_other=st.booleans(),
+        sigma=st.sampled_from((0.5, 1.5)),
+    )
+    @example(seed=2, n=400, k=3, zero_every_other=False, sigma=1.5)
+    def test_what_gets_scored_does_not_depend_on_the_order(self, seed, n, k, zero_every_other, sigma):
+        """Every pass forms both estimates, so the variants on one state score
+        each (lambda, t) their searches visit exactly once, in every order."""
+        logits, labels, _ = generated_task(seed, n, k, zero_every_other, False)
+        weights = np.random.default_rng(seed).lognormal(0.0, sigma, size=n)
+        if zero_every_other:
+            weights[::2] = 0.0
+        if raises_below_two_samples(logits, labels, weights):
+            return
+        estimates = transcal._ObjectiveContext.estimates
+        for order in itertools.permutations(VARIANTS):
+            scored, visited = [], set()
+
+            def counted(ctx, t):
+                scored.append(t.shape[0])
+                return estimates(ctx, t)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(transcal._ObjectiveContext, "estimates", counted)
+                state = TransCalState(logits, labels, weights, 15)
+                for name in order:
+                    mode, frozen = VARIANTS[name]
+                    sol = optimize_transcal(logits, labels, weights, mode, 15, frozen, state=state)
+                    visited.update((lam, t) for t, lam, _ in sol.trace)
+            assert sum(scored) == len(visited)
 
     def test_a_state_serves_only_the_inputs_it_was_built_from(self):
         logits, labels, weights = sampled_task(np.random.default_rng(89), n=60, k=3)
