@@ -16,7 +16,7 @@ agree. For every file under either directory the script prints one of:
   non-numeric change (a string, flag or type that changed), with how many
   entries changed that way. The position in a list of a field is folded
   into ``[*]``, and positions within its items are kept, so
-  ``trace[*][2]`` covers the value of every (t, lambda, value) trace entry
+  ``trace[*][1]`` covers the value of every (t, value) trace entry
   and ``records[*].seed: only in B (8 entries)`` is one line for eight;
 * ``differs`` for any other file whose bytes differ.
 
@@ -37,7 +37,7 @@ from pathlib import Path
 
 # a repr that Python cannot parse back, such as <EstimatorMode.CV_SERIAL: 'cv_serial'>
 _OPAQUE_REPR = re.compile(r"<[^<>]*>")
-# a list position, but not a position inside a list's items, such as the 2 of trace[12][2]
+# a list position, but not a position inside a list's items, such as the 1 of trace[12][1]
 _INDEX = re.compile(r"(?<!\])\[\d+\]")
 
 

@@ -14,16 +14,18 @@ than any grid point. Their objectives need not be smooth (transcal bins
 its confidences), so the search is derivative-free.
 
 An objective maps a 1-d array of temperatures to a 1-d array of values.
-The engine evaluates the grid in consecutive slices of ``batch``
-temperatures and each golden-section step as a 1-element array. A fit
-picks its batch with ``_grid_batch`` from the float64 elements one
-temperature touches (n * K for every temperature objective), so that a
-batch's arrays stay near ``_BATCH_ELEMENTS``: numpy call overhead, not
-arithmetic, dominates one temperature at a few hundred rows, and a batch
-that outgrows the cache loses again. Batching never changes a value:
-elementwise IEEE operations do not depend on an element's position, and
-every reduction runs over the last axis, which sums each row in the same
-order whatever the leading axes.
+A fit hands the engine its objective and the float64 elements one
+temperature touches (n * K for every temperature objective). The engine
+evaluates the grid in consecutive batches of as many temperatures as keep
+a batch's arrays near ``_BATCH_ELEMENTS``, and each golden-section step as
+a 1-element array: numpy call overhead, not arithmetic, dominates one
+temperature at a few hundred rows, and a batch that outgrows the cache
+loses again. Batching never changes a value: elementwise IEEE operations
+do not depend on an element's position, and every reduction runs over the
+last axis, which sums each row in the same order whatever the leading
+axes. The engine returns a ``_Search``, its own record of what it
+evaluated and what it found, so a fit needs no bookkeeping around its
+objective.
 
 An objective evaluation does only the work that depends on t. Inputs are
 validated and shifted by their row maxima (``_shifted``) once per fit;
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,61 +195,73 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> Probabil
     return ProbabilitySet(probs=p, predictions=np.argmax(logits, axis=1))
 
 
-def _grid_batch(footprint: int) -> int:
-    """Temperatures per grid batch for a fit that touches ``footprint`` float64 elements per temperature."""
-    return max(1, _BATCH_ELEMENTS // footprint)
+class _Search(NamedTuple):
+    """What ``_minimize_temperature`` found: the best temperature and its value,
+    whether it lies within SEARCH_TOL of a bound, whether its value is below
+    every grid value, and every (t, value) pair evaluated, in evaluation order."""
+
+    t: float
+    value: float
+    at_bound: bool
+    refined: bool
+    evaluations: list[tuple[float, float]]
 
 
-def _minimize_temperature(objective, batch: int) -> tuple[float, float, bool]:
+def _minimize_temperature(objective, footprint: int) -> _Search:
     """Grid bracket plus golden-section refinement of a vectorized objective over t.
 
-    ``objective`` maps a 1-d array of temperatures to a 1-d array of values.
-    The grid is evaluated in consecutive slices of ``batch`` temperatures,
-    each golden-section step as one temperature. Returns (t_star, value,
-    hit_bound). The returned value is the best of all evaluated points, so
-    it is never above any grid value. Ties prefer the smaller temperature.
+    ``objective`` maps a 1-d array of temperatures to a 1-d array of values,
+    and touches ``footprint`` float64 elements per temperature. The grid is
+    evaluated in consecutive batches of ``_BATCH_ELEMENTS // footprint``
+    temperatures (at least 1), each golden-section step as one temperature.
+    The result is the best of all evaluated points, so its value is never
+    above any grid value. Ties prefer the smaller temperature.
     """
     grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _GRID_SIZE))
-    values = np.concatenate(
-        [objective(grid[i : i + batch]) for i in range(0, _GRID_SIZE, batch)]
-    )
-    best_i = 0
-    for i in range(1, _GRID_SIZE):  # the first strict minimum; np.argmin would pick a NaN
-        if values[i] < values[best_i]:
-            best_i = i
-    best_t, best_v = grid[best_i], values[best_i]
+    batch = max(1, _BATCH_ELEMENTS // footprint)
+    evaluations: list[tuple[float, float]] = []
+    best = 0  # the position in ``evaluations`` of the best pair so far
+
+    def evaluate(t: np.ndarray) -> list[float]:
+        nonlocal best
+        values = objective(t).tolist()
+        for t_new, v_new in zip(t.tolist(), values):
+            evaluations.append((t_new, v_new))
+            best_t, best_v = evaluations[best]
+            if v_new < best_v or (v_new == best_v and t_new < best_t):
+                best = len(evaluations) - 1
+        return values
 
     def at(t_log: float) -> float:
-        return objective(np.array([math.exp(t_log)]))[0]
+        return evaluate(np.array([math.exp(t_log)]))[0]
 
-    lo = grid[max(best_i - 1, 0)]
-    hi = grid[min(best_i + 1, _GRID_SIZE - 1)]
-    a, b = math.log(lo), math.log(hi)
+    for i in range(0, _GRID_SIZE, batch):
+        evaluate(grid[i : i + batch])
+    a, b = math.log(grid[max(best - 1, 0)]), math.log(grid[min(best + 1, _GRID_SIZE - 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc = at(c)
     fd = at(d)
-    for t_log, v in ((c, fc), (d, fd)):
-        if v < best_v or (v == best_v and math.exp(t_log) < best_t):
-            best_t, best_v = math.exp(t_log), v
     iters = 0
     while math.exp(b) - math.exp(a) > SEARCH_TOL and iters < 200:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = at(c)
-            t_new, v_new = math.exp(c), fc
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = at(d)
-            t_new, v_new = math.exp(d), fd
-        if v_new < best_v or (v_new == best_v and t_new < best_t):
-            best_t, best_v = t_new, v_new
         iters += 1
-    hit_bound = best_t <= T_MIN + SEARCH_TOL or best_t >= T_MAX - SEARCH_TOL
-    return float(best_t), float(best_v), bool(hit_bound)
+    t, value = evaluations[best]
+    return _Search(
+        t=t,
+        value=value,
+        at_bound=t <= T_MIN + SEARCH_TOL or t >= T_MAX - SEARCH_TOL,
+        refined=all(value < v for _, v in evaluations[:_GRID_SIZE]),
+        evaluations=evaluations,
+    )
 
 
 def _nll_derivatives(shifted: np.ndarray, label_shifted: np.ndarray, beta: float) -> tuple[float, float]:
@@ -267,7 +282,10 @@ def _nll_derivatives(shifted: np.ndarray, label_shifted: np.ndarray, beta: float
     mean = (e @ ones) / sums
     e *= shifted
     n = shifted.shape[0]
-    slope = float((mean - label_shifted).sum()) / n
+    # misclassified rows whose label logit is -float max below their max can overflow
+    # this sum: +inf is then the slope, and the fit returns T_MAX flagged degenerate
+    with np.errstate(over="ignore"):
+        slope = float((mean - label_shifted).sum()) / n
     curvature = float(((e @ ones) / sums - mean * mean).sum()) / n
     return slope, curvature
 
@@ -389,8 +407,8 @@ def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> Tem
         # one dot per temperature: a matrix-vector product could sum in another order
         return np.array([np.dot(w, row) for row in _brier_rows(p, labels)]) / w_total
 
-    t_star, _, hit_bound = _minimize_temperature(objective, _grid_batch(logits.size))
-    return TemperatureParam(t=t_star, degenerate=hit_bound)
+    search = _minimize_temperature(objective, logits.size)
+    return TemperatureParam(t=search.t, degenerate=search.at_bound)
 
 
 def _softmax_nll(transformed: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

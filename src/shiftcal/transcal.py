@@ -32,7 +32,7 @@ therefore reduces the samples once, with ``bincount`` over bin indices
 offset by temperature, to three per-bin sums S1, S2 and S3 of w~,
 w~ * correctness and w~ * confidence, which give gap_m = |S2/S1 - S3/S1|.
 Everything after that works on (B, bins) arrays (see
-``_ObjectiveContext.estimates``); what does not depend on t is computed
+``TransCalState.estimates``); what does not depend on t is computed
 once per fit. The batch changes no value: elementwise operations do
 not depend on position, every reduction runs over the last axis, and
 ``bincount`` adds each bin's samples in sample order whatever its offset.
@@ -43,24 +43,26 @@ where ``apply_control_variate`` on the self-normalized samples, the
 sample-level reference, sums over samples, so the two agree to rounding.
 
 A ``TransCalState`` validates one fitting split when it is built and
-holds its shifted logits (``scaling._shifted``) and one context per
-lambda, each with a memo of every scored temperature. Every pass forms
+holds its shifted logits (``scaling._shifted``) and, per lambda, the
+per-sample terms and a memo of every scored temperature. Every pass forms
 the plain and the corrected estimates, at O(B * (bins + n)) beyond the
 softmax, and a mode only picks which one a fit reads. So fits that share
 a state score only the temperatures no fit at their lambda has scored,
 whatever their order: ``transcal`` and ``transcal-no-variance`` share
 theirs, and so does ``transcal-no-bias`` when the rule's lambda is 1.
-Every fit reads its coefficients at t* instead of scoring t* again.
-Sharing is exact for the reasons batching is: each value of a pass
-depends only on its own temperature.
+The search engine reports the value at t* and every (t, value) pair it
+evaluated, and a fit reads its coefficients at t* from the memo, so t*
+is never scored again. Sharing is exact for the reasons batching is:
+each value of a pass depends only on its own temperature.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -71,7 +73,6 @@ from .scaling import (
     _GRID_SIZE,
     TemperatureParam,
     _check_fit_inputs,
-    _grid_batch,
     _minimize_temperature,
     _require_weight_mass,
     _shifted,
@@ -123,14 +124,15 @@ class ControlVariateCoefficients:
 
 @dataclass
 class TransCalSolution:
-    """The temperature optimum at the fit's one lambda, with its search trace."""
+    """The temperature optimum at the fit's one lambda, with its search trace:
+    every (t, value) pair the search evaluated, in evaluation order."""
 
     t_star: TemperatureParam
     lambda_star: float
     objective_value: float
     mode: EstimatorMode
     coefficients: ControlVariateCoefficients | None
-    trace: list[tuple[float, float, float]] = field(default_factory=list)
+    trace: list[tuple[float, float]] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -317,26 +319,53 @@ def _ess_lambda(weights: np.ndarray) -> float:
     )
 
 
-class _ObjectiveContext:
-    """Everything a fit's evaluations at one lambda share, on its state's split.
+class TransCalState:
+    """One fitting split and the scores the transcal fits on it share.
 
-    ``terms`` holds the self-normalized weights w~ of ``lam`` and
-    w~ * correct, the per-sample terms of S1 and S2, and ``estimates`` says
-    how the per-bin sums give a batch of temperatures' estimates.
-
-    ``memo`` maps each scored temperature to ``(arrays, b)``: entry b of
-    every (B,) array of the pass that scored it. ``arrays`` is the pass's
-    ``estimates``: the plain and corrected estimates, and the correctness
-    variate's eta and Cov.
+    Building a state validates the split and raises what a fit without one
+    would. It keeps the checked arrays, the raw weights' Renyi diagnostics
+    (computed once, at first use) and, per lambda (1 for the frozen fits,
+    the ``_ess_lambda`` rule's for the others), the per-sample ``terms`` and
+    ``memo``, which maps each scored temperature to ``(arrays, b)``: entry b
+    of every (B,) array of the ``estimates`` pass that scored it. Pass it to
+    ``optimize_transcal`` as ``state`` with the very arrays and bins it was
+    built from, and do not modify those arrays while it is in use. The
+    module docstring says why sharing is exact.
     """
 
-    def __init__(self, state: TransCalState, lam: float):
-        # the state's arrays, not the state, so that the two form no reference cycle
-        self.shifted, self.num_bins = state.shifted, state.num_bins
-        self.correct_variate, self.lam = state.correct_variate, lam
-        weights = _normalized_power(state.weights, lam)
-        self.terms = (weights, weights * state.correct)
-        self.memo: dict[float, tuple[tuple[np.ndarray, ...], int]] = {}
+    def __init__(self, logits, labels, weights, bins: int = 15):
+        self._arguments = (logits, labels, weights)
+        logits, labels = _check_fit_inputs(logits, labels)
+        self.weights = check_weights(weights, logits.shape[0])
+        self.num_bins = _num_bins(bins)
+        _require_weight_mass(self.weights)
+        self.shifted = _shifted(logits)
+        self.correct = (np.argmax(logits, axis=1) == labels).astype(np.float64)
+        self.correct_variate = _variate(self.correct)
+        self._terms: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self.memo: defaultdict[float, dict[float, tuple[tuple, int]]] = defaultdict(dict)
+
+    @cached_property
+    def rule_lambda(self) -> float:
+        return _ess_lambda(self.weights)
+
+    @cached_property
+    def renyi_raw(self) -> dict[str, float]:
+        """``renyi_diagnostic`` of the raw weights at alpha = 0.5, 1 and 2, keyed by alpha."""
+        return {str(a): renyi_diagnostic(self.weights, a) for a in (0.5, 1.0, 2.0)}
+
+    def built_from(self, logits, labels, weights, bins) -> bool:
+        """Whether the state was built from these arrays and bin count."""
+        same = all(a is b for a, b in zip(self._arguments, (logits, labels, weights)))
+        return self.num_bins == _num_bins(bins) and same
+
+    def terms(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """The self-normalized weights w~ at ``lam`` and w~ * correct, the
+        per-sample terms of S1 and S2, built at first use."""
+        if lam not in self._terms:
+            weights = _normalized_power(self.weights, lam)
+            self._terms[lam] = (weights, weights * self.correct)
+        return self._terms[lam]
 
     def confidences(self, t: np.ndarray) -> np.ndarray:
         """Top-class softmax probabilities, one row per temperature in ``t``."""
@@ -345,9 +374,9 @@ class _ObjectiveContext:
         with np.errstate(over="ignore"):
             return 1.0 / _softmax_terms(self.shifted / t[:, None, None])[1][..., 0]
 
-    def estimates(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The plain and corrected estimates at each temperature in ``t``, and the
-        correctness variate's eta and Cov behind the corrected ones, as (B,) arrays.
+    def estimates(self, lam: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The plain and corrected estimates at ``lam`` and each temperature in ``t``,
+        and the correctness variate's eta and Cov behind the corrected ones, as (B,) arrays.
 
         A sample in confidence bin m contributes u_i = w~_i * gap_m, with
         gap_m = |A_m - C_m| the gap between the bin's w~-weighted accuracy
@@ -371,7 +400,7 @@ class _ObjectiveContext:
         shape = (size, self.num_bins)
         offsets = np.arange(size)[:, None] * self.num_bins
         flat = (bin_indices(conf, self.num_bins) + offsets).ravel()
-        mass_term, correct_term = self.terms
+        mass_term, correct_term = self.terms(lam)
         terms = (np.tile(mass_term, size), np.tile(correct_term, size), (mass_term * conf).ravel())
         mass, correct_sum, conf_sum = (
             sums.reshape(shape) for sums in _bin_sums(flat, math.prod(shape), *terms)
@@ -386,77 +415,25 @@ class _ObjectiveContext:
         corrected, eta = _stage(plain, cov, correctness, _mean(conf))
         return plain, corrected, eta, cov
 
-    def scores(self, t: np.ndarray, mode: EstimatorMode) -> np.ndarray:
-        """The mode's estimate at each temperature in ``t``.
+    def scores(self, lam: float, mode: EstimatorMode, t: np.ndarray) -> np.ndarray:
+        """The mode's estimate at ``lam`` and each temperature in ``t``.
 
         The temperatures the memo lacks are scored in one pass, and every
         value is then read from the memo; the kernel is batch-invariant, so
         a remembered value is the one a fresh pass would give, bit for bit.
         """
-        keys = t.tolist()
-        missing = [key for key in keys if key not in self.memo]
+        memo, keys = self.memo[lam], t.tolist()
+        missing = [key for key in keys if key not in memo]
         if missing:
-            arrays = self.estimates(np.array(missing))
-            self.memo.update(zip(missing, zip(repeat(arrays), range(len(missing)))))
+            arrays = self.estimates(lam, np.array(missing))
+            memo.update(zip(missing, zip(repeat(arrays), range(len(missing)))))
         cv = mode is EstimatorMode.CV_SERIAL
-        return np.array([entry[cv][b] for entry, b in map(self.memo.__getitem__, keys)])
+        return np.array([entry[cv][b] for entry, b in map(memo.__getitem__, keys)])
 
-    def at(self, t: float, mode: EstimatorMode) -> tuple[float, ControlVariateCoefficients | None]:
-        """Estimate and control-variate coefficients at t, from the memo."""
-        value = float(self.scores(np.array([t]), mode)[0])
-        if mode is EstimatorMode.PLAIN_IWECE:
-            return value, None
-        (*_, eta, cov), b = self.memo[t]
-        return value, _coefficients(eta[b], cov[b], self.correct_variate.var)
-
-
-class TransCalState:
-    """One fitting split and the scores the transcal fits on it share.
-
-    Building a state validates the split and raises what a fit without one
-    would. It keeps the checked arrays, the engine's grid batch, the raw
-    weights' facts every fit reports (computed once, at first use) and one
-    ``_ObjectiveContext`` per lambda, built at its first use: lambda = 1 for
-    the frozen fits, the ``_ess_lambda`` rule's for the others. Pass it to
-    ``optimize_transcal`` as ``state`` with the very arrays and bins it was
-    built from, and do not modify those arrays while it is in use. The
-    module docstring says why sharing is exact.
-    """
-
-    def __init__(self, logits, labels, weights, bins: int = 15):
-        self._arguments = (logits, labels, weights)
-        logits, labels = _check_fit_inputs(logits, labels)
-        self.weights = check_weights(weights, logits.shape[0])
-        self.num_bins = _num_bins(bins)
-        _require_weight_mass(self.weights)
-        self.shifted = _shifted(logits)
-        self.correct = (np.argmax(logits, axis=1) == labels).astype(np.float64)
-        self.correct_variate = _variate(self.correct)
-        self.batch = _grid_batch(logits.size)
-        self._contexts: dict[float, _ObjectiveContext] = {}
-
-    @cached_property
-    def rule_lambda(self) -> float:
-        return _ess_lambda(self.weights)
-
-    @cached_property
-    def max_weight_raw(self) -> float:
-        return float(self.weights.max())
-
-    @cached_property
-    def renyi_raw(self) -> dict[str, float]:
-        """``renyi_diagnostic`` of the raw weights at alpha = 0.5, 1 and 2, keyed by alpha."""
-        return {str(a): renyi_diagnostic(self.weights, a) for a in (0.5, 1.0, 2.0)}
-
-    def built_from(self, logits, labels, weights, bins) -> bool:
-        """Whether the state was built from these arrays and bin count."""
-        same = all(a is b for a, b in zip(self._arguments, (logits, labels, weights)))
-        return self.num_bins == _num_bins(bins) and same
-
-    def context(self, lam: float) -> _ObjectiveContext:
-        if lam not in self._contexts:
-            self._contexts[lam] = _ObjectiveContext(self, lam)
-        return self._contexts[lam]
+    def coefficients(self, lam: float, t: float) -> ControlVariateCoefficients:
+        """The correctness variate's coefficients at a temperature the memo holds."""
+        (*_, eta, cov), b = self.memo[lam][t]
+        return _coefficients(eta[b], cov[b], self.correct_variate.var)
 
 
 def transcal_objective(
@@ -479,7 +456,7 @@ def transcal_objective(
     state = TransCalState(logits, labels, weights, bins)
     if not (0.0 <= float(lam) <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    return state.context(float(lam)).at(TemperatureParam(float(t)).t, mode)[0]
+    return float(state.scores(float(lam), mode, np.array([TemperatureParam(float(t)).t]))[0])
 
 
 def optimize_transcal(
@@ -500,8 +477,7 @@ def optimize_transcal(
     the weighted temperature fits share; ties resolve to the smaller
     temperature.
     The search is deterministic and every evaluation is recorded in the
-    trace as (t, lambda, value), whether it was scored or read from the
-    memo.
+    trace as (t, value), whether it was scored or read from the memo.
 
     ``state`` is a ``TransCalState`` built from these same arguments; fits
     that share one score each temperature once. It changes no result, and
@@ -516,33 +492,25 @@ def optimize_transcal(
         raise ValueError(
             "state was built from other inputs; build one TransCalState per fitting split"
         )
-    ctx = state.context(1.0 if freeze_lambda else state.rule_lambda)
-    trace: list[tuple[float, float, float]] = []
-
-    def objective(t: np.ndarray) -> np.ndarray:
-        values = ctx.scores(t, mode)
-        trace.extend(zip(t.tolist(), repeat(ctx.lam), values.tolist()))
-        return values
-
-    chosen_t, best_v, at_bound = _minimize_temperature(objective, state.batch)
-    objective_value, coefficients = ctx.at(chosen_t, mode)
+    lam = 1.0 if freeze_lambda else state.rule_lambda
+    search = _minimize_temperature(partial(state.scores, lam, mode), state.shifted.size)
     diagnostics = {
-        "max_weight_raw": state.max_weight_raw,
+        "max_weight_raw": float(state.weights.max()),
         # the max of w^lambda before self-normalization, which never exceeds max(w, 1)
-        "max_weight_transformed": float(np.power(state.weights, ctx.lam).max()),
+        "max_weight_transformed": float(np.power(state.weights, lam).max()),
         "renyi_raw": dict(state.renyi_raw),
         "grid_evaluations": _GRID_SIZE,
-        "total_evaluations": len(trace),
-        "refined": best_v < min(v for _, _, v in trace[:_GRID_SIZE]),
+        "total_evaluations": len(search.evaluations),
+        "refined": search.refined,
         "freeze_lambda": bool(freeze_lambda),
     }
     return TransCalSolution(
-        t_star=TemperatureParam(t=chosen_t, degenerate=at_bound),
-        lambda_star=ctx.lam,
-        objective_value=objective_value,
+        t_star=TemperatureParam(t=search.t, degenerate=search.at_bound),
+        lambda_star=lam,
+        objective_value=search.value,
         mode=mode,
-        coefficients=coefficients,
-        trace=trace,
+        coefficients=None if mode is EstimatorMode.PLAIN_IWECE else state.coefficients(lam, search.t),
+        trace=search.evaluations,
         diagnostics=diagnostics,
     )
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from shiftcal.scaling import (
     TemperatureParam,
     _GRID_SIZE,
     _minimize_temperature,
+    _Search,
 )
 from shiftcal.transcal import TransCalState
 
@@ -95,17 +97,17 @@ class TestSoftmaxWithTemperature:
         assert np.all(np.isfinite(p.probs))
         assert np.max(np.abs(p.probs.sum(axis=1) - 1.0)) <= ROW_SUM_TOL
         n = logits.shape[0]
-        ctx = TransCalState(logits, np.zeros(n, dtype=int), np.ones(n)).context(1.0)
-        assert np.array_equal(ctx.confidences(np.array([t]))[0], p.confidences)
+        state = TransCalState(logits, np.zeros(n, dtype=int), np.ones(n))
+        assert np.array_equal(state.confidences(np.array([t]))[0], p.confidences)
 
 
 def search_objective(fit, *args):
     """The objective ``fit`` hands to the temperature search engine."""
     seen = []
 
-    def record(objective, batch):
+    def record(objective, footprint):
         seen.append(objective)
-        return 1.0, 0.0, False
+        return _Search(t=1.0, value=0.0, at_bound=False, refined=False, evaluations=[])
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scaling, "_minimize_temperature", record)
@@ -195,9 +197,13 @@ class TestBatchedGrid:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), k=st.integers(2, 10))
     def test_the_search_does_not_depend_on_the_batch(self, seed, n, k):
         for objective in brier_objectives(seed, n, k):
-            one = _minimize_temperature(objective, 1)
-            for batch in (3, 7, 50):
-                assert _minimize_temperature(objective, batch) == one
+            searches = []
+            for batch in (1, 3, 7, 50):
+                with pytest.MonkeyPatch.context() as patch:
+                    # a footprint of one element per temperature makes the batch _BATCH_ELEMENTS
+                    patch.setattr(scaling, "_BATCH_ELEMENTS", batch)
+                    searches.append(_minimize_temperature(objective, 1))
+            assert all(search == searches[0] for search in searches)
 
 
 def sampled_task(seed, n, k, scale, t_true):
@@ -275,11 +281,11 @@ class TestNllNewton:
         def objective(t):
             return np.array([public_nll(logits, labels, ti) for ti in t])
 
-        t_ref, _, hit_bound = _minimize_temperature(objective, _GRID_SIZE)
-        assert abs(param.t - t_ref) <= SEARCH_TOL
-        reference = public_nll(logits, labels, t_ref)
+        search = _minimize_temperature(objective, 1)
+        assert abs(param.t - search.t) <= SEARCH_TOL
+        reference = public_nll(logits, labels, search.t)
         assert public_nll(logits, labels, param.t) <= reference + 1e-12 * reference
-        assert param.degenerate == hit_bound
+        assert param.degenerate == search.at_bound
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(
@@ -321,6 +327,17 @@ class TestNllNewton:
         assert (param.t, param.degenerate) == (t, True)
         assert passes[0] <= 4
 
+    def test_an_overflowing_slope_gives_t_max_without_a_warning(self):
+        """Two misclassified rows [1e308, -1e308, 0] labelled 1 put their label
+        logit float max below the row max, so the slope's row sum overflows
+        to +inf at every beta: the minimum lies beyond T_MAX."""
+        rng = np.random.default_rng(29)
+        logits = np.vstack([random_logits(rng, 200, 3), [[1e308, -1e308, 0.0]] * 2])
+        labels = np.r_[rng.integers(0, 3, size=200), 1, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit_temperature_nll(logits, labels) == TemperatureParam(100.0, degenerate=True)
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -349,6 +366,43 @@ class TestNllNewton:
                 param = fit_temperature_nll(logits, labels)
             assert not param.degenerate
             assert passes[0] <= 10
+
+
+class TestSearchRecord:
+    """``_minimize_temperature`` reports what it did: every (t, value) pair it
+    evaluated, in order, and a best pair it picked from them."""
+
+    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("footprint", [1, 2**15 // 7, 2**15])
+    @pytest.mark.parametrize("step", [0.0, 0.05, 1.0])
+    def test_the_record_is_what_the_objective_saw(self, step, footprint, nan):
+        """On a quantized parabola in log t with its minimum at t = 2, ties
+        everywhere when ``step`` > 0, and with ``nan`` a NaN at the eleventh
+        grid point (the first grid point must not be NaN, or nothing beats
+        it): the value is the least non-NaN one seen, at the smallest t
+        among ties, and ``refined`` says whether it is below every grid
+        value, which no value is below a NaN one."""
+        seen = []
+        grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _GRID_SIZE))
+
+        def objective(t):
+            v = (np.log(t) - math.log(2.0)) ** 2
+            if step:
+                v = np.floor(v / step) * step
+            if nan:
+                v[t == grid[10]] = math.nan
+            seen.extend(zip(t.tolist(), v.tolist()))
+            return v
+
+        search = _minimize_temperature(objective, footprint)
+        assert np.array_equal(search.evaluations, seen, equal_nan=True)  # NaN != NaN in a list
+        assert math.isnan(seen[10][1]) == nan
+        finite = [(v, t) for t, v in seen if not math.isnan(v)]
+        assert (search.value, search.t) == min(finite)
+        assert search.refined == all(search.value < v for _, v in seen[:_GRID_SIZE])
+        assert search.refined == (step == 0.0 and not nan)
+        assert search.at_bound is False
+        assert 50 < len(seen) <= 252
 
 
 class TestTemperatureParam:

@@ -20,7 +20,7 @@ from shiftcal import (
     softmax_with_temperature,
     transcal_objective,
 )
-from shiftcal import bench, transcal
+from shiftcal import bench, scaling, transcal
 from shiftcal.metrics import bin_indices
 from shiftcal.scaling import T_MAX, T_MIN, _minimize_temperature, _softmax_terms
 from shiftcal.transcal import TransCalState
@@ -188,10 +188,10 @@ class TestTranscalObjective:
         rng = np.random.default_rng(41)
         logits, labels, weights = sampled_task(rng, n=200, k=10)
         logits[0] *= 300.0  # a row far from zero exercises the max shift
-        ctx = TransCalState(logits, labels, weights, 15).context(1.0)
+        state = TransCalState(logits, labels, weights, 15)
         for t in (0.05, 0.37, 1.0, 2.7, 100.0):
             want = softmax_with_temperature(logits, t).confidences
-            assert np.array_equal(ctx.confidences(np.array([t]))[0], want)
+            assert np.array_equal(state.confidences(np.array([t]))[0], want)
 
     def test_all_modes_run_and_are_finite(self):
         rng = np.random.default_rng(37)
@@ -271,6 +271,7 @@ class TestOptimizeTranscal:
                 logits, labels, weights, sol.t_star.t, sol.lambda_star, mode=mode
             )
             assert again == sol.objective_value
+            assert (sol.coefficients is None) == (mode is EstimatorMode.PLAIN_IWECE)
 
     def test_deterministic(self):
         rng = np.random.default_rng(43)
@@ -285,22 +286,27 @@ class TestOptimizeTranscal:
     def test_freeze_lambda_pins_lambda_at_one(self):
         rng = np.random.default_rng(47)
         logits, labels, weights = sampled_task(rng, n=200)
-        sol = optimize_transcal(logits, labels, weights, freeze_lambda=True)
+        state = TransCalState(logits, labels, weights, 15)
+        sol = optimize_transcal(logits, labels, weights, freeze_lambda=True, state=state)
         assert sol.lambda_star == 1.0
         assert sol.diagnostics["freeze_lambda"] is True
         assert sol.diagnostics["grid_evaluations"] == 50
-        assert all(lam == 1.0 for _, lam, _ in sol.trace)
+        # every traced temperature was scored at lambda = 1, and at no other lambda
+        assert list(state.memo) == [1.0]
+        assert set(state.memo[1.0]) == {t for t, _ in sol.trace}
 
     def test_grid_size_and_trace_budget(self):
         rng = np.random.default_rng(53)
         logits, labels, weights = sampled_task(rng, n=150)
-        sol = optimize_transcal(logits, labels, weights)
+        state = TransCalState(logits, labels, weights, 15)
+        sol = optimize_transcal(logits, labels, weights, state=state)
         assert sol.diagnostics["grid_evaluations"] == 50
         assert len(sol.trace) == sol.diagnostics["total_evaluations"]
         # 50 grid points, two golden-section seeds and at most 200 steps,
         # each evaluated at the fit's one lambda
         assert 50 < len(sol.trace) <= 252
-        assert {lam for _, lam, _ in sol.trace} == {sol.lambda_star}
+        assert list(state.memo) == [sol.lambda_star]
+        assert set(state.memo[sol.lambda_star]) == {t for t, _ in sol.trace}
 
     def test_frozen_lambda_is_the_shared_temperature_engine(self):
         rng = np.random.default_rng(67)
@@ -312,7 +318,7 @@ class TestOptimizeTranscal:
                     [transcal_objective(logits, labels, weights, t, 1.0, mode=mode) for t in ts]
                 ),
                 1,
-            )[0]
+            ).t
             assert sol.t_star.t == want
 
     @pytest.mark.parametrize("zero_every_other", [False, True])
@@ -359,7 +365,7 @@ class TestOptimizeTranscal:
 
         monkeypatch.setattr(transcal, "_softmax_terms", counted)
         sol = optimize_transcal(logits, labels, weights)
-        temperatures = {t for t, _, _ in sol.trace}
+        temperatures = {t for t, _ in sol.trace}
         # at most one pass per searched temperature, and each scored once;
         # t* is read from the memo, not scored again
         assert len(calls) <= len(temperatures)
@@ -405,7 +411,7 @@ class TestOptimizeTranscal:
         rng = np.random.default_rng(59)
         logits, labels, weights = sampled_task(rng, n=300)
         sol = optimize_transcal(logits, labels, weights)
-        best_traced = min(v for _, _, v in sol.trace)
+        best_traced = min(v for _, v in sol.trace)
         assert sol.objective_value <= best_traced + 1e-12
 
     def test_diagnostics_payload(self):
@@ -491,9 +497,8 @@ class TestOneLambdaPerPass:
             return
         sol = optimize_transcal(logits, labels, weights, mode=mode, bins=bins)
         assert sol.diagnostics["grid_evaluations"] == 50
-        for t, lam, v in sol.trace:
-            assert lam == sol.lambda_star
-            assert v == transcal_objective(logits, labels, weights, t, lam, mode=mode, bins=bins)
+        for t, v in sol.trace:
+            assert v == transcal_objective(logits, labels, weights, t, sol.lambda_star, mode=mode, bins=bins)
 
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(
@@ -510,7 +515,7 @@ class TestOneLambdaPerPass:
     def test_values_match_the_sample_level_corrections(
         self, seed, n, k, zero_every_other, all_correct, t, lam
     ):
-        """A one-lambda context's estimates are the sample-level ones on that
+        """A state's estimates at one lambda are the sample-level ones on that
         lambda's self-normalized oracle samples u: their mean, and
         ``apply_control_variate`` of u with correctness against the mean
         confidence, with its coefficients. Per-bin sums round differently
@@ -525,7 +530,6 @@ class TestOneLambdaPerPass:
                 TransCalState(logits, labels, weights, 15)
             return
         state = TransCalState(logits, labels, weights, 15)
-        ctx = state.context(lam)
         constant = bool(np.all(state.correct == state.correct[0]))
         assert constant or not all_correct
 
@@ -533,11 +537,12 @@ class TestOneLambdaPerPass:
             return got == want or abs(got - want) <= 1e-12 * max(abs(want), scale)
 
         u, wl, conf, correct = oracle_u(logits, labels, weights, t, lam)
-        assert np.array_equal(ctx.terms[0], wl)
+        assert np.array_equal(state.terms(lam)[0], wl)
         want, _, coeffs = apply_control_variate(u, correct, float(conf.mean()))
-        plain, no_coeffs = ctx.at(t, EstimatorMode.PLAIN_IWECE)
-        value, got = ctx.at(t, EstimatorMode.CV_SERIAL)
-        assert no_coeffs is None and close(plain, u.mean())
+        modes = (EstimatorMode.PLAIN_IWECE, EstimatorMode.CV_SERIAL)
+        plain, value = (state.scores(lam, mode, np.array([t]))[0] for mode in modes)
+        got = state.coefficients(lam, t)
+        assert close(plain, u.mean())
         assert close(value, want)
         assert got.var_t1 == coeffs.var_t1
         bound = math.sqrt(np.mean(np.square(u))) * correct.std()
@@ -597,12 +602,13 @@ class TestBatchedTemperatures:
         logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
         if raises_below_two_samples(logits, labels, weights, bins=bins):
             return
-        ctx = TransCalState(logits, labels, weights, bins).context(1.0 if frozen else 0.6)
+        state = TransCalState(logits, labels, weights, bins)
+        lam = 1.0 if frozen else 0.6
         rng = np.random.default_rng(seed)
         t = np.exp(rng.uniform(math.log(T_MIN), math.log(T_MAX), size))
         t[0], t[-1] = T_MIN, T_MAX
-        batch = ctx.estimates(t)
-        singles = [ctx.estimates(t[i : i + 1]) for i in range(size)]
+        batch = state.estimates(lam, t)
+        singles = [state.estimates(lam, t[i : i + 1]) for i in range(size)]
         assert len(batch) == 4  # plain, corrected, and the correctness variate's eta and Cov
         for j, array in enumerate(batch):
             assert np.array_equal(array, np.concatenate([single[j] for single in singles]))
@@ -626,7 +632,8 @@ class TestBatchedTemperatures:
         fits = {}
         for batch in (1, 3, 7, 50):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(transcal, "_grid_batch", lambda footprint: batch)
+                # the search's footprint is logits.size elements per temperature
+                patch.setattr(scaling, "_BATCH_ELEMENTS", batch * logits.size)
                 fits[batch] = repr(
                     optimize_transcal(logits, labels, weights, mode=mode, freeze_lambda=frozen)
                 )
@@ -693,21 +700,21 @@ class TestSharedState:
             weights[::2] = 0.0
         if raises_below_two_samples(logits, labels, weights):
             return
-        estimates = transcal._ObjectiveContext.estimates
+        estimates = TransCalState.estimates
         for order in itertools.permutations(VARIANTS):
             scored, visited = [], set()
 
-            def counted(ctx, t):
+            def counted(state, lam, t):
                 scored.append(t.shape[0])
-                return estimates(ctx, t)
+                return estimates(state, lam, t)
 
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(transcal._ObjectiveContext, "estimates", counted)
+                patch.setattr(TransCalState, "estimates", counted)
                 state = TransCalState(logits, labels, weights, 15)
                 for name in order:
                     mode, frozen = VARIANTS[name]
                     sol = optimize_transcal(logits, labels, weights, mode, 15, frozen, state=state)
-                    visited.update((lam, t) for t, lam, _ in sol.trace)
+                    visited.update((sol.lambda_star, t) for t, _ in sol.trace)
             assert sum(scored) == len(visited)
 
     def test_a_state_serves_only_the_inputs_it_was_built_from(self):
