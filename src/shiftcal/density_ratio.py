@@ -31,6 +31,12 @@ __all__ = [
 H_CLAMP = 1e-6
 
 
+def _sigmoid(margins: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-m)), which keeps the relative precision of small H that (1 - H) / H needs."""
+    with np.errstate(over="ignore"):  # exp(-m) overflows below m = -709, giving exactly 0
+        return 1.0 / (1.0 + np.exp(-margins))
+
+
 @dataclass
 class DomainClassifier:
     """Fitted logistic discriminator with its standardization statistics."""
@@ -46,9 +52,6 @@ class DomainClassifier:
 
     def predict_source_probability(self, features: np.ndarray) -> np.ndarray:
         """H(x) = P(domain = source | x) for rows of ``features``."""
-        # imported here: scipy.special takes about 0.3 s and 25 MB to load, and only the classifier uses it
-        from scipy.special import expit
-
         x = check_array(features, "features", 2)
         if x.shape[1] != self.weights.shape[0]:
             raise ValueError(
@@ -56,7 +59,7 @@ class DomainClassifier:
                 f"dimension {self.weights.shape[0]}"
             )
         standardized = (x - self.feature_mean) / self.feature_std
-        return expit(standardized @ self.weights + self.bias)
+        return _sigmoid(standardized @ self.weights + self.bias)
 
 
 def upsample_balance(source_features, target_features, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -97,9 +100,6 @@ def train_domain_classifier(source_features, target_features) -> DomainClassifie
     stops unconverged after MAX_NEWTON_STEPS steps, or when no step length
     down to 2**-MAX_HALVINGS gives an acceptable loss.
     """
-    # imported here: scipy.special takes about 0.3 s and 25 MB to load, and only the classifier uses it
-    from scipy.special import expit
-
     source = check_array(source_features, "features", 2)
     target = check_array(target_features, "features", 2)
     if source.shape[1] != target.shape[1]:
@@ -121,7 +121,7 @@ def train_domain_classifier(source_features, target_features) -> DomainClassifie
         margins = xs @ w + theta[d]
         # log(1 + exp(m)) - y*m, numerically stable for large |m|
         loss = float(np.mean(np.logaddexp(0.0, margins) - y * margins))
-        return loss + 0.5 * l2 * float(w @ w), expit(margins)
+        return loss + 0.5 * l2 * float(w @ w), _sigmoid(margins)
 
     penalty = np.full(d + 1, l2)
     penalty[d] = 0.0

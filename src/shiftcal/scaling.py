@@ -215,7 +215,7 @@ def _minimize_temperature(objective, footprint: int) -> _Search:
     evaluated in consecutive batches of ``_BATCH_ELEMENTS // footprint``
     temperatures (at least 1), each golden-section step as one temperature.
     The result is the best of all evaluated points, so its value is never
-    above any grid value. Ties prefer the smaller temperature.
+    above any grid value. Ties prefer the smaller temperature; NaN loses to any number.
     """
     grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _GRID_SIZE))
     batch = max(1, _BATCH_ELEMENTS // footprint)
@@ -228,7 +228,7 @@ def _minimize_temperature(objective, footprint: int) -> _Search:
         for t_new, v_new in zip(t.tolist(), values):
             evaluations.append((t_new, v_new))
             best_t, best_v = evaluations[best]
-            if v_new < best_v or (v_new == best_v and t_new < best_t):
+            if (v_new, t_new) < (best_v, best_t) or math.isnan(v_new) < math.isnan(best_v):
                 best = len(evaluations) - 1
         return values
 

@@ -809,48 +809,54 @@ class TestInstalledEntryPoint:
         assert (tmp_path / "t" / "manifest.json").is_file()
 
 
-class TestDeferredScipy:
+class TestNoScipyAtRuntime:
     # run in a fresh interpreter, because this one already has scipy loaded
     SCRIPT = """
 import json, sys
-import shiftcal, shiftcal.cli
-
-def run(*argv):
-    return shiftcal.cli.main([str(a) for a in argv])
 
 def loaded():
-    return sorted(m for m in ("scipy.special", "scipy.optimize") if m in sys.modules)
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+seen = []
+
+def run(*argv):
+    code = shiftcal.cli.main([str(a) for a in argv])
+    seen.append([" ".join(str(a) for a in argv).replace(out, "OUT"), code, loaded()])
+
+import shiftcal
+seen.append(["import shiftcal", 0, loaded()])
+import shiftcal.cli
 out = sys.argv[1]
 task = out + "/task"
-seen = {"import": loaded()}
-codes = [run("gen-synth", "--out", task, "--dimension", 3, "--classes", 3,
-             "--n-source", 300, "--n-target", 200, "--seed", 2)]
+run("gen-synth", "--out", task, "--dimension", 3, "--classes", 3,
+    "--n-source", 300, "--n-target", 200, "--seed", 2)
 files = json.load(open(task + "/manifest.json"))["files"]
 f = {stem: task + "/" + name for stem, name in files.items()}
+inline = ["--source-features", f["source_train_features"], "--target-features", f["target_features"]]
 for method, spec in shiftcal.bench.METHODS.items():
     split = "target" if spec.on_target else "source_val"
+    fit = ["--method", method, "--logits", f[split + "_logits"], "--labels", f[split + "_labels"],
+           "--apply", f["target_logits"], "--apply-labels", f["target_labels"]]
     weights = ["--weights", f["true_weights"]] if spec.needs_weights else []
-    codes.append(run("calibrate", "--method", method, "--logits", f[split + "_logits"],
-                     "--labels", f[split + "_labels"], *weights, "--apply", f["target_logits"],
-                     "--apply-labels", f["target_labels"], "--probs-out", out + "/" + method + ".csv",
-                     "--out", out + "/" + method + ".json"))
-codes.append(run("evaluate", "--probs", out + "/cpcs.csv", "--labels", f["target_labels"],
-                 "--out", out + "/eval.json"))
-codes.append(run("diagnose", "--weights", f["true_weights"], "--out", out + "/diag.json"))
-seen["numpy_only"] = loaded()
-seen["numpy_only_codes"] = codes
-seen["scipy_codes"] = [
-    run("weights", "--source-features", f["source_train_features"],
-        "--target-features", f["target_features"], "--eval-features", f["source_val_features"],
-        "--out", out + "/w.csv"),
-]
-seen["scipy"] = loaded()
+    run("calibrate", *fit, *weights, "--probs-out", out + "/" + method + ".csv",
+        "--out", out + "/" + method + ".json")
+    if spec.needs_weights:
+        run("calibrate", *fit, *inline, "--eval-features", f["source_val_features"],
+            "--out", out + "/" + method + "-inline.json")
+run("evaluate", "--probs", out + "/cpcs.csv", "--labels", f["target_labels"],
+    "--out", out + "/eval.json")
+run("diagnose", "--weights", f["true_weights"], "--out", out + "/diag.json")
+run("weights", *inline, "--eval-features", f["source_val_features"], "--out", out + "/w.csv")
+run("bench", "--n-source", 200, "--n-target", 150, "--seeds", 0, "--shifts", 1,
+    "--scales", 1, "--t-trues", 2, "--methods", ",".join(shiftcal.bench.ALL_METHODS),
+    "--out", out + "/bench.json")
 print(json.dumps(seen))
 """
 
-    def test_numpy_only_commands_never_load_scipy(self, tmp_path):
-        """Only the classifier loads scipy (scipy.special); nothing loads scipy.optimize."""
+    def test_no_command_loads_any_scipy_module(self, tmp_path):
+        """numpy is the only runtime dependency: importing the package and
+        running every command, the domain classifier included, loads no
+        module of scipy."""
         src = Path(shiftcal.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")])
@@ -861,11 +867,12 @@ print(json.dumps(seen))
         )
         assert result.returncode == 0, result.stderr
         seen = json.loads(result.stdout.splitlines()[-1])
-        assert seen["import"] == []
-        assert seen["numpy_only_codes"] == [0] * (len(bench.METHODS) + 3)
-        assert seen["numpy_only"] == []
-        assert seen["scipy_codes"] == [0]
-        assert seen["scipy"] == ["scipy.special"]
+        weighted = sum(spec.needs_weights for spec in bench.METHODS.values())
+        assert len(seen) == 1 + 1 + len(bench.METHODS) + weighted + 4
+        assert {step.split()[0] for step, _, _ in seen} == {
+            "import", "gen-synth", "calibrate", "evaluate", "diagnose", "weights", "bench",
+        }
+        assert [(step, code, modules) for step, code, modules in seen if code or modules] == []
 
 
 class TestReadme:

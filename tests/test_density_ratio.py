@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,34 @@ class TestNewtonSolve:
         source, target = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
         clf = train_domain_classifier(source, target)
         self._assert_finite(clf, rng.standard_normal((5, 3)))
+
+
+class TestSourceProbability:
+    def test_sigmoid_matches_the_scipy_reference(self):
+        """With unit weight, zero bias and identity standardization H is the
+        sigmoid of the feature itself: within 4 ulps of scipy's expit (a
+        test-only reference) over [-750, 750], exactly 0 and 1 at -800 and
+        +800, and with no RuntimeWarning where exp(-m) overflows."""
+        from scipy.special import expit
+
+        clf = DomainClassifier(
+            weights=np.array([1.0]),
+            bias=0.0,
+            feature_mean=np.zeros(1),
+            feature_std=np.ones(1),
+            l2_strength=0.0,
+            iterations=0,
+            converged=True,
+            final_loss=0.0,
+        )
+        m = np.linspace(-750.0, 750.0, 300_001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h = clf.predict_source_probability(m[:, None])
+            ends = clf.predict_source_probability(np.array([[-800.0], [800.0]]))
+        reference = expit(m)
+        assert np.all(np.abs(h - reference) <= 4 * np.spacing(reference))
+        assert ends.tolist() == [0.0, 1.0]
 
 
 class TestEstimateWeights:

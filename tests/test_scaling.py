@@ -372,16 +372,15 @@ class TestSearchRecord:
     """``_minimize_temperature`` reports what it did: every (t, value) pair it
     evaluated, in order, and a best pair it picked from them."""
 
-    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("nan_at", [None, 0, 10])
     @pytest.mark.parametrize("footprint", [1, 2**15 // 7, 2**15])
     @pytest.mark.parametrize("step", [0.0, 0.05, 1.0])
-    def test_the_record_is_what_the_objective_saw(self, step, footprint, nan):
+    def test_the_record_is_what_the_objective_saw(self, step, footprint, nan_at):
         """On a quantized parabola in log t with its minimum at t = 2, ties
-        everywhere when ``step`` > 0, and with ``nan`` a NaN at the eleventh
-        grid point (the first grid point must not be NaN, or nothing beats
-        it): the value is the least non-NaN one seen, at the smallest t
-        among ties, and ``refined`` says whether it is below every grid
-        value, which no value is below a NaN one."""
+        everywhere when ``step`` > 0, and a NaN at grid point ``nan_at``:
+        the value is the least non-NaN one seen, at the smallest t among
+        ties, and ``refined`` says whether it is below every grid value,
+        which no value is below a NaN one."""
         seen = []
         grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _GRID_SIZE))
 
@@ -389,18 +388,18 @@ class TestSearchRecord:
             v = (np.log(t) - math.log(2.0)) ** 2
             if step:
                 v = np.floor(v / step) * step
-            if nan:
-                v[t == grid[10]] = math.nan
+            if nan_at is not None:
+                v[t == grid[nan_at]] = math.nan
             seen.extend(zip(t.tolist(), v.tolist()))
             return v
 
         search = _minimize_temperature(objective, footprint)
         assert np.array_equal(search.evaluations, seen, equal_nan=True)  # NaN != NaN in a list
-        assert math.isnan(seen[10][1]) == nan
+        assert [i for i, (_, v) in enumerate(seen) if math.isnan(v)] == [nan_at] * (nan_at is not None)
         finite = [(v, t) for t, v in seen if not math.isnan(v)]
         assert (search.value, search.t) == min(finite)
         assert search.refined == all(search.value < v for _, v in seen[:_GRID_SIZE])
-        assert search.refined == (step == 0.0 and not nan)
+        assert search.refined == (step == 0.0 and nan_at is None)
         assert search.at_bound is False
         assert 50 < len(seen) <= 252
 
