@@ -29,8 +29,11 @@ in-process (whichever ``shiftcal`` the import path finds) for:
   class, so that constant correctness is flagged, plus
   ``fit_temperature_nll`` and ``fit_cpcs_temperature``, and (K = 3)
   ``fit_temperature_nll`` on those all-correct labels and on rows of tied
-  logits; the ``repr`` of each result, search trace included, goes to
-  ``fits/<name>.txt``;
+  logits, and ``fit_cpcs_temperature`` on the K = 3 split plus a
+  misclassified row [1e308, -1e308, 0] labelled 1 and on a small random
+  task whose weighted Brier score has three local minima
+  (``multimodal_task``); the ``repr`` of each result, search trace
+  included, goes to ``fits/<name>.txt``;
 * a list of bad inputs, each printed with its exit code and stderr.
 
 An uncaught exception is recorded as ``exit 1: <Type>: <message>``, the
@@ -161,6 +164,22 @@ def good_runs(out: Path) -> None:
                   "--shifts", "0,1.5", "--scales", "1,1.2", "--t-trues", "2"])
 
 
+def multimodal_task(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A small random weighted task; at seed 2937 (22 rows, K = 5) the weighted
+    Brier score has three local minima in t."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(10, 300)
+    k = rng.integers(2, 6)
+    logits = rng.standard_normal((n, k)) * rng.uniform(0.5, 4.0)
+    if seed % 3 == 0:
+        labels = rng.integers(0, k, n)
+    else:
+        cum = np.cumsum(shiftcal.softmax_with_temperature(logits, rng.uniform(0.3, 3.0)).probs, axis=1)
+        cum[:, -1] = 1.0
+        labels = (rng.random(n)[:, None] < cum).argmax(axis=1)
+    return logits, labels, rng.lognormal(0.0, rng.choice([0.5, 1.0, 2.0]), n)
+
+
 def fit_runs(out: Path) -> list[str]:
     """Write the repr of every in-process fit to ``fits/``; return one summary line per fit."""
     fits = out / "fits"
@@ -200,9 +219,14 @@ def fit_runs(out: Path) -> list[str]:
                             optimize_transcal(logits, all_correct, true_weights))
             # minima beyond a bound: all-correct labels, and rows of tied logits
             tied = np.repeat(logits[:, :1], logits.shape[1], axis=1)
+            # a misclassified row whose label logit is float max below the row max
+            overflow = (np.vstack([logits, [1e308, -1e308, 0.0]]), np.r_[labels, 1], np.r_[true_weights, 1.0])
             for name, fit in (("nll-all-correct", fit_temperature_nll(logits, all_correct)),
-                              ("nll-tied-rows", fit_temperature_nll(tied, labels))):
+                              ("nll-tied-rows", fit_temperature_nll(tied, labels)),
+                              ("cpcs-overflow-row", fit_cpcs_temperature(*overflow))):
                 record(f"k3-{name}", fit, f"t={fit.t!r} degenerate={fit.degenerate!r}")
+    fit = fit_cpcs_temperature(*multimodal_task(2937))
+    record("multimodal-2937-cpcs", fit, f"t={fit.t!r} degenerate={fit.degenerate!r}")
     return lines
 
 

@@ -1,40 +1,31 @@
 """Post-hoc calibration maps fitted on held-out logits.
 
-The plain NLL temperature (``temp`` and ``oracle``) is the root of a
-monotone slope: the mean NLL of softmax(logits / t) is convex in 1 / t, so
-``fit_temperature_nll`` runs a bracketed Newton iteration on 1 / t that
-needs a handful of passes over the rows, each on the logits minus their
-row maxima.
+Both temperature fits solve for beta = 1 / t with one safeguarded Newton
+iteration, ``_solve_beta``: it takes a function giving the objective's
+slope and curvature in beta, a beta bracket and a start point, and each
+pass over the rows gives both derivatives.
 
-The weighted temperature fits (``cpcs`` and the transcal variants) run one
-search engine, ``_minimize_temperature``, on log t over [T_MIN, T_MAX]: a
-50-point log-spaced grid brackets the optimum, golden-section search
-refines it to SEARCH_TOL in t, and the returned temperature is never worse
-than any grid point. Their objectives need not be smooth (transcal bins
-its confidences), so the search is derivative-free.
+- The plain NLL temperature (``temp`` and ``oracle``) is the root of a
+  monotone slope: the mean NLL of softmax(beta * logits) is convex in
+  beta, so ``fit_temperature_nll`` solves once over [1 / T_MAX, 1 / T_MIN]
+  from beta = 1.
+- The importance-weighted Brier score (``cpcs``) is not convex in beta and
+  can have several local minima. ``fit_cpcs_temperature`` scores a
+  12-point log grid over [T_MIN, T_MAX] in one batched pass, solves
+  between the neighbours of every local minimum of that grid, and returns
+  the best of the grid points and the roots, so its temperature is never
+  worse than a scanned one.
 
-An objective maps a 1-d array of temperatures to a 1-d array of values.
-A fit hands the engine its objective and the float64 elements one
-temperature touches (n * K for every temperature objective). The engine
-evaluates the grid in consecutive batches of as many temperatures as keep
-a batch's arrays near ``_BATCH_ELEMENTS``, and each golden-section step as
-a 1-element array: numpy call overhead, not arithmetic, dominates one
-temperature at a few hundred rows, and a batch that outgrows the cache
-loses again. Batching never changes a value: elementwise IEEE operations
-do not depend on an element's position, and every reduction runs over the
-last axis, which sums each row in the same order whatever the leading
-axes. The engine returns a ``_Search``, its own record of what it
-evaluated and what it found, so a fit needs no bookkeeping around its
-objective.
+The grid and golden-section engine of the transcal fits, whose binned
+objective is not smooth, lives in ``transcal``.
 
 An objective evaluation does only the work that depends on t. Inputs are
 validated and shifted by their row maxima (``_shifted``) once per fit;
-every temperature path divides that one array by t. The Brier objective
-builds no ``ProbabilitySet``. Softmax and Brier row sums over fewer than
-16 classes are column adds in numpy's own order, sequential below 8
-classes and pairwise from 8 on (``metrics._row_sums``). The transcal
-objective scores its one lambda in one pass per batch of temperatures
-(see ``transcal``).
+every temperature path divides or multiplies that one array. The Brier
+scan builds no ``ProbabilitySet``. Softmax and Brier row sums over fewer
+than 16 classes are column adds in numpy's own order, sequential below 8
+classes and pairwise from 8 on (``metrics._row_sums``), so the scan's
+values are the public weighted Brier score's, bit for bit.
 
 Vector and matrix scaling minimize the mean NLL of softmax(scale o logits +
 bias), which is convex, from the identity map on the package's one damped
@@ -50,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
 
 import numpy as np
 
@@ -81,16 +72,17 @@ __all__ = [
 
 T_MIN = 0.05
 T_MAX = 100.0
+# a fitted temperature within SEARCH_TOL of a bound is flagged degenerate; the
+# transcal search also stops its golden-section steps at SEARCH_TOL in t
 SEARCH_TOL = 1e-4
-_GRID_SIZE = 50
-# float64 elements per grid batch: about 256 KiB, so a batch stays in cache
-_BATCH_ELEMENTS = 2**15
-# the NLL fit solves for beta = 1 / t in [_BETA_MIN, _BETA_MAX]; it stops once a step
-# moves beta by at most _BETA_RTOL of it, or after _MAX_PASSES passes over the rows
-# (bisection alone narrows the whole bracket that far in about 30)
+# the beta solve stops once a step moves beta by at most _BETA_RTOL of it, or after
+# _MAX_PASSES passes over the rows (bisection alone narrows [_BETA_MIN, _BETA_MAX]
+# that far in about 30)
 _BETA_MIN, _BETA_MAX = 1.0 / T_MAX, 1.0 / T_MIN
 _BETA_RTOL = 1e-8
 _MAX_PASSES = 100
+# log-spaced temperatures the cpcs fit scores before it solves
+_SCAN_SIZE = 12
 
 
 @dataclass
@@ -195,75 +187,6 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> Probabil
     return ProbabilitySet(probs=p, predictions=np.argmax(logits, axis=1))
 
 
-class _Search(NamedTuple):
-    """What ``_minimize_temperature`` found: the best temperature and its value,
-    whether it lies within SEARCH_TOL of a bound, whether its value is below
-    every grid value, and every (t, value) pair evaluated, in evaluation order."""
-
-    t: float
-    value: float
-    at_bound: bool
-    refined: bool
-    evaluations: list[tuple[float, float]]
-
-
-def _minimize_temperature(objective, footprint: int) -> _Search:
-    """Grid bracket plus golden-section refinement of a vectorized objective over t.
-
-    ``objective`` maps a 1-d array of temperatures to a 1-d array of values,
-    and touches ``footprint`` float64 elements per temperature. The grid is
-    evaluated in consecutive batches of ``_BATCH_ELEMENTS // footprint``
-    temperatures (at least 1), each golden-section step as one temperature.
-    The result is the best of all evaluated points, so its value is never
-    above any grid value. Ties prefer the smaller temperature; NaN loses to any number.
-    """
-    grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _GRID_SIZE))
-    batch = max(1, _BATCH_ELEMENTS // footprint)
-    evaluations: list[tuple[float, float]] = []
-    best = 0  # the position in ``evaluations`` of the best pair so far
-
-    def evaluate(t: np.ndarray) -> list[float]:
-        nonlocal best
-        values = objective(t).tolist()
-        for t_new, v_new in zip(t.tolist(), values):
-            evaluations.append((t_new, v_new))
-            best_t, best_v = evaluations[best]
-            if (v_new, t_new) < (best_v, best_t) or math.isnan(v_new) < math.isnan(best_v):
-                best = len(evaluations) - 1
-        return values
-
-    def at(t_log: float) -> float:
-        return evaluate(np.array([math.exp(t_log)]))[0]
-
-    for i in range(0, _GRID_SIZE, batch):
-        evaluate(grid[i : i + batch])
-    a, b = math.log(grid[max(best - 1, 0)]), math.log(grid[min(best + 1, _GRID_SIZE - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = at(c)
-    fd = at(d)
-    iters = 0
-    while math.exp(b) - math.exp(a) > SEARCH_TOL and iters < 200:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = at(d)
-        iters += 1
-    t, value = evaluations[best]
-    return _Search(
-        t=t,
-        value=value,
-        at_bound=t <= T_MIN + SEARCH_TOL or t >= T_MAX - SEARCH_TOL,
-        refined=all(value < v for _, v in evaluations[:_GRID_SIZE]),
-        evaluations=evaluations,
-    )
-
-
 def _nll_derivatives(shifted: np.ndarray, label_shifted: np.ndarray, beta: float) -> tuple[float, float]:
     """First and second derivatives in beta of the mean NLL of softmax(beta * logits).
 
@@ -290,23 +213,76 @@ def _nll_derivatives(shifted: np.ndarray, label_shifted: np.ndarray, beta: float
     return slope, curvature
 
 
+def _solve_beta(derivatives, lo: float, hi: float, beta: float) -> float:
+    """The minimum in beta of a smooth objective on [lo, hi], by safeguarded Newton steps.
+
+    ``derivatives`` maps beta to the objective's slope and curvature there,
+    from one pass over the rows. A safeguarded Newton iteration (rtsafe:
+    Press et al., *Numerical Recipes*, 9.4) starts at ``beta`` and takes
+    its steps on log beta, since a temperature is a scale. Every evaluated
+    beta narrows a bracket: a beta whose slope is at most 0 becomes its
+    lower end, one whose slope is positive its upper end. A Newton step
+    that leaves the bracket, or is longer than half the last step, bisects
+    the bracket (in log beta) instead, unless it heads towards an end whose
+    slope is not known yet: the solve evaluates that end, and returns it as
+    it is if its slope points outward. The iteration stops once a step
+    moves beta by at most ``_BETA_RTOL`` of it.
+
+    Each bisection keeps a non-positive slope at the lower end and a
+    positive one at the upper end, so the root it closes in on is a local
+    minimum even where the objective is not convex; a zero curvature, or
+    a negative one, only makes the step a bisection.
+    """
+    lo_end, hi_end = lo, hi
+    lo_seen = hi_seen = False
+    last_step = math.inf
+    for _ in range(_MAX_PASSES):
+        slope, curvature = derivatives(beta)
+        if slope <= 0.0:  # the minimum lies at a larger beta, or the objective is flat
+            if beta == hi_end:
+                return beta
+            lo, lo_seen = beta, True
+        else:
+            if beta == lo_end:
+                return beta
+            hi, hi_seen = beta, True
+        # a Newton step on log beta: from beta = 1 a step on beta itself often
+        # leaves the bracket when the root is near, and then costs more passes
+        if curvature > 0.0:
+            step = -slope / (beta * curvature)
+        else:
+            step = math.inf if slope <= 0.0 else -math.inf
+        if math.log(lo / beta) <= step <= math.log(hi / beta) and abs(step) <= 0.5 * last_step:
+            target = beta * math.exp(step)
+        # the step leaves the bracket or is longer than half the last one, as
+        # steps towards a minimum beyond an end are: try that end, else bisect
+        elif step > 0.0 and not hi_seen:
+            target = hi
+        elif step < 0.0 and not lo_seen:
+            target = lo
+        else:
+            target = math.sqrt(lo * hi)
+        last_step, beta = abs(math.log(target / beta)), target
+        if last_step <= _BETA_RTOL:
+            break
+    return beta
+
+
+def _temperature(t: float) -> TemperatureParam:
+    """A fitted temperature, flagged degenerate within SEARCH_TOL of a bound."""
+    return TemperatureParam(t=t, degenerate=not T_MIN + SEARCH_TOL < t < T_MAX - SEARCH_TOL)
+
+
 def fit_temperature_nll(logits: np.ndarray, labels: np.ndarray) -> TemperatureParam:
     """Fit the temperature minimizing NLL on held-out logits.
 
     The mean NLL of softmax(beta * logits) is convex in beta = 1 / t, so its
-    minimum is the root of its slope, which never falls as beta grows. A
-    safeguarded Newton iteration (rtsafe: Press et al., *Numerical Recipes*,
-    9.4) finds that root in [1 / T_MAX, 1 / T_MIN], starting at beta = 1;
-    each pass over the rows gives the slope and curvature together
-    (``_nll_derivatives``). Newton steps are taken on log beta, since a
-    temperature is a scale. Every evaluated beta narrows a bracket around
-    the root. A Newton step that leaves the bracket, or is longer than half
-    the last step, bisects the bracket (in log beta) instead, unless it
-    heads towards a bound whose slope is not known yet: the fit evaluates
-    that bound, and if the minimum lies beyond it returns the bound,
-    flagged degenerate. All-correct separable labels give T_MIN this way,
-    labels that are every row's smallest logit T_MAX. The iteration stops
-    once a step moves beta by at most ``_BETA_RTOL`` of it.
+    minimum is the root of its slope, which never falls as beta grows.
+    ``_solve_beta`` finds that root in [1 / T_MAX, 1 / T_MIN], starting at
+    beta = 1; each pass over the rows gives the slope and curvature
+    together (``_nll_derivatives``). A minimum beyond a bound returns the
+    bound, flagged degenerate: all-correct separable labels give T_MIN
+    this way, labels that are every row's smallest logit T_MAX.
 
     Degenerate input (all logit rows identical and all labels identical)
     returns the upper temperature bound with the degenerate flag set.
@@ -320,40 +296,8 @@ def fit_temperature_nll(logits: np.ndarray, labels: np.ndarray) -> TemperaturePa
         return TemperatureParam(t=T_MAX, degenerate=True)
     shifted = _shifted(logits)
     label_shifted = shifted[np.arange(shifted.shape[0]), labels]
-    lo, hi = _BETA_MIN, _BETA_MAX
-    lo_seen = hi_seen = False
-    beta, last_step = 1.0, math.inf
-    for _ in range(_MAX_PASSES):
-        slope, curvature = _nll_derivatives(shifted, label_shifted, beta)
-        if slope <= 0.0:  # the minimum lies at a larger beta, or the NLL is flat
-            if beta == _BETA_MAX:
-                return TemperatureParam(t=T_MIN, degenerate=True)
-            lo, lo_seen = beta, True
-        else:
-            if beta == _BETA_MIN:
-                return TemperatureParam(t=T_MAX, degenerate=True)
-            hi, hi_seen = beta, True
-        # a Newton step on log beta: from beta = 1 a step on beta itself often
-        # leaves the bracket when the root is near, and then costs more passes
-        if curvature > 0.0:
-            step = -slope / (beta * curvature)
-        else:
-            step = math.inf if slope <= 0.0 else -math.inf
-        if math.log(lo / beta) <= step <= math.log(hi / beta) and abs(step) <= 0.5 * last_step:
-            target = beta * math.exp(step)
-        # the step leaves the bracket or is longer than half the last one, as
-        # steps towards a minimum beyond a bound are: try that bound, else bisect
-        elif step > 0.0 and not hi_seen:
-            target = hi
-        elif step < 0.0 and not lo_seen:
-            target = lo
-        else:
-            target = math.sqrt(lo * hi)
-        last_step, beta = abs(math.log(target / beta)), target
-        if last_step <= _BETA_RTOL:
-            break
-    t = 1.0 / beta
-    return TemperatureParam(t=t, degenerate=not T_MIN + SEARCH_TOL < t < T_MAX - SEARCH_TOL)
+    derivatives = partial(_nll_derivatives, shifted, label_shifted)
+    return _temperature(1.0 / _solve_beta(derivatives, _BETA_MIN, _BETA_MAX, 1.0))
 
 
 def fit_oracle_temperature(target_logits: np.ndarray, target_labels: np.ndarray) -> TemperatureParam:
@@ -384,31 +328,83 @@ def _require_weight_mass(w: np.ndarray) -> None:
         )
 
 
+def _weighted_brier(shifted: np.ndarray, labels: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum(w_i * bs_i) / sum(w_i) at each temperature in ``t``, with bs_i the
+    Brier score of row i under softmax(shifted / t), in one batched pass."""
+    with np.errstate(over="ignore"):
+        p, sums = _softmax_terms(shifted / t[:, None, None])
+    p /= sums
+    # one dot per temperature: a matrix-vector product could sum in another order
+    return np.array([np.dot(weights, row) for row in _brier_rows(p, labels)]) / float(weights.sum())
+
+
+def _brier_derivatives(
+    shifted: np.ndarray, labels: np.ndarray, shares: np.ndarray, beta: float
+) -> tuple[float, float]:
+    """First and second derivatives in beta of the weighted Brier score of softmax(beta * logits).
+
+    ``shifted`` holds the logits minus their row max and ``shares`` the
+    weights divided by their sum. With p = softmax(beta * L) and
+    d = L - E_p[L], p' = p * d and p'' = p * (d^2 - Var_p L), so a row's
+    Brier score sum_k (p_k - y_k)^2 / K has the slope
+    (2 / K) * (sum_k p_k^2 d_k - p_y d_y) and the curvature
+    (2 / K) * (2 sum_k p_k^2 d_k^2 - Var_p L * sum_k p_k^2 - p_y d_y^2 + p_y Var_p L).
+    One pass over the rows gives both. The label terms are gathered from
+    the (n, K) products p * d and p * d * d, which are 0 wherever p is 0:
+    d_y itself can be -float max, whose square overflows.
+    """
+    n, k = shifted.shape
+    # row sums as a product with ones: faster than .sum(axis=1) on a narrow (n, K) array
+    ones = np.ones(k)
+    with np.errstate(over="ignore"):
+        p = np.exp(beta * shifted)
+    p /= (p @ ones)[:, None]
+    d = shifted - ((p * shifted) @ ones)[:, None]
+    pd = p * d
+    pdd = pd * d
+    variance = pdd @ ones
+    rows = np.arange(n)
+    slope = (p * pd) @ ones - pd[rows, labels]
+    curvature = 2.0 * ((pd * pd) @ ones) - variance * ((p * p) @ ones)
+    curvature += p[rows, labels] * variance - pdd[rows, labels]
+    return 2.0 / k * float(shares @ slope), 2.0 / k * float(shares @ curvature)
+
+
 def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> TemperatureParam:
     """Fit a temperature minimizing the importance-weighted Brier score.
 
     The objective is sum(w_i * bs_i) / sum(w_i) where bs_i is the
-    per-sample Brier score at the candidate temperature. Weight vectors
-    concentrated on few samples can drive the optimum to a bound; the
-    degenerate flag reports that. All-zero weights, weights whose sum or
-    sum of squares overflows, and weights with a Kish effective sample size
-    below 2 raise DegeneracyError.
+    per-sample Brier score at the candidate temperature. It is not convex
+    in beta = 1 / t and can have several local minima, so the fit scores
+    a ``_SCAN_SIZE``-point log grid over [T_MIN, T_MAX] in one pass
+    (``_weighted_brier``), and around every local minimum g_i of that grid
+    runs ``_solve_beta`` on the slope and curvature of
+    ``_brier_derivatives`` between 1 / g_(i+1) and 1 / g_(i-1), from
+    1 / g_i. It returns the lowest (value, t) of the grid points and the
+    roots, so the result is never worse than a scanned temperature and
+    ties go to the smaller t.
+
+    Weight vectors concentrated on few samples can drive the optimum to a
+    bound; the degenerate flag reports that. All-zero weights, weights
+    whose sum or sum of squares overflows, and weights with a Kish
+    effective sample size below 2 raise DegeneracyError.
     """
     logits, labels = _check_fit_inputs(logits, labels)
     w = check_weights(weights, logits.shape[0])
     _require_weight_mass(w)
-    w_total = float(w.sum())
     shifted = _shifted(logits)
-
-    def objective(t: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            p, sums = _softmax_terms(shifted / t[:, None, None])
-        p /= sums
-        # one dot per temperature: a matrix-vector product could sum in another order
-        return np.array([np.dot(w, row) for row in _brier_rows(p, labels)]) / w_total
-
-    search = _minimize_temperature(objective, logits.size)
-    return TemperatureParam(t=search.t, degenerate=search.at_bound)
+    grid = np.geomspace(T_MIN, T_MAX, _SCAN_SIZE).tolist()
+    values = _weighted_brier(shifted, labels, w, np.array(grid)).tolist()
+    derivatives = partial(_brier_derivatives, shifted, labels, w / float(w.sum()))
+    last = _SCAN_SIZE - 1
+    roots = [
+        1.0 / _solve_beta(derivatives, 1.0 / grid[min(i + 1, last)], 1.0 / grid[max(i - 1, 0)], 1.0 / grid[i])
+        for i, v in enumerate(values)
+        if (i == 0 or v < values[i - 1]) and (i == last or v <= values[i + 1])
+    ]
+    root_values = _weighted_brier(shifted, labels, w, np.array(roots)).tolist()
+    _, t = min(zip(values + root_values, grid + roots))
+    return _temperature(t)
 
 
 def _softmax_nll(transformed: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

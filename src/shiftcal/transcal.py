@@ -20,12 +20,21 @@ at least m / 2, with m the count of nonzero weights, that is
 mean(w~^2) <= 2 n / m: the weights may at most double the variance of an
 unweighted mean over the samples they keep (the d_2 term of Cortes,
 Mansour & Mohri, NeurIPS 2010). The temperature is then searched at that
-lambda by ``scaling._minimize_temperature``, the grid and golden-section
-engine it shares with ``cpcs``; the objective is piecewise smooth at best
+lambda by ``_minimize_temperature`` on log t over [T_MIN, T_MAX]: a
+50-point log-spaced grid brackets the optimum, golden-section search
+refines it to SEARCH_TOL in t, and the returned temperature is never
+worse than any grid point. The objective is piecewise smooth at best
 (argmax, binning, absolute values), so the search is derivative-free.
 
+The engine evaluates the grid in consecutive batches of as many
+temperatures as keep a batch's elements near ``_BATCH_ELEMENTS``, and
+each golden-section step as one temperature: numpy call overhead, not
+arithmetic, dominates one temperature at a few hundred rows, and a batch
+that outgrows the cache loses again. It returns a ``_Search``, its own
+record of what it evaluated and what it found.
+
 Each pass scores a batch of B temperatures, the batch
-``scaling._minimize_temperature`` hands the objective. A contribution is
+``_minimize_temperature`` hands the objective. A contribution is
 u_i = w~_i * gap_m for the sample's confidence bin m, so every sum the
 estimate and the correction need is a per-bin sum times gap_m. A pass
 therefore reduces the samples once, with ``bincount`` over bin indices
@@ -70,10 +79,11 @@ import numpy as np
 
 from .metrics import _bin_sums, _num_bins, bin_indices, check_array, check_weights
 from .scaling import (
-    _GRID_SIZE,
+    SEARCH_TOL,
+    T_MAX,
+    T_MIN,
     TemperatureParam,
     _check_fit_inputs,
-    _minimize_temperature,
     _require_weight_mass,
     _shifted,
     _softmax_terms,
@@ -247,6 +257,10 @@ def apply_control_variate(
     can be chained.
     This is the sample-level reference for the transcal search, which
     forms the same covariances from per-bin sums instead.
+
+    Conditioning: for a variate whose spread is above rounding level but
+    tiny against its mean, eta grows as 1 / sd(t) and multiplies the
+    rounding error of mean(t) - tau, so the estimate loses accuracy there.
     """
     u, t = _check_samples(u_samples, t_samples)
     tau = _check_tau(tau)
@@ -272,6 +286,11 @@ def serial_control_variate(
     the paper's estimator; the transcal search, whose self-normalized
     weights have mean one exactly, skips stage one and applies
     ``apply_control_variate`` with correctness to its samples.
+
+    Conditioning: each stage's eta = -Cov / Var grows as 1 / sd(t) for a
+    variate whose spread is tiny against its mean, such as weights that
+    are nearly constant without being constant, and multiplies the
+    rounding error of mean(t) - tau, so the estimate loses accuracy there.
     """
     u, w = _check_samples(u_samples, weights)
     _, r = _check_samples(u, correctness)
@@ -316,6 +335,83 @@ def _ess_lambda(weights: np.ndarray) -> float:
     bound = 2.0 * weights.shape[0] / np.count_nonzero(weights)
     return next(
         lam for lam in reversed(_LAMBDAS) if _mean(np.square(_normalized_power(weights, lam))) <= bound
+    )
+
+
+_GRID_SIZE = 50
+# float64 elements of logits per grid batch. The transcal kernel keeps only (B, n)
+# arrays after its softmax, so its batches can be larger than a kernel that keeps
+# (B, n, K) ones: 2**17 (1 MiB) beat 2**15 at K = 10, n = 3000 and at K = 3,
+# n = 1000 on a 2-core host, and 2**16 to 2**19 were within noise of each other
+_BATCH_ELEMENTS = 2**17
+
+
+class _Search(NamedTuple):
+    """What ``_minimize_temperature`` found: the best temperature and its value,
+    whether it lies within SEARCH_TOL of a bound, whether its value is below
+    every grid value, and every (t, value) pair evaluated, in evaluation order."""
+
+    t: float
+    value: float
+    at_bound: bool
+    refined: bool
+    evaluations: list[tuple[float, float]]
+
+
+def _minimize_temperature(objective, footprint: int) -> _Search:
+    """Grid bracket plus golden-section refinement of a vectorized objective over t.
+
+    ``objective`` maps a 1-d array of temperatures to a 1-d array of values,
+    and touches ``footprint`` float64 elements per temperature. The grid is
+    evaluated in consecutive batches of ``_BATCH_ELEMENTS // footprint``
+    temperatures (at least 1), each golden-section step as one temperature.
+    The result is the best of all evaluated points, so its value is never
+    above any grid value. Ties prefer the smaller temperature; NaN loses to any number.
+    """
+    grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _GRID_SIZE))
+    batch = max(1, _BATCH_ELEMENTS // footprint)
+    evaluations: list[tuple[float, float]] = []
+    best = 0  # the position in ``evaluations`` of the best pair so far
+
+    def evaluate(t: np.ndarray) -> list[float]:
+        nonlocal best
+        values = objective(t).tolist()
+        for t_new, v_new in zip(t.tolist(), values):
+            evaluations.append((t_new, v_new))
+            best_t, best_v = evaluations[best]
+            if (v_new, t_new) < (best_v, best_t) or math.isnan(v_new) < math.isnan(best_v):
+                best = len(evaluations) - 1
+        return values
+
+    def at(t_log: float) -> float:
+        return evaluate(np.array([math.exp(t_log)]))[0]
+
+    for i in range(0, _GRID_SIZE, batch):
+        evaluate(grid[i : i + batch])
+    a, b = math.log(grid[max(best - 1, 0)]), math.log(grid[min(best + 1, _GRID_SIZE - 1)])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc = at(c)
+    fd = at(d)
+    iters = 0
+    while math.exp(b) - math.exp(a) > SEARCH_TOL and iters < 200:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = at(d)
+        iters += 1
+    t, value = evaluations[best]
+    return _Search(
+        t=t,
+        value=value,
+        at_bound=t <= T_MIN + SEARCH_TOL or t >= T_MAX - SEARCH_TOL,
+        refined=all(value < v for _, v in evaluations[:_GRID_SIZE]),
+        evaluations=evaluations,
     )
 
 
@@ -473,9 +569,8 @@ def optimize_transcal(
     Lambda comes from the weights alone, before the search: ``_ess_lambda``'s
     rule, or 1 with ``freeze_lambda`` (the no-bias-reduction variant);
     ``mode=PLAIN_IWECE`` drops the variance correction instead. The
-    temperature search is ``scaling._minimize_temperature``, the engine
-    the weighted temperature fits share; ties resolve to the smaller
-    temperature.
+    temperature search is ``_minimize_temperature``, a grid bracket plus
+    golden-section refinement; ties resolve to the smaller temperature.
     The search is deterministic and every evaluation is recorded in the
     trace as (t, value), whether it was scored or read from the memo.
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from shiftcal import (
     nll,
     softmax_with_temperature,
 )
-from shiftcal import scaling
+from shiftcal import scaling, transcal
 from shiftcal.bench import default_grid
 from shiftcal.metrics import ROW_SUM_TOL, _brier_rows
 from shiftcal.newton import GRADIENT_TOLERANCE
@@ -32,11 +33,8 @@ from shiftcal.scaling import (
     T_MAX,
     T_MIN,
     TemperatureParam,
-    _GRID_SIZE,
-    _minimize_temperature,
-    _Search,
 )
-from shiftcal.transcal import TransCalState
+from shiftcal.transcal import _GRID_SIZE, EstimatorMode, TransCalState, _minimize_temperature
 
 from oracles import kish_ess
 
@@ -101,33 +99,37 @@ class TestSoftmaxWithTemperature:
         assert np.array_equal(state.confidences(np.array([t]))[0], p.confidences)
 
 
-def search_objective(fit, *args):
-    """The objective ``fit`` hands to the temperature search engine."""
-    seen = []
-
-    def record(objective, footprint):
-        seen.append(objective)
-        return _Search(t=1.0, value=0.0, at_bound=False, refined=False, evaluations=[])
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scaling, "_minimize_temperature", record)
-        fit(*args)
-    return seen[0]
+def weighted_brier(logits, labels, w, t):
+    """The public weighted Brier score sum(w_i * bs_i) / sum(w_i) at temperature t."""
+    rows = _brier_rows(softmax_with_temperature(logits, t).probs.copy(), labels)
+    return float(np.dot(w, rows)) / float(w.sum())
 
 
-def cpcs_objective(logits, labels, w):
-    """``cpcs``'s search objective, or None after checking that weights with a
-    Kish effective sample size below 2 raise instead of reaching the search."""
+def cpcs_scores(logits, labels, w):
+    """Every (t, value) pair ``cpcs`` scores in one fit, or None after checking
+    that weights with a Kish effective sample size below 2 raise instead of
+    reaching a score."""
     if kish_ess(w) < 2.0:
         with pytest.raises(DegeneracyError, match="Kish effective sample size"):
             fit_cpcs_temperature(logits, labels, w)
         return None
-    return search_objective(fit_cpcs_temperature, logits, labels, w)
+    seen = []
+    scores = scaling._weighted_brier
+
+    def record(shifted, labels, weights, t):
+        values = scores(shifted, labels, weights, t)
+        seen.extend(zip(t.tolist(), values.tolist()))
+        return values
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scaling, "_weighted_brier", record)
+        fit_cpcs_temperature(logits, labels, w)
+    return seen
 
 
 class TestPrecomputedRowMax:
     """Temperature paths divide the logits minus their row max, computed once
-    per fit, by t, and the Brier objective skips the public ProbabilitySet;
+    per fit, by t, and the Brier scan skips the public ProbabilitySet;
     all of it must equal the public path bit for bit."""
 
     @settings(derandomize=True, max_examples=25, deadline=None)
@@ -144,16 +146,19 @@ class TestPrecomputedRowMax:
             logits[0] *= 300.0  # a row far from zero exercises the max shift
         labels = rng.integers(0, k, size=n)
         w = rng.lognormal(0.0, 1.0, size=n)
-        brier_objective = cpcs_objective(logits, labels, w)
+        scored = cpcs_scores(logits, labels, w)
         for t in (T_MIN, 0.37, 1.0, 2.7, T_MAX):
             probs = softmax_with_temperature(logits, t)
             # the standard max-shift softmax: shift by the row max, then scale
             z = np.exp((logits - logits.max(axis=1, keepdims=True)) / t)
             assert np.array_equal(probs.probs, z / z.sum(axis=1, keepdims=True))
-            if brier_objective is not None:
-                brier_rows = _brier_rows(probs.probs.copy(), labels)
-                want = float(np.dot(w, brier_rows)) / float(w.sum())
-                assert brier_objective(np.array([t]))[0] == want
+            want = weighted_brier(logits, labels, w, t)
+            assert scaling._weighted_brier(scaling._shifted(logits), labels, w, np.array([t]))[0] == want
+        if scored is not None:
+            # the scan's 12 grid points, then at least one refined root
+            assert len(scored) > 12
+            for t, value in scored:
+                assert value == weighted_brier(logits, labels, w, t)
 
 
 def temperature_batch(rng, size):
@@ -163,16 +168,25 @@ def temperature_batch(rng, size):
     return t
 
 
-def brier_objectives(seed, n, k):
-    """The objective ``cpcs`` hands the engine on a generated task, in a list
-    that is empty where its weights do not reach a Kish effective sample size of 2."""
+def transcal_objective_builder(seed, n, k):
+    """A function building, on a generated task, the objective ``optimize_transcal``
+    hands the engine, each time on a fresh state so that no value comes from
+    another call's memo; None where the weights do not reach a Kish effective
+    sample size of 2."""
     rng = np.random.default_rng(seed)
     logits = random_logits(rng, n, k)
     logits[0] *= 300.0
     labels = rng.integers(0, k, size=n)
     w = rng.lognormal(0.0, 1.0, size=n)
-    objective = cpcs_objective(logits, labels, w)
-    return [] if objective is None else [objective]
+    if kish_ess(w) < 2.0:
+        return None
+    mode = (EstimatorMode.CV_SERIAL, EstimatorMode.PLAIN_IWECE)[seed % 2]
+
+    def build():
+        state = TransCalState(logits, labels, w)
+        return partial(state.scores, state.rule_lambda, mode)
+
+    return build
 
 
 class TestBatchedGrid:
@@ -189,21 +203,24 @@ class TestBatchedGrid:
     )
     def test_a_batch_equals_one_temperature_at_a_time(self, seed, n, k, size):
         t = temperature_batch(np.random.default_rng(seed), size)
-        for objective in brier_objectives(seed, n, k):
-            want = np.array([objective(t[i : i + 1])[0] for i in range(size)])
-            assert np.array_equal(objective(t), want)
+        build = transcal_objective_builder(seed, n, k)
+        if build is not None:
+            want = np.array([build()(t[i : i + 1])[0] for i in range(size)])
+            assert np.array_equal(build()(t), want)
 
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), k=st.integers(2, 10))
     def test_the_search_does_not_depend_on_the_batch(self, seed, n, k):
-        for objective in brier_objectives(seed, n, k):
-            searches = []
-            for batch in (1, 3, 7, 50):
-                with pytest.MonkeyPatch.context() as patch:
-                    # a footprint of one element per temperature makes the batch _BATCH_ELEMENTS
-                    patch.setattr(scaling, "_BATCH_ELEMENTS", batch)
-                    searches.append(_minimize_temperature(objective, 1))
-            assert all(search == searches[0] for search in searches)
+        build = transcal_objective_builder(seed, n, k)
+        if build is None:
+            return
+        searches = []
+        for batch in (1, 3, 7, 50):
+            with pytest.MonkeyPatch.context() as patch:
+                # a footprint of one element per temperature makes the batch _BATCH_ELEMENTS
+                patch.setattr(transcal, "_BATCH_ELEMENTS", batch)
+                searches.append(_minimize_temperature(build(), 1))
+        assert all(search == searches[0] for search in searches)
 
 
 def sampled_task(seed, n, k, scale, t_true):
@@ -525,6 +542,140 @@ class TestCpcs:
         w = np.zeros(120)
         w[:2] = 1.0
         assert fit_cpcs_temperature(logits, labels, w).t > 0.0
+
+
+def multimodal_task(seed):
+    """A small random weighted task; on some seeds the weighted Brier score has
+    two or three local minima in t."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(10, 300)
+    k = rng.integers(2, 6)
+    logits = rng.standard_normal((n, k)) * rng.uniform(0.5, 4.0)
+    if seed % 3 == 0:
+        labels = rng.integers(0, k, n)
+    else:
+        cum = np.cumsum(softmax_with_temperature(logits, rng.uniform(0.3, 3.0)).probs, axis=1)
+        cum[:, -1] = 1.0
+        labels = (rng.random(n)[:, None] < cum).argmax(axis=1)
+    return logits, labels, rng.lognormal(0.0, rng.choice([0.5, 1.0, 2.0]), n)
+
+
+class TestCpcsSolve:
+    """``fit_cpcs_temperature`` scans a log grid, then solves for beta = 1 / t
+    around every local minimum of the scan with the NLL fit's Newton solve."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        k=st.integers(2, 6),
+        beta=st.sampled_from((0.05, 0.4, 1.0, 1.7)),
+    )
+    def test_derivatives_match_the_public_weighted_brier(self, seed, n, k, beta):
+        """The pass's slope and curvature are the central first and second
+        differences of the public weighted Brier score in beta."""
+        logits, labels = sampled_task(seed, n, k, 2.0, 1.0)
+        w = np.random.default_rng(seed).lognormal(0.0, 1.0, size=n)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        slope, curvature = scaling._brier_derivatives(shifted, labels, w / w.sum(), beta)
+
+        def score(b):
+            return weighted_brier(logits, labels, w, 1.0 / b)
+
+        h = 1e-5 * beta
+        difference = (score(beta + h) - score(beta - h)) / (2.0 * h)
+        assert abs(slope - difference) <= 1e-8 * (1.0 + abs(slope))
+        h = 1e-3 * beta
+        second = (score(beta + h) - 2.0 * score(beta) + score(beta - h)) / (h * h)
+        assert abs(curvature - second) <= 1e-5 * (1.0 + abs(curvature))
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(50, 300),
+        k=st.integers(2, 6),
+        scale=st.floats(0.5, 3.0),
+        t_true=st.floats(0.5, 5.0),
+        sigma=st.sampled_from((0.0, 0.5, 1.0)),
+    )
+    def test_is_equivariant_to_logit_scale(self, seed, n, k, scale, t_true, sigma):
+        """fit(c * L) = c * fit(L) wherever both minima lie inside the bounds."""
+        logits, labels = sampled_task(seed, n, k, scale, t_true)
+        w = np.random.default_rng(seed).lognormal(0.0, sigma, size=n)
+        base = fit_cpcs_temperature(logits, labels, w)
+        for c in (2.0**-3, 1.37, 2.0, 3.0):
+            if base.degenerate or not T_MIN < c * base.t < T_MAX:
+                continue
+            scaled = fit_cpcs_temperature(c * logits, labels, w)
+            assert not scaled.degenerate
+            assert abs(scaled.t - c * base.t) <= 1e-6 * c * base.t
+
+    @pytest.mark.parametrize("seed", [385, 520, 601, 1812, 2937])
+    def test_several_minima_give_the_best_one(self, seed):
+        """On tasks with two or three local minima the fit is never above the
+        best point of a 50-point log grid: a solve from beta = 1 alone lands
+        on a worse minimum on each of them."""
+        logits, labels, w = multimodal_task(seed)
+        param = fit_cpcs_temperature(logits, labels, w)
+        grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _GRID_SIZE))
+        best = min(weighted_brier(logits, labels, w, t) for t in grid)
+        assert weighted_brier(logits, labels, w, param.t) <= best + 1e-12
+        derivatives = partial(scaling._brier_derivatives, scaling._shifted(logits), labels, w / w.sum())
+        alone = 1.0 / scaling._solve_beta(derivatives, 1.0 / T_MAX, 1.0 / T_MIN, 1.0)
+        assert weighted_brier(logits, labels, w, param.t) < weighted_brier(logits, labels, w, alone)
+
+    @pytest.mark.parametrize("label", [1, 2])
+    def test_a_row_whose_logit_range_overflows_fits_without_a_warning(self, label):
+        """A misclassified row [1e308, -1e308, 0] puts its label logit up to float
+        max below the row max, where d_y^2 overflows; its softmax is [1, 0, 0]
+        at every t, so it adds nothing to the slope and the fit stays put."""
+        rng = np.random.default_rng(37)
+        logits, labels = sampled_task(37, 300, 3, 2.0, 1.5)
+        w = rng.lognormal(0.0, 0.5, size=300)
+        base = fit_cpcs_temperature(logits, labels, w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            param = fit_cpcs_temperature(
+                np.vstack([logits, [1e308, -1e308, 0.0]]), np.r_[labels, label], np.r_[w, 1.0]
+            )
+        assert type(param.t) is float and type(param.degenerate) is bool
+        assert not param.degenerate
+        assert abs(param.t - base.t) <= 1e-6 * base.t
+
+    def test_shares_the_nll_solve(self):
+        """Both temperature fits run ``_solve_beta``: ``temp`` once, ``cpcs``
+        once per local minimum of its scan."""
+        calls = []
+        solve = scaling._solve_beta
+
+        def record(derivatives, lo, hi, beta):
+            calls.append(derivatives.func.__name__)
+            return solve(derivatives, lo, hi, beta)
+
+        logits, labels = sampled_task(41, 300, 4, 2.0, 2.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scaling, "_solve_beta", record)
+            fit_temperature_nll(logits, labels)
+            fit_cpcs_temperature(logits, labels, np.ones(300))
+        assert calls == ["_nll_derivatives", "_brier_derivatives"]
+
+    @pytest.mark.parametrize("cell", range(0, 24, 5))
+    def test_sweep_splits_take_few_passes(self, cell):
+        """``cpcs`` on default-grid tasks of 2000 rows per split, true weights."""
+        _, scenario = default_grid()[cell]
+        task = generate(scenario, 2000, 2000, cell, 0.5)
+        passes = [0]
+        derivatives = scaling._brier_derivatives
+
+        def counting(*args):
+            passes[0] += 1
+            return derivatives(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scaling, "_brier_derivatives", counting)
+            param = fit_cpcs_temperature(task.source_val_logits, task.source_val_labels, task.true_weights)
+        assert not param.degenerate
+        assert passes[0] <= 8
 
 
 class TestTemperatureFitsValidateLabels:

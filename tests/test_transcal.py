@@ -20,10 +20,10 @@ from shiftcal import (
     softmax_with_temperature,
     transcal_objective,
 )
-from shiftcal import bench, scaling, transcal
+from shiftcal import bench, transcal
 from shiftcal.metrics import bin_indices
-from shiftcal.scaling import T_MAX, T_MIN, _minimize_temperature, _softmax_terms
-from shiftcal.transcal import TransCalState
+from shiftcal.scaling import T_MAX, T_MIN, _softmax_terms
+from shiftcal.transcal import TransCalState, _minimize_temperature
 
 from oracles import kish_ess, objective_samples
 
@@ -633,7 +633,7 @@ class TestBatchedTemperatures:
         for batch in (1, 3, 7, 50):
             with pytest.MonkeyPatch.context() as patch:
                 # the search's footprint is logits.size elements per temperature
-                patch.setattr(scaling, "_BATCH_ELEMENTS", batch * logits.size)
+                patch.setattr(transcal, "_BATCH_ELEMENTS", batch * logits.size)
                 fits[batch] = repr(
                     optimize_transcal(logits, labels, weights, mode=mode, freeze_lambda=frozen)
                 )
