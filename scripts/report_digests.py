@@ -28,12 +28,15 @@ in-process (whichever ``shiftcal`` the import path finds) for:
   once more with control variates on K = 3 labels set to the predicted
   class, so that constant correctness is flagged, plus
   ``fit_temperature_nll`` and ``fit_cpcs_temperature``, and (K = 3)
-  ``fit_temperature_nll`` on those all-correct labels and on rows of tied
-  logits, and ``fit_cpcs_temperature`` on the K = 3 split plus a
-  misclassified row [1e308, -1e308, 0] labelled 1 and on a small random
-  task whose weighted Brier score has three local minima
-  (``multimodal_task``); the ``repr`` of each result, search trace
-  included, goes to ``fits/<name>.txt``;
+  ``fit_temperature_nll`` on those all-correct labels, on rows of tied
+  logits, on the split's first row repeated and labelled with its
+  prediction, and on that first row alone, ``fit_cpcs_temperature`` on the
+  K = 3 split plus a misclassified row [1e308, -1e308, 0] labelled 1 and
+  on a small random task whose weighted Brier score has three local
+  minima (``multimodal_task``), and ``serial_control_variate`` on the
+  K = 3 split's weighted confidence gaps, once with its correctness and
+  once with the all-correct labels' constant one; the ``repr`` of each
+  result, search trace included, goes to ``fits/<name>.txt``;
 * a list of bad inputs, each printed with its exit code and stderr.
 
 An uncaught exception is recorded as ``exit 1: <Type>: <message>``, the
@@ -66,7 +69,7 @@ import shiftcal
 from shiftcal import bench, cli
 from shiftcal.matrixio import load_labels, load_matrix, save_labels, save_matrix
 from shiftcal.scaling import fit_cpcs_temperature, fit_temperature_nll
-from shiftcal.transcal import EstimatorMode, optimize_transcal
+from shiftcal.transcal import EstimatorMode, optimize_transcal, serial_control_variate
 
 # name, gen-synth flags, matrix suffix
 TASKS = (
@@ -217,14 +220,24 @@ def fit_runs(out: Path) -> list[str]:
             all_correct = np.argmax(logits, axis=1)
             record_transcal("k3-true-bins15-cv_serial-all-correct",
                             optimize_transcal(logits, all_correct, true_weights))
-            # minima beyond a bound: all-correct labels, and rows of tied logits
+            # minima beyond a bound: all-correct labels, rows of tied logits,
+            # identical rows predicted right, and one row
             tied = np.repeat(logits[:, :1], logits.shape[1], axis=1)
+            identical = (np.repeat(logits[:1], len(labels), axis=0), np.full(len(labels), all_correct[0]))
             # a misclassified row whose label logit is float max below the row max
             overflow = (np.vstack([logits, [1e308, -1e308, 0.0]]), np.r_[labels, 1], np.r_[true_weights, 1.0])
             for name, fit in (("nll-all-correct", fit_temperature_nll(logits, all_correct)),
                               ("nll-tied-rows", fit_temperature_nll(tied, labels)),
+                              ("nll-identical-rows", fit_temperature_nll(*identical)),
+                              ("nll-one-row", fit_temperature_nll(logits[:1], labels[:1])),
                               ("cpcs-overflow-row", fit_cpcs_temperature(*overflow))):
                 record(f"k3-{name}", fit, f"t={fit.t!r} degenerate={fit.degenerate!r}")
+            conf = shiftcal.softmax_with_temperature(logits, 1.0).confidences
+            for name, truth in (("varying", labels), ("constant", all_correct)):
+                correct = (all_correct == truth).astype(np.float64)
+                result = serial_control_variate(true_weights * np.abs(correct - conf), true_weights,
+                                                correct, float(conf.mean()))
+                record(f"k3-serial_cv-{name}-correctness", result, f"estimate={result[0]!r}")
     fit = fit_cpcs_temperature(*multimodal_task(2937))
     record("multimodal-2937-cpcs", fit, f"t={fit.t!r} degenerate={fit.degenerate!r}")
     return lines

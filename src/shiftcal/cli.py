@@ -36,7 +36,7 @@ from .metrics import ProbabilitySet, _num_bins, check_weights, metric_report, re
 from .synthshift import ShiftScenario, generate
 from .transcal import renyi_diagnostic
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _list_of(kind: type, noun: str):

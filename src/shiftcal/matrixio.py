@@ -130,7 +130,7 @@ def stored_probabilities(probs: np.ndarray, path) -> np.ndarray:
     than the validation tolerance, which happens after float32 storage but
     never for exactly-round-tripped float64 CSV. Errors name ``path``.
     """
-    if np.any(probs < 0.0) or np.any(probs > 1.0 + ROW_SUM_TOL):
+    if np.any(probs < 0.0) or np.any(probs > 1.0):
         raise ValueError(f"{path}: probabilities outside [0, 1]")
     sums = probs.sum(axis=1)
     if np.any(sums <= 0.0):

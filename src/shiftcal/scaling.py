@@ -284,16 +284,12 @@ def fit_temperature_nll(logits: np.ndarray, labels: np.ndarray) -> TemperaturePa
     bound, flagged degenerate: all-correct separable labels give T_MIN
     this way, labels that are every row's smallest logit T_MAX.
 
-    Degenerate input (all logit rows identical and all labels identical)
-    returns the upper temperature bound with the degenerate flag set.
     Rows whose logits are all tied make the NLL flat; the fit returns
     T_MIN, flagged degenerate, as a search that prefers the smaller of
     tied temperatures would. A minimum within SEARCH_TOL of a bound is
     flagged too.
     """
     logits, labels = _check_fit_inputs(logits, labels)
-    if np.all(logits == logits[0]) and np.all(labels == labels[0]):
-        return TemperatureParam(t=T_MAX, degenerate=True)
     shifted = _shifted(logits)
     label_shifted = shifted[np.arange(shifted.shape[0]), labels]
     derivatives = partial(_nll_derivatives, shifted, label_shifted)

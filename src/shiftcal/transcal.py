@@ -87,6 +87,7 @@ from .scaling import (
     _require_weight_mass,
     _shifted,
     _softmax_terms,
+    _temperature,
 )
 
 __all__ = [
@@ -116,19 +117,13 @@ class EstimatorMode(enum.Enum):
 
 @dataclass(frozen=True)
 class ControlVariateCoefficients:
-    """Fitted control-variate coefficients and the moments behind them.
+    """One correction stage's coefficient eta = -Cov(u, t) / Var(t) and the
+    moments behind it. ``flags`` holds ``constant_variate`` when the
+    variate counts as constant and eta is 0."""
 
-    A single-variate correction, such as the transcal search's correctness
-    variate, fills the t1 fields, and ``eta2`` and the t2 moments stay
-    None. ``flags`` records degeneracies (constant variates).
-    """
-
-    eta1: float
-    eta2: float | None = None
-    cov_u_t1: float = 0.0
-    var_t1: float = 0.0
-    cov_u_t2: float | None = None
-    var_t2: float | None = None
+    eta: float
+    cov_u_t: float
+    var_t: float
     flags: tuple[str, ...] = ()
 
 
@@ -206,42 +201,10 @@ def _stage(mean, cov, variate: _Variate, tau) -> tuple[np.ndarray, np.ndarray]:
     return mean + eta * (variate.mean - tau), eta
 
 
-def _adjust(u: np.ndarray, variate: _Variate, tau) -> tuple[float, float, float]:
-    """Regression-adjust the samples ``u`` with a control variate of known mean tau.
-
-    Cov(u, t) is the mean of the centred products of the samples; the
-    estimate and eta are ``_stage``'s. Returns the estimate, eta and
-    Cov(u, t).
-    """
-    u_mean = _mean(u)
-    cov = _mean((u - u_mean) * variate.centred)
-    estimate, eta = _stage(u_mean, cov, variate, tau)
-    return estimate, eta, cov
-
-
 def _coefficients(eta, cov, var) -> ControlVariateCoefficients:
     """The coefficients of one correction stage, flagged when its variate is constant."""
-    return ControlVariateCoefficients(
-        eta1=float(eta),
-        cov_u_t1=float(cov),
-        var_t1=float(var),
-        flags=("constant_variate",) if var == 0.0 else (),
-    )
-
-
-def _check_samples(u_samples, t_samples) -> tuple[np.ndarray, np.ndarray]:
-    u = check_array(u_samples, "u_samples", 1)
-    t = check_array(t_samples, "t_samples", 1)
-    if u.shape != t.shape:
-        raise ValueError("u_samples and t_samples must have the same length")
-    return u, t
-
-
-def _check_tau(tau) -> float:
-    tau = float(tau)
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
-    return tau
+    flags = ("constant_variate",) if var == 0.0 else ()
+    return ControlVariateCoefficients(eta=float(eta), cov_u_t=float(cov), var_t=float(var), flags=flags)
 
 
 def apply_control_variate(
@@ -262,10 +225,17 @@ def apply_control_variate(
     tiny against its mean, eta grows as 1 / sd(t) and multiplies the
     rounding error of mean(t) - tau, so the estimate loses accuracy there.
     """
-    u, t = _check_samples(u_samples, t_samples)
-    tau = _check_tau(tau)
+    u = check_array(u_samples, "u_samples", 1)
+    t = check_array(t_samples, "t_samples", 1)
+    if u.shape != t.shape:
+        raise ValueError("u_samples and t_samples must have the same length")
+    tau = float(tau)
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
     variate = _variate(t)
-    estimate, eta, cov = _adjust(u, variate, tau)
+    u_mean = _mean(u)
+    cov = _mean((u - u_mean) * variate.centred)
+    estimate, eta = _stage(u_mean, cov, variate, tau)
     return float(estimate), u + eta * (t - tau), _coefficients(eta, cov, variate.var)
 
 
@@ -274,42 +244,29 @@ def serial_control_variate(
     weights: np.ndarray,
     correctness: np.ndarray,
     mean_confidence: float,
-) -> tuple[float, ControlVariateCoefficients]:
-    """Two-stage correction: first the weight variate, then correctness.
+) -> tuple[float, tuple[ControlVariateCoefficients, ControlVariateCoefficients]]:
+    """Two chained ``apply_control_variate`` stages: the weights, then correctness.
 
-    Stage one adjusts with the importance weights against their known
-    source mean of 1. Stage two adjusts the stage-one residual samples
+    Stage one adjusts the samples with the importance weights against
+    their known source mean of 1. Stage two adjusts the stage-one samples
     with the correctness indicator against ``mean_confidence``, the value
     correctness would average to under perfect calibration. Constant
-    correctness (all right or all wrong) skips stage two with a flag.
-    ``weights`` is a 1-d array of raw weights, one per sample. This is
-    the paper's estimator; the transcal search, whose self-normalized
-    weights have mean one exactly, skips stage one and applies
-    ``apply_control_variate`` with correctness to its samples.
+    correctness (all right or all wrong) flags stage two and returns
+    stage one's estimate. ``weights`` is a 1-d array of raw weights, one
+    per sample. Returns the estimate and both stages' coefficients. This
+    is the paper's estimator; the transcal search, whose self-normalized
+    weights have mean one exactly, runs stage two alone.
 
     Conditioning: each stage's eta = -Cov / Var grows as 1 / sd(t) for a
     variate whose spread is tiny against its mean, such as weights that
     are nearly constant without being constant, and multiplies the
     rounding error of mean(t) - tau, so the estimate loses accuracy there.
     """
-    u, w = _check_samples(u_samples, weights)
-    _, r = _check_samples(u, correctness)
-    tau = _check_tau(mean_confidence)
-    weight_variate, correct_variate = _variate(w), _variate(r)
-    est1, eta1, cov1 = _adjust(u, weight_variate, 1.0)
-    est2, eta2, cov2 = _adjust(u + eta1 * (w - 1.0), correct_variate, tau)
-    var1, var2 = float(weight_variate.var), float(correct_variate.var)
-    skipped = var2 == 0.0
-    return float(est1 if skipped else est2), ControlVariateCoefficients(
-        eta1=float(eta1),
-        eta2=None if skipped else float(eta2),
-        cov_u_t1=float(cov1),
-        var_t1=var1,
-        cov_u_t2=float(cov2),
-        var_t2=var2,
-        flags=(("constant_variate",) if var1 == 0.0 else ())
-        + (("constant_correctness",) if skipped else ()),
-    )
+    estimate, adjusted, weight_stage = apply_control_variate(u_samples, weights, 1.0)
+    corrected, _, correctness_stage = apply_control_variate(adjusted, correctness, mean_confidence)
+    if correctness_stage.var_t != 0.0:
+        estimate = corrected
+    return estimate, (weight_stage, correctness_stage)
 
 
 _LAMBDAS = tuple(np.linspace(0.0, 1.0, 11).tolist())
@@ -348,12 +305,11 @@ _BATCH_ELEMENTS = 2**17
 
 class _Search(NamedTuple):
     """What ``_minimize_temperature`` found: the best temperature and its value,
-    whether it lies within SEARCH_TOL of a bound, whether its value is below
-    every grid value, and every (t, value) pair evaluated, in evaluation order."""
+    whether its value is below every grid value, and every (t, value) pair
+    evaluated, in evaluation order."""
 
     t: float
     value: float
-    at_bound: bool
     refined: bool
     evaluations: list[tuple[float, float]]
 
@@ -394,8 +350,8 @@ def _minimize_temperature(objective, footprint: int) -> _Search:
     d = a + invphi * (b - a)
     fc = at(c)
     fd = at(d)
-    iters = 0
-    while math.exp(b) - math.exp(a) > SEARCH_TOL and iters < 200:
+    # each step shrinks the log-t bracket by invphi, so the loop ends
+    while math.exp(b) - math.exp(a) > SEARCH_TOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -404,12 +360,10 @@ def _minimize_temperature(objective, footprint: int) -> _Search:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = at(d)
-        iters += 1
     t, value = evaluations[best]
     return _Search(
         t=t,
         value=value,
-        at_bound=t <= T_MIN + SEARCH_TOL or t >= T_MAX - SEARCH_TOL,
         refined=all(value < v for _, v in evaluations[:_GRID_SIZE]),
         evaluations=evaluations,
     )
@@ -600,7 +554,7 @@ def optimize_transcal(
         "freeze_lambda": bool(freeze_lambda),
     }
     return TransCalSolution(
-        t_star=TemperatureParam(t=search.t, degenerate=search.at_bound),
+        t_star=_temperature(search.t),
         lambda_star=lam,
         objective_value=search.value,
         mode=mode,

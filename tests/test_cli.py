@@ -50,7 +50,7 @@ def read_json(path):
 class TestGenSynth:
     def test_file_set_and_manifest(self, task_dir):
         manifest = read_json(task_dir / "manifest.json")
-        assert manifest["schema_version"] == 3
+        assert manifest["schema_version"] == 4
         assert manifest["kind"] == "synthetic_task"
         assert manifest["n_source_train"] == 480
         assert manifest["n_source_val"] == 120
@@ -200,7 +200,7 @@ class TestCalibrate:
         assert 0.0 <= fit["lambda_star"] <= 1.0
         assert fit["diagnostics"]["freeze_lambda"] is False
         assert set(fit["diagnostics"]["renyi_raw"]) == {"0.5", "1.0", "2.0"}
-        assert "coefficients" in fit
+        assert set(fit["coefficients"]) == {"eta", "cov_u_t", "var_t", "flags"}
 
     def test_transcal_variants_differ_in_reported_mode(self, task_dir, tmp_path):
         wfile = tmp_path / "w.csv"
@@ -612,6 +612,17 @@ class TestErrorPaths:
             "--labels", tmp_path / "nope2.csv", "--out", tmp_path / "e.json",
         )
         assert code == 2
+
+    def test_a_probability_above_one_exits_two_naming_the_file(self, task_dir, tmp_path, capsys):
+        probs = np.full((120, 2), 0.5)
+        probs[3] = [1.0000000000001, 0.0]
+        bad = tmp_path / "above-one.csv"
+        save_matrix(bad, probs)
+        code = run("evaluate", "--probs", bad, "--labels", task_dir / "source_val_labels.csv",
+                   "--out", tmp_path / "e.json")
+        assert code == 2
+        assert f"{bad}: probabilities outside [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
 
     def test_bad_method_is_an_argparse_error(self, task_dir, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -53,7 +53,7 @@ def test_a_moved_number_prints_its_max_relative_difference(dirs, capsys):
 
 def test_a_field_on_one_side_prints_once_folded_with_its_count(dirs, capsys):
     write_report(dirs[0], records())
-    write_report(dirs[1], records(degenerate=False, flags=["constant_correctness"]))
+    write_report(dirs[1], records(degenerate=False, flags=["constant_variate"]))
     code, lines = compare(dirs, capsys)
     assert code == 1
     assert lines == [

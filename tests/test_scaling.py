@@ -33,6 +33,7 @@ from shiftcal.scaling import (
     T_MAX,
     T_MIN,
     TemperatureParam,
+    _temperature,
 )
 from shiftcal.transcal import _GRID_SIZE, EstimatorMode, TransCalState, _minimize_temperature
 
@@ -302,7 +303,7 @@ class TestNllNewton:
         assert abs(param.t - search.t) <= SEARCH_TOL
         reference = public_nll(logits, labels, search.t)
         assert public_nll(logits, labels, param.t) <= reference + 1e-12 * reference
-        assert param.degenerate == search.at_bound
+        assert param.degenerate == _temperature(search.t).degenerate
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(
@@ -417,8 +418,8 @@ class TestSearchRecord:
         assert (search.value, search.t) == min(finite)
         assert search.refined == all(search.value < v for _, v in seen[:_GRID_SIZE])
         assert search.refined == (step == 0.0 and nan_at is None)
-        assert search.at_bound is False
-        assert 50 < len(seen) <= 252
+        assert _temperature(search.t).degenerate is False
+        assert 50 < len(seen) <= 79
 
 
 class TestTemperatureParam:
@@ -465,11 +466,25 @@ class TestFitTemperature:
         assert after <= before
 
     def test_degenerate_constant_input(self):
+        """Identical rows, all predicted right: the NLL falls as t falls, so the
+        minimum lies beyond T_MIN."""
         logits = np.tile(np.array([[0.3, -0.1]]), (10, 1))
         labels = np.zeros(10, dtype=int)
         param = fit_temperature_nll(logits, labels)
         assert param.degenerate
-        assert param.t == T_MAX
+        assert param.t == T_MIN
+
+    @pytest.mark.parametrize(
+        "logits, labels, bound",
+        [
+            ([[0.3, -0.1]], [0], T_MIN),  # one row, predicted right
+            ([[0.3, -0.1]], [1], T_MAX),  # one row, predicted wrong
+            ([[0.2, 0.2, 0.2]] * 4, [2] * 4, T_MIN),  # tied logits, one label: a flat NLL
+        ],
+    )
+    def test_a_minimum_beyond_a_bound_returns_that_bound(self, logits, labels, bound):
+        param = fit_temperature_nll(np.array(logits), np.array(labels))
+        assert param == TemperatureParam(t=bound, degenerate=True)
 
     def test_oracle_is_same_fit_on_given_split(self):
         rng = np.random.default_rng(17)

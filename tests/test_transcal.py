@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -62,7 +63,7 @@ class TestApplyControlVariate:
         u = np.array([1.0, 2.0, 3.0])
         t = np.array([1.0, 2.0, 3.0])
         estimate, adjusted, coeffs = apply_control_variate(u, t, 2.0)
-        assert coeffs.eta1 == -1.0
+        assert coeffs.eta == -1.0
         assert adjusted.tolist() == [2.0, 2.0, 2.0]
         assert estimate == 2.0
         assert coeffs.flags == ()
@@ -74,7 +75,7 @@ class TestApplyControlVariate:
         assert estimate == u.mean()
         assert np.array_equal(adjusted, u)
         assert coeffs.flags == ("constant_variate",)
-        assert coeffs.eta1 == 0.0
+        assert coeffs.eta == 0.0
 
     def test_a_spread_at_rounding_level_counts_as_constant(self):
         """Samples one ulp apart have a variance at rounding level; eta = -Cov / Var
@@ -85,7 +86,7 @@ class TestApplyControlVariate:
         assert estimate == u.mean()
         assert np.array_equal(adjusted, u)
         assert coeffs.flags == ("constant_variate",)
-        assert coeffs.eta1 == coeffs.var_t1 == 0.0
+        assert coeffs.eta == coeffs.var_t == 0.0
 
     def test_a_rare_correctness_indicator_is_a_variate(self):
         """A 0/1 variate has a variance of at least about 1 / n, far above rounding."""
@@ -95,7 +96,7 @@ class TestApplyControlVariate:
         u = np.linspace(0.0, 1.0, n)
         _, _, coeffs = apply_control_variate(u, t, 0.5)
         assert coeffs.flags == ()
-        assert coeffs.var_t1 == float(np.mean((t - t.mean()) ** 2))
+        assert coeffs.var_t == float(np.mean((t - t.mean()) ** 2))
 
     def test_never_increases_variance(self):
         rng = np.random.default_rng(3)
@@ -129,20 +130,21 @@ class TestSerialControlVariate:
         u = np.array([1.0, 2.0, 3.0, 4.0])
         w = np.array([1.0, 1.0, 2.0, 2.0])
         r = np.array([1.0, 0.0, 1.0, 0.0])
-        estimate, coeffs = serial_control_variate(u, w, r, 0.5)
-        assert coeffs.eta1 == -2.0
-        assert coeffs.eta2 == 1.0
+        estimate, (weight_stage, correctness_stage) = serial_control_variate(u, w, r, 0.5)
+        assert weight_stage.eta == -2.0
+        assert correctness_stage.eta == 1.0
         assert estimate == 1.5
 
     def test_constant_correctness_skips_stage_two(self):
         u = np.array([1.0, 2.0, 3.0, 4.0])
         w = np.array([1.0, 1.0, 2.0, 2.0])
         r = np.ones(4)
-        estimate, coeffs = serial_control_variate(u, w, r, 0.9)
+        estimate, (weight_stage, correctness_stage) = serial_control_variate(u, w, r, 0.9)
         stage1, _, _ = apply_control_variate(u, w, 1.0)
         assert estimate == stage1
-        assert "constant_correctness" in coeffs.flags
-        assert coeffs.eta2 is None
+        assert weight_stage.flags == ()
+        assert correctness_stage.flags == ("constant_variate",)
+        assert correctness_stage.eta == 0.0
 
     def test_accepts_weight_vector(self):
         u = np.array([1.0, 2.0, 3.0, 4.0])
@@ -151,6 +153,38 @@ class TestSerialControlVariate:
         a, _ = serial_control_variate(u, w, r, 0.5)
         b, _ = serial_control_variate(u, w.tolist(), r, 0.5)
         assert a == b
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        sigma=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+        correctness=st.sampled_from(("varying", "all right", "all wrong")),
+    )
+    @example(seed=0, n=2, sigma=0.0, correctness="varying")
+    def test_is_two_chained_single_stages(self, seed, n, sigma, correctness):
+        """The estimator is ``apply_control_variate`` of the samples with the
+        weights against 1, chained into ``apply_control_variate`` of the
+        adjusted samples with correctness against tau, bit for bit. Constant
+        correctness returns the stage-one estimate; sigma = 0 gives constant
+        weights."""
+        rng = np.random.default_rng(seed)
+        w = rng.lognormal(0.0, sigma, size=n)
+        u = w * rng.uniform(size=n)
+        r = {
+            "varying": (rng.random(n) < 0.7).astype(np.float64),
+            "all right": np.ones(n),
+            "all wrong": np.zeros(n),
+        }[correctness]
+        tau = float(rng.uniform(0.3, 1.0))
+        estimate, stages = serial_control_variate(u, w, r, tau)
+        stage_one, adjusted, weight_stage = apply_control_variate(u, w, 1.0)
+        stage_two, _, correctness_stage = apply_control_variate(adjusted, r, tau)
+        assert repr(stages) == repr((weight_stage, correctness_stage))
+        constant = bool(np.all(r == r[0]))
+        assert correctness_stage.flags == (("constant_variate",) if constant else ())
+        assert weight_stage.flags == (("constant_variate",) if sigma == 0.0 else ())
+        assert repr(estimate) == repr(stage_one if constant else stage_two)
 
 
 class TestTranscalObjective:
@@ -302,9 +336,9 @@ class TestOptimizeTranscal:
         sol = optimize_transcal(logits, labels, weights, state=state)
         assert sol.diagnostics["grid_evaluations"] == 50
         assert len(sol.trace) == sol.diagnostics["total_evaluations"]
-        # 50 grid points, two golden-section seeds and at most 200 steps,
-        # each evaluated at the fit's one lambda
-        assert 50 < len(sol.trace) <= 252
+        # 50 grid points, two golden-section seeds and at most 27 steps (each
+        # shrinks the log-t bracket by 1 / phi), at the fit's one lambda
+        assert 50 < len(sol.trace) <= 79
         assert list(state.memo) == [sol.lambda_star]
         assert set(state.memo[sol.lambda_star]) == {t for t, _ in sol.trace}
 
@@ -544,14 +578,14 @@ class TestOneLambdaPerPass:
         got = state.coefficients(lam, t)
         assert close(plain, u.mean())
         assert close(value, want)
-        assert got.var_t1 == coeffs.var_t1
+        assert got.var_t == coeffs.var_t
         bound = math.sqrt(np.mean(np.square(u))) * correct.std()
-        assert close(got.cov_u_t1, coeffs.cov_u_t1, bound)
-        assert close(got.eta1, coeffs.eta1, bound / (coeffs.var_t1 or 1.0))
-        assert got.eta2 is got.cov_u_t2 is got.var_t2 is None
+        assert close(got.cov_u_t, coeffs.cov_u_t, bound)
+        assert close(got.eta, coeffs.eta, bound / (coeffs.var_t or 1.0))
+        assert [f.name for f in dataclasses.fields(got)] == ["eta", "cov_u_t", "var_t", "flags"]
         assert got.flags == coeffs.flags == (("constant_variate",) if constant else ())
         if constant:
-            assert got.eta1 == got.cov_u_t1 == 0.0 and value == plain
+            assert got.eta == got.cov_u_t == 0.0 and value == plain
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(
@@ -563,19 +597,19 @@ class TestOneLambdaPerPass:
     def test_self_normalization_voids_the_weight_stage(self, seed, n, sigma, lam):
         """Why the search has no weight stage: on self-normalized positive
         weights w~, ``serial_control_variate``'s stage one (its estimate
-        when constant correctness skips stage two) adds eta1 * (mean w~ - 1)
-        to mean(u), and mean w~ is 1 to rounding. eta1 grows as 1 / sd(w~).
+        when correctness is constant) adds eta * (mean w~ - 1) to mean(u),
+        and mean w~ is 1 to rounding. eta grows as 1 / sd(w~).
         At lambda = 0 w~ is constant, and for lambda * sigma below about
         1e-15 its spread is at rounding level, so the variate counts as
-        constant and eta1 = 0. Between that and lambda * sigma of about
-        1e-4, w^lambda are distinct but so close that eta1 times the
+        constant and eta = 0. Between that and lambda * sigma of about
+        1e-4, w^lambda are distinct but so close that eta times the
         rounding error of mean w~ exceeds 1e-12 of mean(u), so lambda * sigma
         stays at least 0.005 unless it is below 1e-15."""
         rng = np.random.default_rng(seed)
         wl = normalized_power(rng.lognormal(0.0, sigma, size=n), lam)
         u = wl * rng.uniform(size=n)
-        stage_one, coeffs = serial_control_variate(u, wl, np.ones(n), 0.5)
-        assert "constant_correctness" in coeffs.flags
+        stage_one, (_, correctness_stage) = serial_control_variate(u, wl, np.ones(n), 0.5)
+        assert correctness_stage.flags == ("constant_variate",)
         assert abs(stage_one - u.mean()) <= 1e-12 * abs(u.mean())
 
 
