@@ -8,6 +8,9 @@ OUT_DIR must be empty or absent. The script calls ``shiftcal.cli.main``
 in-process (whichever ``shiftcal`` the import path finds) for:
 
 * ``gen-synth`` as CSV at K = 3 and K = 10, and as f32 at K = 3;
+* ``gen-synth`` once more as f32 at K = 3, d = 40, with 6000 source and
+  3000 target rows, so that every split's densities and posteriors span
+  several generation blocks (the tasks above fit each split in one);
 * ``weights --report``;
 * ``calibrate --apply --apply-labels --probs-out`` for every method in
   ``bench.ALL_METHODS`` on each task, weighted methods both with the true
@@ -137,6 +140,9 @@ def good_runs(out: Path) -> None:
         checked(out, ["diagnose", "--weights", d / "true_weights.csv", "--out", d / "diag.json"])
         checked(out, ["diagnose", "--weights", d / "est_weights.csv", "--alphas", "0.5,2,4",
                       "--histogram-bins", "7", "--out", d / "diag_est.json"])
+    # 2**17 budget elements over K * d = 120 give generation blocks of 1092 rows
+    checked(out, ["gen-synth", "--out", out / "k3blocks", "--seed", "4", "--dimension", "40", "--classes", "3",
+                  "--n-source", "6000", "--n-target", "3000", "--format", "f32"])
     d = out / "k3"
     transcal = ["calibrate", "--method", "transcal",
                 "--logits", d / "source_val_logits.csv", "--labels", d / "source_val_labels.csv",

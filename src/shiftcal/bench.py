@@ -189,10 +189,15 @@ def run_single(
     methods: tuple = DEFAULT_METHODS,
     bins: int = 15,
 ) -> dict:
-    """Run the full pipeline once and score every method on the target split."""
-    for method in methods:
+    """Run the full pipeline once and score every method on the target split.
+
+    ``methods`` must name each method at most once.
+    """
+    for i, method in enumerate(methods):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {ALL_METHODS}")
+        if method in methods[:i]:
+            raise ValueError(f"method {method!r} is listed more than once")
     task = generate(scenario, n_source, n_target, seed)
     weights = state = None
     record: dict = {

@@ -52,6 +52,7 @@ def _list_of(kind: type, noun: str):
 
 
 _float_list, _int_list = _list_of(float, "numbers"), _list_of(int, "integers")
+_name_list = _list_of(str, "names")
 
 
 def _load_weights(path) -> np.ndarray:
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-source", type=int, default=2000)
     p.add_argument("--n-target", type=int, default=2000)
     p.add_argument("--seeds", type=_int_list, default=[0, 1, 2])
-    p.add_argument("--methods", type=lambda s: s.split(","), default=list(benchmod.DEFAULT_METHODS))
+    p.add_argument("--methods", type=_name_list, default=list(benchmod.DEFAULT_METHODS))
     p.add_argument("--bins", type=int, default=15)
     p.add_argument("--dimension", type=int, default=4)
     p.add_argument("--classes", type=int, default=3)

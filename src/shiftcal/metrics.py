@@ -31,6 +31,12 @@ __all__ = [
 
 PROB_CLAMP = 1e-12
 ROW_SUM_TOL = 1e-9
+# float64 elements a stacked temporary may hold at once: the package's one working-set
+# budget. Passes that stack one block per temperature or per row (transcal's grid, the
+# cpcs scan, synthshift's distance stacks) split their work so that a block stays near
+# it. 2**17 (1 MiB) beat 2**15 for the transcal grid at K = 10, n = 3000 and at
+# K = 3, n = 1000 on a 2-core host, and 2**16 to 2**19 were within noise of each other
+_BATCH_ELEMENTS = 2**17
 
 
 def _num_bins(bins: int) -> int:

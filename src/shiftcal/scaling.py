@@ -11,9 +11,10 @@ pass over the rows gives both derivatives.
   from beta = 1.
 - The importance-weighted Brier score (``cpcs``) is not convex in beta and
   can have several local minima. ``fit_cpcs_temperature`` scores a
-  12-point log grid over [T_MIN, T_MAX] in one batched pass, solves
-  between the neighbours of every local minimum of that grid, and returns
-  the best of the grid points and the roots, so its temperature is never
+  12-point log grid over [T_MIN, T_MAX] in batches of temperatures sized
+  by the working-set budget ``metrics._BATCH_ELEMENTS``, solves between
+  the neighbours of every local minimum of that grid, and returns the
+  best of the grid points and the roots, so its temperature is never
   worse than a scanned one.
 
 The grid and golden-section engine of the transcal fits, whose binned
@@ -47,6 +48,7 @@ import numpy as np
 
 from .errors import DegeneracyError
 from .metrics import (
+    _BATCH_ELEMENTS,
     ProbabilitySet,
     _brier_rows,
     _row_sums,
@@ -326,12 +328,22 @@ def _require_weight_mass(w: np.ndarray) -> None:
 
 def _weighted_brier(shifted: np.ndarray, labels: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum(w_i * bs_i) / sum(w_i) at each temperature in ``t``, with bs_i the
-    Brier score of row i under softmax(shifted / t), in one batched pass."""
-    with np.errstate(over="ignore"):
-        p, sums = _softmax_terms(shifted / t[:, None, None])
-    p /= sums
-    # one dot per temperature: a matrix-vector product could sum in another order
-    return np.array([np.dot(weights, row) for row in _brier_rows(p, labels)]) / float(weights.sum())
+    Brier score of row i under softmax(shifted / t).
+
+    Temperatures are scored in consecutive batches of
+    ``_BATCH_ELEMENTS // shifted.size`` (at least 1), so a batch's (B, n, K)
+    stack stays within the working-set budget; each value depends only on
+    its own temperature, so the batch changes no bit.
+    """
+    batch = max(1, _BATCH_ELEMENTS // shifted.size)
+    values = []
+    for i in range(0, t.shape[0], batch):
+        with np.errstate(over="ignore"):
+            p, sums = _softmax_terms(shifted / t[i : i + batch, None, None])
+        p /= sums
+        # one dot per temperature: a matrix-vector product could sum in another order
+        values += [np.dot(weights, row) for row in _brier_rows(p, labels)]
+    return np.array(values) / float(weights.sum())
 
 
 def _brier_derivatives(
@@ -372,7 +384,7 @@ def fit_cpcs_temperature(logits: np.ndarray, labels: np.ndarray, weights) -> Tem
     The objective is sum(w_i * bs_i) / sum(w_i) where bs_i is the
     per-sample Brier score at the candidate temperature. It is not convex
     in beta = 1 / t and can have several local minima, so the fit scores
-    a ``_SCAN_SIZE``-point log grid over [T_MIN, T_MAX] in one pass
+    a ``_SCAN_SIZE``-point log grid over [T_MIN, T_MAX]
     (``_weighted_brier``), and around every local minimum g_i of that grid
     runs ``_solve_beta`` on the slope and curvature of
     ``_brier_derivatives`` between 1 / g_(i+1) and 1 / g_(i-1), from

@@ -9,6 +9,12 @@ by construction. Logits are the shared conditional's log-posterior scaled
 by a distortion temperature t_true, making t_true the temperature that
 restores calibration on either domain, and making the marginal ratio
 q(x)/p(x) available in closed form for oracle comparisons.
+
+Densities and posteriors stack the differences from each point to each
+class mean, a (rows, K, d) array, so they run on blocks of rows sized by
+the package's working-set budget ``metrics._BATCH_ELEMENTS``: a split's
+working set is O(n (K + d)) plus that budget, not O(n K d), and every
+value is the one a single block would give.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .metrics import _BATCH_ELEMENTS
 
 __all__ = [
     "GeneratedTask",
@@ -121,6 +129,20 @@ class ShiftScenario:
     def num_classes(self) -> int:
         return int(self.class_means.shape[0])
 
+    def _by_row_blocks(self, rows, x: np.ndarray, *args) -> np.ndarray:
+        """``rows(x, *args)`` computed on consecutive blocks of at most
+        ``_BATCH_ELEMENTS // (K * d)`` rows of ``x`` (at least 1), stacked in order.
+
+        ``rows`` stacks a (rows, K, d) array of differences to the means, so
+        a block keeps that stack within the working-set budget and a split's
+        temporaries stay O(n (K + d)). Each output row depends only on its
+        own input row, so the blocks change no bit.
+        """
+        step = max(1, _BATCH_ELEMENTS // self.class_means.size)
+        if x.shape[0] <= step:
+            return rows(x, *args)
+        return np.concatenate([rows(x[i : i + step], *args) for i in range(0, x.shape[0], step)])
+
     def _log_mixture(self, x: np.ndarray, means: np.ndarray, variance: float) -> np.ndarray:
         d = self.dimension
         sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
@@ -130,17 +152,19 @@ class ShiftScenario:
 
     def log_density_source(self, x: np.ndarray) -> np.ndarray:
         x = _as_points(x, self.dimension)
-        return self._log_mixture(x, self.class_means, self.class_variance)
+        return self._by_row_blocks(self._log_mixture, x, self.class_means, self.class_variance)
 
     def log_density_target(self, x: np.ndarray) -> np.ndarray:
         x = _as_points(x, self.dimension)
-        return self._log_mixture(
-            x, self.class_means + self.shift, self.variance_scale * self.class_variance
+        return self._by_row_blocks(
+            self._log_mixture, x, self.class_means + self.shift, self.variance_scale * self.class_variance
         )
 
     def log_posterior(self, x: np.ndarray) -> np.ndarray:
         """Log of the shared labeling conditional p(y | x), rows normalized."""
-        x = _as_points(x, self.dimension)
+        return self._by_row_blocks(self._log_posterior_rows, _as_points(x, self.dimension))
+
+    def _log_posterior_rows(self, x: np.ndarray) -> np.ndarray:
         sq = ((x[:, None, :] - self.class_means[None, :, :]) ** 2).sum(axis=2)
         logits = -sq / (2.0 * self.class_variance)
         logits -= logits.max(axis=1, keepdims=True)

@@ -27,7 +27,8 @@ worse than any grid point. The objective is piecewise smooth at best
 (argmax, binning, absolute values), so the search is derivative-free.
 
 The engine evaluates the grid in consecutive batches of as many
-temperatures as keep a batch's elements near ``_BATCH_ELEMENTS``, and
+temperatures as keep a batch's elements near ``metrics._BATCH_ELEMENTS``,
+the working-set budget every stacked pass of the package shares, and
 each golden-section step as one temperature: numpy call overhead, not
 arithmetic, dominates one temperature at a few hundred rows, and a batch
 that outgrows the cache loses again. It returns a ``_Search``, its own
@@ -77,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metrics import _bin_sums, _num_bins, bin_indices, check_array, check_weights
+from .metrics import _BATCH_ELEMENTS, _bin_sums, _num_bins, bin_indices, check_array, check_weights
 from .scaling import (
     SEARCH_TOL,
     T_MAX,
@@ -296,11 +297,6 @@ def _ess_lambda(weights: np.ndarray) -> float:
 
 
 _GRID_SIZE = 50
-# float64 elements of logits per grid batch. The transcal kernel keeps only (B, n)
-# arrays after its softmax, so its batches can be larger than a kernel that keeps
-# (B, n, K) ones: 2**17 (1 MiB) beat 2**15 at K = 10, n = 3000 and at K = 3,
-# n = 1000 on a 2-core host, and 2**16 to 2**19 were within noise of each other
-_BATCH_ELEMENTS = 2**17
 
 
 class _Search(NamedTuple):

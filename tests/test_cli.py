@@ -550,7 +550,23 @@ class TestBench:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--seeds", "--shifts", "--scales", "--t-trues"])
+    SMALL_GRID = ("--seeds", "0", "--shifts", "0", "--scales", "1", "--t-trues", "1", "--n-source", 60, "--n-target", 50)
+
+    def test_empty_method_items_are_dropped(self, tmp_path):
+        first, second = tmp_path / "b1.json", tmp_path / "b2.json"
+        assert run("bench", "--methods", ",temp,,uncalibrated,", *self.SMALL_GRID, "--out", first) == 0
+        assert run("bench", "--methods", "temp,uncalibrated", *self.SMALL_GRID, "--out", second) == 0
+        assert read_json(first)["settings"]["methods"] == ["temp", "uncalibrated"]
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("methods", ["temp,temp", "temp,uncalibrated,temp"])
+    def test_a_method_listed_twice_exits_two(self, tmp_path, capsys, methods):
+        out = tmp_path / "b.json"
+        assert run("bench", "--methods", methods, *self.SMALL_GRID, "--out", out) == 2
+        assert "method 'temp' is listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--shifts", "--scales", "--t-trues", "--methods"])
     def test_empty_grid_argument_exits_two(self, tmp_path, flag):
         grid = {"--seeds": "0", "--shifts": "0", "--scales": "1", "--t-trues": "1"}
         grid[flag] = ""

@@ -26,7 +26,7 @@ from shiftcal import (
 )
 from shiftcal import scaling, transcal
 from shiftcal.bench import default_grid
-from shiftcal.metrics import ROW_SUM_TOL, _brier_rows
+from shiftcal.metrics import _BATCH_ELEMENTS, ROW_SUM_TOL, _brier_rows
 from shiftcal.newton import GRADIENT_TOLERANCE
 from shiftcal.scaling import (
     SEARCH_TOL,
@@ -691,6 +691,59 @@ class TestCpcsSolve:
             param = fit_cpcs_temperature(task.source_val_logits, task.source_val_labels, task.true_weights)
         assert not param.degenerate
         assert passes[0] <= 8
+
+
+class TestBatchedScan:
+    """The cpcs scan scores its temperatures in batches sized by the working-set
+    budget; the batches must change no value and bound the stacked softmax."""
+
+    def k10_split(self, n):
+        scenario = ShiftScenario.axis_aligned(10, 10, spacing=2.0, shift_magnitude=1.0, distortion_temperature=2.0)
+        task = generate(scenario, 2 * n, 10, 3, 0.5)
+        return task.source_val_logits, task.source_val_labels, task.true_weights
+
+    def test_batches_equal_one_temperature_at_a_time(self):
+        logits, labels, w = self.k10_split(3000)
+        shifted = scaling._shifted(logits)
+        grid = np.geomspace(T_MIN, T_MAX, scaling._SCAN_SIZE)
+        batch = _BATCH_ELEMENTS // logits.size
+        assert 1 < batch < grid.size  # the budget splits this scan
+        stacks = []
+        softmax_terms = scaling._softmax_terms
+
+        def record(z):
+            stacks.append(z.shape[0])
+            return softmax_terms(z)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scaling, "_softmax_terms", record)
+            values = scaling._weighted_brier(shifted, labels, w, grid)
+        assert sum(stacks) == grid.size and len(stacks) == -(-grid.size // batch)
+        assert max(stacks) * logits.size <= _BATCH_ELEMENTS
+        alone = np.concatenate([scaling._weighted_brier(shifted, labels, w, grid[i : i + 1]) for i in range(grid.size)])
+        assert np.array_equal(values, alone)
+
+    @pytest.mark.parametrize("budget", [1, 2 * 300 * 4, 5 * 300 * 4 + 1])
+    def test_any_budget_gives_the_same_fit(self, budget):
+        rng = np.random.default_rng(7)
+        logits, labels = sampled_task(7, 300, 4, 2.0, 1.5)
+        w = rng.lognormal(0.0, 1.0, size=300)
+        want = fit_cpcs_temperature(logits, labels, w)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scaling, "_BATCH_ELEMENTS", budget)
+            assert fit_cpcs_temperature(logits, labels, w) == want
+
+    def test_fit_memory_stays_below_the_unbatched_scan(self):
+        """At K = 10, n = 3000 one (12, n, K) scan stack would hold 2.9 MB."""
+        logits, labels, w = self.k10_split(3000)
+        fit_cpcs_temperature(logits[:10], labels[:10], w[:10])
+        tracemalloc.start()
+        try:
+            fit_cpcs_temperature(logits, labels, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < scaling._SCAN_SIZE * logits.size * 8
 
 
 class TestTemperatureFitsValidateLabels:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from shiftcal import (
     true_renyi,
     true_weight,
 )
-from shiftcal.synthshift import true_log_weight
+from shiftcal.metrics import _BATCH_ELEMENTS
+from shiftcal.synthshift import _draw_labels, true_log_weight
 
 
 def basic_scenario(**overrides):
@@ -26,6 +28,19 @@ def basic_scenario(**overrides):
     )
     params.update(overrides)
     return ShiftScenario.axis_aligned(**params)
+
+
+def block_rows(scenario):
+    """Rows per generation block: the working-set budget over K * d elements per row."""
+    return max(1, _BATCH_ELEMENTS // (scenario.num_classes * scenario.dimension))
+
+
+def random_scenario(k, d, seed):
+    rng = np.random.default_rng(seed)
+    return ShiftScenario(
+        class_means=2.0 * rng.standard_normal((k, d)), class_variance=1.3,
+        shift=0.4 * rng.standard_normal(d), variance_scale=1.2, distortion_temperature=2.5,
+    )
 
 
 class TestScenarioConstruction:
@@ -190,6 +205,12 @@ class TestGenerate:
         monkeypatch.setattr(ShiftScenario, "log_posterior", counted)
         generate(basic_scenario(), 100, 50, seed=3)
         assert rows == [100, 50]
+        # splits larger than one generation block still take one call each
+        scn = ShiftScenario.axis_aligned(dimension=30, num_classes=30, spacing=2.0, shift_magnitude=1.0)
+        assert 400 > block_rows(scn)
+        rows.clear()
+        generate(scn, 400, 300, seed=3)
+        assert rows == [400, 300]
 
     def test_true_weights_are_closed_form_on_val_split(self):
         scn = basic_scenario()
@@ -224,6 +245,57 @@ class TestGenerate:
             generate(scn, 10, 10, seed=0, val_fraction=1.0)
         with pytest.raises(ValueError):
             generate(scn, 2, 10, seed=0, val_fraction=0.9)
+
+
+class TestRowBlocks:
+    """Densities and posteriors run on blocks of rows sized by the working-set
+    budget; every row must come out as it does when computed alone."""
+
+    SHAPES = [(30, 30), (7, 40)]
+
+    @pytest.mark.parametrize("k,d", SHAPES)
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_blocks_equal_one_row_at_a_time(self, k, d, offset):
+        scn = random_scenario(k, d, k + d)
+        n = 2 * block_rows(scn) + offset
+        x = np.random.default_rng(n).standard_normal((n, d)) * 2.0
+        for f in (scn.log_posterior, scn.log_density_source, scn.log_density_target,
+                  lambda x: true_log_weight(scn, x)):
+            alone = np.concatenate([f(x[i : i + 1]) for i in range(n)])
+            assert np.array_equal(f(x), alone)
+
+    @pytest.mark.parametrize("k,d", SHAPES)
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_generated_labels_equal_one_row_at_a_time(self, k, d, offset):
+        scn = random_scenario(k, d, k * d)
+        n = 2 * block_rows(scn) + offset
+        task = generate(scn, n, n, seed=offset + 5)
+        source = np.concatenate([task.source_train, task.source_val])
+        for split, x, labels, logits in (
+            ("source", source, np.concatenate([task.source_train_labels, task.source_val_labels]),
+             np.concatenate([task.source_train_logits, task.source_val_logits])),
+            ("target", task.target, task.target_labels, task.target_logits),
+        ):
+            alone = np.concatenate([scn.log_posterior(x[i : i + 1]) for i in range(n)])
+            assert np.array_equal(labels, _draw_labels(alone, label_stream_seed(offset + 5, split)))
+            assert np.array_equal(logits, scn.distortion_temperature * alone)
+        assert np.array_equal(task.true_weights, np.exp(
+            np.concatenate([true_log_weight(scn, row[None]) for row in task.source_val])
+        ))
+
+    def test_generation_memory_stays_near_the_task_arrays(self):
+        """A K = d = 30 task of 3000 + 3000 rows: one (rows, K, d) stack of a
+        whole split would hold 21.6 MB, more than seven times the task itself."""
+        scn = ShiftScenario.axis_aligned(dimension=30, num_classes=30, spacing=2.0, shift_magnitude=1.0)
+        generate(scn, 10, 10, seed=0)
+        tracemalloc.start()
+        try:
+            task = generate(scn, 3000, 3000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        task_bytes = sum(v.nbytes for v in vars(task).values() if isinstance(v, np.ndarray))
+        assert peak < 3 * task_bytes
 
 
 class TestTrueRenyi:
