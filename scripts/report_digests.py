@@ -38,8 +38,12 @@ in-process (whichever ``shiftcal`` the import path finds) for:
   on a small random task whose weighted Brier score has three local
   minima (``multimodal_task``), and ``serial_control_variate`` on the
   K = 3 split's weighted confidence gaps, once with its correctness and
-  once with the all-correct labels' constant one; the ``repr`` of each
-  result, search trace included, goes to ``fits/<name>.txt``;
+  once with the all-correct labels' constant one, and the three transcal
+  variants on the K = 3 split, then the K = 10 split, then the K = 3 split
+  again, so that the fits of one split share a search state and the
+  return to the first split rebuilds the one the second split replaced;
+  the ``repr`` of each result, search trace included, goes to
+  ``fits/<name>.txt``;
 * a list of bad inputs, each printed with its exit code and stderr.
 
 An uncaught exception is recorded as ``exit 1: <Type>: <message>``, the
@@ -244,6 +248,14 @@ def fit_runs(out: Path) -> list[str]:
                 result = serial_control_variate(true_weights * np.abs(correct - conf), true_weights,
                                                 correct, float(conf.mean()))
                 record(f"k3-serial_cv-{name}-correctness", result, f"estimate={result[0]!r}")
+    for step, task in enumerate(("k3", "k10", "k3")):
+        d = out / task
+        split = (load_matrix(d / "source_val_logits.csv"), load_labels(d / "source_val_labels.csv"),
+                 load_matrix(d / "true_weights.csv")[:, 0])
+        for method, mode, freeze in (("transcal", EstimatorMode.CV_SERIAL, False),
+                                     ("transcal-no-bias", EstimatorMode.CV_SERIAL, True),
+                                     ("transcal-no-variance", EstimatorMode.PLAIN_IWECE, False)):
+            record_transcal(f"split{step}-{task}-{method}", optimize_transcal(*split, mode, 15, freeze))
     fit = fit_cpcs_temperature(*multimodal_task(2937))
     record("multimodal-2937-cpcs", fit, f"t={fit.t!r} degenerate={fit.degenerate!r}")
     return lines

@@ -52,7 +52,6 @@ from .transcal import (
     ControlVariateCoefficients,
     EstimatorMode,
     TransCalSolution,
-    TransCalState,
     apply_control_variate,
     optimize_transcal,
     renyi_diagnostic,
@@ -74,7 +73,6 @@ __all__ = [
     "ShiftScenario",
     "TemperatureParam",
     "TransCalSolution",
-    "TransCalState",
     "__version__",
     "apply_affine_scaling",
     "apply_control_variate",

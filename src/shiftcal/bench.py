@@ -8,18 +8,22 @@ magnitude, target variance scale and distortion temperature so the
 no-shift column doubles as a sanity check: there the closed-form weights
 are exactly one.
 
-Every ``METHODS`` fit takes the ``TransCalState`` of its fitting split,
-or None. ``run_single`` builds one for the source validation split when a
-method needs weights, which validates the split there. The three transcal
-variants fit the same validation logits, labels and weights, so they
-share the state. Every scoring pass forms both the plain and the corrected
-estimates, so ``transcal-no-variance``, at ``transcal``'s lambda, reads
-every temperature ``transcal`` scored and the other way round;
+The three transcal variants fit the same validation logits, labels and
+weights, so they share one search state without being handed it:
+``transcal`` keeps the state of the last split it fitted
+(``transcal._shared_state``) and gives it to the next fit on a bit-equal
+split. ``run_single`` reads the split's Renyi diagnostic from that state
+when a method needs weights, which validates the split before any fit.
+Every scoring pass forms both the plain and the corrected estimates, so
+``transcal-no-variance``, at ``transcal``'s lambda, reads every
+temperature ``transcal`` scored and the other way round;
 ``transcal-no-bias`` fits at lambda = 1 and, when the weights' lambda is 1
 as well, reads them too. Each fit scores only the temperatures the state
-lacks at its lambda. The sharing is exact: every value of a scoring pass
-depends only on its own temperature, so a value read from the state is the
-one the fit would have scored itself.
+lacks at its lambda. Only the last split is remembered, which is enough
+here: every transcal fit of a run is on its validation split. The
+sharing is exact, every value of a scoring pass depending only on its
+own temperature, and needs no lock: a fit keeps the state it read from
+the slot (see the ``transcal`` module docstring).
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .scaling import (
     softmax_with_temperature,
 )
 from .synthshift import GeneratedTask, ShiftScenario, generate
-from .transcal import EstimatorMode, TransCalState, optimize_transcal
+from .transcal import EstimatorMode, _shared_state, optimize_transcal
 
 __all__ = [
     "ALL_METHODS",
@@ -66,13 +70,14 @@ class Method:
     """One calibration method as ``bench`` and the ``calibrate`` command run it.
 
     Every method's fit takes the one signature
-    ``fit(logits, labels, weights, bins, state)`` and returns a result
-    whose ``describe()`` gives the fit's report fields and whose
-    ``temperature`` tells ``apply_fit`` how to apply it. ``state`` is the
-    ``TransCalState`` of the fitting split, or None; only the transcal fits
-    read it. ``needs_weights`` methods need importance weights for the
-    fitting rows; the others ignore ``weights``. An ``on_target`` method
-    fits on labelled target data.
+    ``fit(logits, labels, weights, bins)`` and returns a result whose
+    ``describe()`` gives the fit's report fields and whose ``temperature``
+    tells ``apply_fit`` how to apply it. The transcal variants fitted on
+    one split in a row share their search state by themselves: ``transcal``
+    remembers the last split's only, and a fit holds on to the state it
+    read, so no lock is needed. ``needs_weights`` methods need importance
+    weights for the fitting rows; the others ignore ``weights``. An
+    ``on_target`` method fits on labelled target data.
     """
 
     fit: Callable
@@ -85,27 +90,27 @@ class Method:
 # both bench and the CLI run.
 def _transcal(mode: EstimatorMode, freeze_lambda: bool) -> Method:
     return Method(
-        lambda logits, labels, weights, bins, state: optimize_transcal(
-            logits, labels, weights, mode=mode, bins=bins, freeze_lambda=freeze_lambda, state=state
+        lambda logits, labels, weights, bins: optimize_transcal(
+            logits, labels, weights, mode=mode, bins=bins, freeze_lambda=freeze_lambda
         ),
         needs_weights=True,
     )
 
 
 METHODS = {
-    "uncalibrated": Method(lambda logits, labels, weights, bins, state: TemperatureParam(t=1.0)),
-    "temp": Method(lambda logits, labels, weights, bins, state: fit_temperature_nll(logits, labels)),
-    "vector": Method(lambda logits, labels, weights, bins, state: fit_vector_scaling(logits, labels)),
-    "matrix": Method(lambda logits, labels, weights, bins, state: fit_matrix_scaling(logits, labels)),
+    "uncalibrated": Method(lambda logits, labels, weights, bins: TemperatureParam(t=1.0)),
+    "temp": Method(lambda logits, labels, weights, bins: fit_temperature_nll(logits, labels)),
+    "vector": Method(lambda logits, labels, weights, bins: fit_vector_scaling(logits, labels)),
+    "matrix": Method(lambda logits, labels, weights, bins: fit_matrix_scaling(logits, labels)),
     "cpcs": Method(
-        lambda logits, labels, weights, bins, state: fit_cpcs_temperature(logits, labels, weights),
+        lambda logits, labels, weights, bins: fit_cpcs_temperature(logits, labels, weights),
         needs_weights=True,
     ),
     "transcal": _transcal(EstimatorMode.CV_SERIAL, False),
     "transcal-no-bias": _transcal(EstimatorMode.CV_SERIAL, True),
     "transcal-no-variance": _transcal(EstimatorMode.PLAIN_IWECE, False),
     "oracle": Method(
-        lambda logits, labels, weights, bins, state: fit_oracle_temperature(logits, labels),
+        lambda logits, labels, weights, bins: fit_oracle_temperature(logits, labels),
         on_target=True,
     ),
 }
@@ -162,15 +167,13 @@ def estimate_task_weights(
     return classifier, estimate_weights(classifier, eval_features)
 
 
-def _fit_entry(
-    method: str, task: GeneratedTask, weights: np.ndarray | None, bins: int, state: TransCalState | None
-) -> dict:
+def _fit_entry(method: str, task: GeneratedTask, weights: np.ndarray | None, bins: int) -> dict:
     """The ``calibrate`` report's fit block, plus the fit's metrics on both splits."""
     spec = METHODS[method]
     if spec.on_target:
-        fitted = spec.fit(task.target_logits, task.target_labels, None, bins, None)
+        fitted = spec.fit(task.target_logits, task.target_labels, None, bins)
     else:
-        fitted = spec.fit(task.source_val_logits, task.source_val_labels, weights, bins, state)
+        fitted = spec.fit(task.source_val_logits, task.source_val_labels, weights, bins)
     return {
         "method": method,
         **fitted.describe(),
@@ -199,7 +202,7 @@ def run_single(
         if method in methods[:i]:
             raise ValueError(f"method {method!r} is listed more than once")
     task = generate(scenario, n_source, n_target, seed)
-    weights = state = None
+    weights = None
     record: dict = {
         "seed": int(seed),
         "n_source": int(n_source),
@@ -210,14 +213,14 @@ def run_single(
         classifier, weights = estimate_task_weights(
             task.source_train, task.target, task.source_val, seed
         )
-        state = TransCalState(task.source_val_logits, task.source_val_labels, weights, bins)
+        state = _shared_state(task.source_val_logits, task.source_val_labels, weights, bins)
         record["weights"] = {
             "max": float(weights.max()),
             "mean": float(weights.mean()),
             "renyi_2": state.renyi_raw["1.0"],
             "classifier_converged": bool(classifier.converged),
         }
-    record["methods"] = {m: _fit_entry(m, task, weights, bins, state) for m in methods}
+    record["methods"] = {m: _fit_entry(m, task, weights, bins) for m in methods}
     return record
 
 

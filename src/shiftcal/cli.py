@@ -207,7 +207,7 @@ def _cmd_calibrate(args) -> int:
     elif args.weights or any(_feature_files(args)):
         raise ValueError(f"method {args.method!r} does not take importance weights")
 
-    fitted = method.fit(logits, labels, weights, args.bins, None)
+    fitted = method.fit(logits, labels, weights, args.bins)
     report: dict = {"num_bins": args.bins, "fit": {"method": args.method, **fitted.describe()}}
 
     if args.apply or args.probs_out or args.apply_labels:

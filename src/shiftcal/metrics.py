@@ -77,8 +77,7 @@ class ProbabilitySet:
         probs = check_array(probs, "probs", 2)
         if np.any(probs < 0.0) or np.any(probs > 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
-        row_sums = probs.sum(axis=1)
-        worst = float(np.max(np.abs(row_sums - 1.0)))
+        worst = float(np.max(np.abs(_row_sums(probs) - 1.0)))
         if worst > ROW_SUM_TOL:
             raise ValueError(
                 f"probability rows must sum to 1 within {ROW_SUM_TOL:g} "
@@ -318,6 +317,31 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     for column in rest:
         sums += column
     return sums
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` bit for bit.
+
+    numpy reduces each row of a last axis in its own inner-loop call, so
+    below 32 columns a running ``np.maximum`` over whole columns is faster:
+    at 3 000 rows (numpy 2.4), 4-18x for K = 2 to 8, 2-4x for K = 10 to
+    24 and 1.8-2.2x for K = 26 to 31, with a stack of four such arrays
+    likewise. From 32 columns on the gain is gone: numpy's max took
+    0.45-0.82x the column passes' time at K = 32 stacked and K = 65, and
+    between them the two alternate, so those widths take numpy's max.
+    A maximum is the same whatever the order but for the sign of a zero
+    maximum, and numpy's order depends on the CPU's vector width, so rows
+    whose maximum is zero take numpy's max itself.
+    """
+    if x.shape[-1] >= 32:
+        return x.max(axis=-1, keepdims=True)
+    top = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(top, x[..., j : j + 1], out=top)
+    zero = top[..., 0] == 0.0
+    if zero.any():
+        top[zero] = x[zero].max(axis=-1, keepdims=True)
+    return top
 
 
 def _nll_sum(label_probs: np.ndarray) -> np.ndarray:

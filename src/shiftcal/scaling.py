@@ -26,7 +26,9 @@ every temperature path divides or multiplies that one array. The Brier
 scan builds no ``ProbabilitySet``. Softmax and Brier row sums over fewer
 than 16 classes are column adds in numpy's own order, sequential below 8
 classes and pairwise from 8 on (``metrics._row_sums``), so the scan's
-values are the public weighted Brier score's, bit for bit.
+values are the public weighted Brier score's, bit for bit; row maxima
+below 32 classes are running column maxima (``metrics._row_max``),
+numpy's own values.
 
 Vector and matrix scaling minimize the mean NLL of softmax(scale o logits +
 bias), which is convex, from the identity map on the package's one damped
@@ -51,6 +53,7 @@ from .metrics import (
     _BATCH_ELEMENTS,
     ProbabilitySet,
     _brier_rows,
+    _row_max,
     _row_sums,
     check_array,
     check_labels,
@@ -146,7 +149,7 @@ def _shifted(logits: np.ndarray) -> np.ndarray:
     an entry to -inf, whose exponential is the 0 it underflows to anyway.
     """
     with np.errstate(over="ignore"):
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = logits - _row_max(logits)
     return np.maximum(shifted, -np.finfo(float).max, out=shifted)
 
 
@@ -428,7 +431,7 @@ def _softmax_nll(transformed: np.ndarray, labels: np.ndarray) -> tuple[float, np
     """
     n = transformed.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        transformed -= transformed.max(axis=1, keepdims=True)
+        transformed -= _row_max(transformed)
         label_shifted = transformed[np.arange(n), labels]
         probs, sums = _softmax_terms(transformed)
         loss = float((np.log(sums[:, 0]) - label_shifted).sum()) / n
@@ -585,7 +588,7 @@ def apply_affine_scaling(logits: np.ndarray, param: AffineScaleParam) -> Probabi
     """
     logits = check_array(logits, "logits", 2)
     z = _affine_map(logits, param.scale, param.bias)
-    z -= z.max(axis=1, keepdims=True)
+    z -= _row_max(z)
     p, sums = _softmax_terms(z)
     p /= sums
     return ProbabilitySet(probs=p, predictions=np.argmax(p, axis=1))

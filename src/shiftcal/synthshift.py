@@ -14,7 +14,9 @@ Densities and posteriors stack the differences from each point to each
 class mean, a (rows, K, d) array, so they run on blocks of rows sized by
 the package's working-set budget ``metrics._BATCH_ELEMENTS``: a split's
 working set is O(n (K + d)) plus that budget, not O(n K d), and every
-value is the one a single block would give.
+value is the one a single block would give. The blocks fill one array
+per split, and ``generate`` scales each split's posterior into its logits
+in place, so a split's posterior is held once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import _BATCH_ELEMENTS
+from .metrics import _BATCH_ELEMENTS, _row_max, _row_sums
 
 __all__ = [
     "GeneratedTask",
@@ -131,7 +133,8 @@ class ShiftScenario:
 
     def _by_row_blocks(self, rows, x: np.ndarray, *args) -> np.ndarray:
         """``rows(x, *args)`` computed on consecutive blocks of at most
-        ``_BATCH_ELEMENTS // (K * d)`` rows of ``x`` (at least 1), stacked in order.
+        ``_BATCH_ELEMENTS // (K * d)`` rows of ``x`` (at least 1), each
+        written into its rows of one output array.
 
         ``rows`` stacks a (rows, K, d) array of differences to the means, so
         a block keeps that stack within the working-set budget and a split's
@@ -139,16 +142,21 @@ class ShiftScenario:
         own input row, so the blocks change no bit.
         """
         step = max(1, _BATCH_ELEMENTS // self.class_means.size)
+        block = rows(x[:step], *args)
         if x.shape[0] <= step:
-            return rows(x, *args)
-        return np.concatenate([rows(x[i : i + step], *args) for i in range(0, x.shape[0], step)])
+            return block
+        out = np.empty(x.shape[:1] + block.shape[1:])
+        out[:step] = block
+        for i in range(step, x.shape[0], step):
+            out[i : i + step] = rows(x[i : i + step], *args)
+        return out
 
     def _log_mixture(self, x: np.ndarray, means: np.ndarray, variance: float) -> np.ndarray:
         d = self.dimension
-        sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        sq = _row_sums((x[:, None, :] - means[None, :, :]) ** 2)[..., 0]
         log_comp = -sq / (2.0 * variance) - 0.5 * d * math.log(2.0 * math.pi * variance)
-        m = log_comp.max(axis=1)
-        return m + np.log(np.exp(log_comp - m[:, None]).sum(axis=1)) - math.log(self.num_classes)
+        m = _row_max(log_comp)
+        return m[:, 0] + np.log(_row_sums(np.exp(log_comp - m))[:, 0]) - math.log(self.num_classes)
 
     def log_density_source(self, x: np.ndarray) -> np.ndarray:
         x = _as_points(x, self.dimension)
@@ -165,11 +173,11 @@ class ShiftScenario:
         return self._by_row_blocks(self._log_posterior_rows, _as_points(x, self.dimension))
 
     def _log_posterior_rows(self, x: np.ndarray) -> np.ndarray:
-        sq = ((x[:, None, :] - self.class_means[None, :, :]) ** 2).sum(axis=2)
+        sq = _row_sums((x[:, None, :] - self.class_means[None, :, :]) ** 2)[..., 0]
         logits = -sq / (2.0 * self.class_variance)
-        logits -= logits.max(axis=1, keepdims=True)
-        norm = np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        return logits - norm
+        logits -= _row_max(logits)
+        logits -= np.log(_row_sums(np.exp(logits)))
+        return logits
 
 
 @dataclass
@@ -216,7 +224,8 @@ def sample_labels(scenario: ShiftScenario, features, seed) -> np.ndarray:
 
 def _draw_labels(log_posterior: np.ndarray, seed) -> np.ndarray:
     """One label per row of ``log_posterior``, by inverse-CDF draws from ``seed``'s stream."""
-    cumulative = np.cumsum(np.exp(log_posterior), axis=1)
+    cumulative = np.exp(log_posterior)
+    np.cumsum(cumulative, axis=1, out=cumulative)
     cumulative[:, -1] = 1.0
     draws = np.random.default_rng(seed).random(log_posterior.shape[0])
     return (draws[:, None] < cumulative).argmax(axis=1).astype(np.int64)
@@ -266,9 +275,10 @@ def generate(
     y_source = _draw_labels(posterior_source, label_stream_seed(seed, "source"))
     y_target = _draw_labels(posterior_target, label_stream_seed(seed, "target"))
 
+    # once the labels are drawn, each posterior is scaled into its logits in place
     t_true = scenario.distortion_temperature
-    logits_source = t_true * posterior_source
-    logits_target = t_true * posterior_target
+    logits_source = np.multiply(posterior_source, t_true, out=posterior_source)
+    logits_target = np.multiply(posterior_target, t_true, out=posterior_target)
 
     x_train, x_val = x_source[:n_train], x_source[n_train:]
     true_w = np.exp(true_log_weight(scenario, x_val))

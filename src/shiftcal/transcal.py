@@ -52,18 +52,33 @@ forms. The estimate and covariance are sums over bins of those sums,
 where ``apply_control_variate`` on the self-normalized samples, the
 sample-level reference, sums over samples, so the two agree to rounding.
 
-A ``TransCalState`` validates one fitting split when it is built and
-holds its shifted logits (``scaling._shifted``) and, per lambda, the
-per-sample terms and a memo of every scored temperature. Every pass forms
-the plain and the corrected estimates, at O(B * (bins + n)) beyond the
-softmax, and a mode only picks which one a fit reads. So fits that share
-a state score only the temperatures no fit at their lambda has scored,
-whatever their order: ``transcal`` and ``transcal-no-variance`` share
-theirs, and so does ``transcal-no-bias`` when the rule's lambda is 1.
-The search engine reports the value at t* and every (t, value) pair it
-evaluated, and a fit reads its coefficients at t* from the memo, so t*
-is never scored again. Sharing is exact for the reasons batching is:
-each value of a pass depends only on its own temperature.
+A ``TransCalState`` holds one validated fitting split: its shifted
+logits (``scaling._shifted``), correctness, weights and bin count, and,
+per lambda, the per-sample terms and a memo of every scored temperature.
+Every pass forms the plain and the corrected estimates, at
+O(B * (bins + n)) beyond the softmax, and a mode only picks which one a
+fit reads. The module keeps the state of the last split a fit ran on,
+and ``_shared_state`` hands it to the next fit whose validated split
+matches it bit for bit. So variants fitted on one split in a row share
+their scores without being handed anything: each scores only the
+temperatures no fit at its lambda has scored, whatever their order.
+``transcal`` and ``transcal-no-variance`` share theirs, and so does
+``transcal-no-bias`` when the rule's lambda is 1. Only the last split is
+remembered, so at most one kept state is alive, and fits that alternate
+between splits rebuild it each time. The kept state, an O(n * K) copy
+of the split plus its memo, stays in memory until a fit on another
+split replaces it. ``transcal_objective`` builds a state of its own for
+each call and keeps nothing. The search engine reports the value at t*
+and every (t, value) pair it evaluated, and a fit reads its coefficients
+at t* from the memo, so t* is never scored again. Sharing is exact for
+the reasons batching is: each value of a pass depends only on its own
+temperature, and a trace records a value read from the memo as it
+records a scored one.
+
+No lock guards the slot. A call reads it once and works on the state it
+got, whatever the slot holds afterwards, and a state's caches only ever
+gain the values any pass would compute for them, so two threads on one
+state can at worst score a temperature twice.
 """
 
 from __future__ import annotations
@@ -365,31 +380,49 @@ def _minimize_temperature(objective, footprint: int) -> _Search:
     )
 
 
+def _split(logits, labels, weights, bins) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """A fitting split, validated, as what a ``TransCalState`` is computed from:
+    the shifted logits, each row's 0/1 correctness, the weights and the bin
+    count. Raises what every transcal call raises for an invalid split."""
+    logits, labels = _check_fit_inputs(logits, labels)
+    weights = check_weights(weights, logits.shape[0])
+    num_bins = _num_bins(bins)
+    _require_weight_mass(weights)
+    correct = (np.argmax(logits, axis=1) == labels).astype(np.float64)
+    return _shifted(logits), correct, weights, num_bins
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two C-contiguous float64 arrays hold the same bits; -0.0 is not 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TransCalState:
     """One fitting split and the scores the transcal fits on it share.
 
-    Building a state validates the split and raises what a fit without one
-    would. It keeps the checked arrays, the raw weights' Renyi diagnostics
-    (computed once, at first use) and, per lambda (1 for the frozen fits,
-    the ``_ess_lambda`` rule's for the others), the per-sample ``terms`` and
+    It is built from what ``_split`` returns, weights the state owns
+    included, and keeps the raw weights' Renyi diagnostics (computed once,
+    at first use) and, per lambda (1 for the frozen fits, the
+    ``_ess_lambda`` rule's for the others), the per-sample ``terms`` and
     ``memo``, which maps each scored temperature to ``(arrays, b)``: entry b
-    of every (B,) array of the ``estimates`` pass that scored it. Pass it to
-    ``optimize_transcal`` as ``state`` with the very arrays and bins it was
-    built from, and do not modify those arrays while it is in use. The
-    module docstring says why sharing is exact.
+    of every (B,) array of the ``estimates`` pass that scored it.
+    ``_shared_state`` keeps the last fitted split's; the module docstring
+    says why sharing is exact.
     """
 
-    def __init__(self, logits, labels, weights, bins: int = 15):
-        self._arguments = (logits, labels, weights)
-        logits, labels = _check_fit_inputs(logits, labels)
-        self.weights = check_weights(weights, logits.shape[0])
-        self.num_bins = _num_bins(bins)
-        _require_weight_mass(self.weights)
-        self.shifted = _shifted(logits)
-        self.correct = (np.argmax(logits, axis=1) == labels).astype(np.float64)
-        self.correct_variate = _variate(self.correct)
+    def __init__(self, shifted: np.ndarray, correct: np.ndarray, weights: np.ndarray, num_bins: int):
+        self.shifted = shifted
+        self.correct = correct
+        self.weights = weights
+        self.num_bins = num_bins
+        self.correct_variate = _variate(correct)
         self._terms: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self.memo: defaultdict[float, dict[float, tuple[tuple, int]]] = defaultdict(dict)
+
+    def holds(self, shifted: np.ndarray, correct: np.ndarray, weights: np.ndarray, num_bins: int) -> bool:
+        """Whether the state was built from these arrays and bin count, bit for bit."""
+        mine = (self.shifted, self.correct, self.weights)
+        return self.num_bins == num_bins and all(map(_same_bits, mine, (shifted, correct, weights)))
 
     @cached_property
     def rule_lambda(self) -> float:
@@ -399,11 +432,6 @@ class TransCalState:
     def renyi_raw(self) -> dict[str, float]:
         """``renyi_diagnostic`` of the raw weights at alpha = 0.5, 1 and 2, keyed by alpha."""
         return {str(a): renyi_diagnostic(self.weights, a) for a in (0.5, 1.0, 2.0)}
-
-    def built_from(self, logits, labels, weights, bins) -> bool:
-        """Whether the state was built from these arrays and bin count."""
-        same = all(a is b for a, b in zip(self._arguments, (logits, labels, weights)))
-        return self.num_bins == _num_bins(bins) and same
 
     def terms(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """The self-normalized weights w~ at ``lam`` and w~ * correct, the
@@ -482,6 +510,29 @@ class TransCalState:
         return _coefficients(eta[b], cov[b], self.correct_variate.var)
 
 
+# the state of the last split a transcal fit ran on; see ``_shared_state``
+_shared: TransCalState | None = None
+
+
+def _shared_state(logits, labels, weights, bins: int = 15) -> TransCalState:
+    """The ``TransCalState`` of a fitting split, validated as a fit validates it.
+
+    The state of the last split a fit ran on is kept and returned when the
+    validated split matches it bit for bit: its shifted logits, correctness,
+    weights (the state compares against its own copy, so arrays changed in
+    place since do not match) and bin count, which are all a state is
+    computed from. Otherwise the kept state is dropped and a fresh one
+    built and kept in its place.
+    """
+    global _shared
+    shifted, correct, weights, num_bins = _split(logits, labels, weights, bins)
+    state = _shared
+    if state is None or not state.holds(shifted, correct, weights, num_bins):
+        _shared = state = None  # the old state goes before its successor is built
+        state = _shared = TransCalState(shifted, correct, weights.copy(), num_bins)
+    return state
+
+
 def transcal_objective(
     logits: np.ndarray,
     labels: np.ndarray,
@@ -499,7 +550,7 @@ def transcal_objective(
     usable mass raise DegeneracyError as in ``optimize_transcal``.
     """
     mode = EstimatorMode(mode)
-    state = TransCalState(logits, labels, weights, bins)
+    state = TransCalState(*_split(logits, labels, weights, bins))
     if not (0.0 <= float(lam) <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     return float(state.scores(float(lam), mode, np.array([TemperatureParam(float(t)).t]))[0])
@@ -512,7 +563,6 @@ def optimize_transcal(
     mode: EstimatorMode | str = EstimatorMode.CV_SERIAL,
     bins: int = 15,
     freeze_lambda: bool = False,
-    state: TransCalState | None = None,
 ) -> TransCalSolution:
     """Search the temperature minimizing the corrected estimate at one lambda.
 
@@ -524,19 +574,14 @@ def optimize_transcal(
     The search is deterministic and every evaluation is recorded in the
     trace as (t, value), whether it was scored or read from the memo.
 
-    ``state`` is a ``TransCalState`` built from these same arguments; fits
-    that share one score each temperature once. It changes no result, and
-    without it each call builds its own. Weights without usable mass (all
-    zero, an overflowing sum or sum of squares, or a Kish effective sample
-    size below 2) raise DegeneracyError.
+    Fits on one split in a row share their scored temperatures through
+    ``_shared_state``, which changes no result; the last fitted split's
+    state stays in memory until a fit on another split replaces it. Weights without usable mass
+    (all zero, an overflowing sum or sum of squares, or a Kish effective
+    sample size below 2) raise DegeneracyError.
     """
     mode = EstimatorMode(mode)
-    if state is None:
-        state = TransCalState(logits, labels, weights, bins)
-    elif not state.built_from(logits, labels, weights, bins):
-        raise ValueError(
-            "state was built from other inputs; build one TransCalState per fitting split"
-        )
+    state = _shared_state(logits, labels, weights, bins)
     lam = 1.0 if freeze_lambda else state.rule_lambda
     search = _minimize_temperature(partial(state.scores, lam, mode), state.shifted.size)
     diagnostics = {

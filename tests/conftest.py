@@ -11,6 +11,7 @@ import time
 import pytest
 
 import shiftcal as sc
+from shiftcal import transcal
 
 SWEEP_SEEDS = tuple(range(10))
 SWEEP_N_SOURCE = 6000
@@ -27,6 +28,13 @@ SWEEP_METHODS = (
 
 
 _TIMINGS: dict = {}
+
+
+@pytest.fixture(autouse=True)
+def no_remembered_transcal_state():
+    """Every test starts with an empty transcal state slot, so that no test
+    reads scores another one left behind."""
+    transcal._shared = None
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,7 @@ from shiftcal import (
 )
 
 from shiftcal import metrics
-from shiftcal.metrics import _row_sums, check_labels
+from shiftcal.metrics import _row_max, _row_sums, check_labels
 
 from oracles import (
     brute_bin_index,
@@ -317,6 +317,27 @@ class TestRowSums:
             if specials:
                 x.flat[rng.integers(0, x.size, size=3)] = rng.choice([0.0, np.inf, np.nan], size=3)
             assert np.array_equal(_row_sums(x), x.sum(axis=-1, keepdims=True), equal_nan=True), k
+
+
+class TestRowMax:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        leading=st.sampled_from(((1,), (300,), (7,), (5, 40), (2, 30), (3, 9), (2, 3, 4))),
+        zeros=st.booleans(),
+    )
+    def test_equal_numpy_row_max_bitwise(self, seed, leading, zeros):
+        """A running column maximum must give numpy's last-axis max bit for bit,
+        the sign of a zero maximum included, on either side of 32 columns."""
+        rng = np.random.default_rng(seed)
+        for k in (1, 2, 3, 8, 10, 15, 16, 31, 32, 65):
+            x = rng.standard_normal(leading + (k,)) * 10.0
+            if zeros:
+                # rows of signed zeros and negatives, so that many maxima are 0.0 or -0.0
+                x = np.where(rng.random(x.shape) < 0.5, -np.abs(x), rng.choice([0.0, -0.0], size=x.shape))
+            got, want = _row_max(x), x.max(axis=-1, keepdims=True)
+            assert got.shape == want.shape, k
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), k
 
 
 class TestBrier:

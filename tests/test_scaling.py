@@ -35,7 +35,7 @@ from shiftcal.scaling import (
     TemperatureParam,
     _temperature,
 )
-from shiftcal.transcal import _GRID_SIZE, EstimatorMode, TransCalState, _minimize_temperature
+from shiftcal.transcal import _GRID_SIZE, EstimatorMode, TransCalState, _minimize_temperature, _split
 
 from oracles import kish_ess
 
@@ -96,7 +96,7 @@ class TestSoftmaxWithTemperature:
         assert np.all(np.isfinite(p.probs))
         assert np.max(np.abs(p.probs.sum(axis=1) - 1.0)) <= ROW_SUM_TOL
         n = logits.shape[0]
-        state = TransCalState(logits, np.zeros(n, dtype=int), np.ones(n))
+        state = TransCalState(*_split(logits, np.zeros(n, dtype=int), np.ones(n), 15))
         assert np.array_equal(state.confidences(np.array([t]))[0], p.confidences)
 
 
@@ -184,7 +184,7 @@ def transcal_objective_builder(seed, n, k):
     mode = (EstimatorMode.CV_SERIAL, EstimatorMode.PLAIN_IWECE)[seed % 2]
 
     def build():
-        state = TransCalState(logits, labels, w)
+        state = TransCalState(*_split(logits, labels, w, 15))
         return partial(state.scores, state.rule_lambda, mode)
 
     return build

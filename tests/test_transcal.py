@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -24,9 +26,15 @@ from shiftcal import (
 from shiftcal import bench, transcal
 from shiftcal.metrics import bin_indices
 from shiftcal.scaling import T_MAX, T_MIN, _softmax_terms
-from shiftcal.transcal import TransCalState, _minimize_temperature
+from shiftcal.transcal import TransCalState, _minimize_temperature, _shared_state, _split
 
 from oracles import kish_ess, objective_samples
+
+
+def fresh(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` on an empty state slot, so that it scores every value it reads."""
+    transcal._shared = None
+    return call(*args, **kwargs)
 
 
 def sampled_task(rng, n=300, k=4, t_true=2.0):
@@ -222,7 +230,7 @@ class TestTranscalObjective:
         rng = np.random.default_rng(41)
         logits, labels, weights = sampled_task(rng, n=200, k=10)
         logits[0] *= 300.0  # a row far from zero exercises the max shift
-        state = TransCalState(logits, labels, weights, 15)
+        state = TransCalState(*_split(logits, labels, weights, 15))
         for t in (0.05, 0.37, 1.0, 2.7, 100.0):
             want = softmax_with_temperature(logits, t).confidences
             assert np.array_equal(state.confidences(np.array([t]))[0], want)
@@ -301,9 +309,7 @@ class TestOptimizeTranscal:
         logits, labels, weights = sampled_task(rng, n=400)
         for mode in (EstimatorMode.CV_SERIAL, EstimatorMode.PLAIN_IWECE):
             sol = optimize_transcal(logits, labels, weights, mode=mode)
-            again = transcal_objective(
-                logits, labels, weights, sol.t_star.t, sol.lambda_star, mode=mode
-            )
+            again = transcal_objective(logits, labels, weights, sol.t_star.t, sol.lambda_star, mode=mode)
             assert again == sol.objective_value
             assert (sol.coefficients is None) == (mode is EstimatorMode.PLAIN_IWECE)
 
@@ -311,7 +317,7 @@ class TestOptimizeTranscal:
         rng = np.random.default_rng(43)
         logits, labels, weights = sampled_task(rng, n=250)
         a = optimize_transcal(logits, labels, weights)
-        b = optimize_transcal(logits, labels, weights)
+        b = fresh(optimize_transcal, logits, labels, weights)
         assert a.t_star.t == b.t_star.t
         assert a.lambda_star == b.lambda_star
         assert a.objective_value == b.objective_value
@@ -320,8 +326,8 @@ class TestOptimizeTranscal:
     def test_freeze_lambda_pins_lambda_at_one(self):
         rng = np.random.default_rng(47)
         logits, labels, weights = sampled_task(rng, n=200)
-        state = TransCalState(logits, labels, weights, 15)
-        sol = optimize_transcal(logits, labels, weights, freeze_lambda=True, state=state)
+        sol = optimize_transcal(logits, labels, weights, freeze_lambda=True)
+        state = _shared_state(logits, labels, weights, 15)
         assert sol.lambda_star == 1.0
         assert sol.diagnostics["freeze_lambda"] is True
         assert sol.diagnostics["grid_evaluations"] == 50
@@ -332,8 +338,8 @@ class TestOptimizeTranscal:
     def test_grid_size_and_trace_budget(self):
         rng = np.random.default_rng(53)
         logits, labels, weights = sampled_task(rng, n=150)
-        state = TransCalState(logits, labels, weights, 15)
-        sol = optimize_transcal(logits, labels, weights, state=state)
+        sol = optimize_transcal(logits, labels, weights)
+        state = _shared_state(logits, labels, weights, 15)
         assert sol.diagnostics["grid_evaluations"] == 50
         assert len(sol.trace) == sol.diagnostics["total_evaluations"]
         # 50 grid points, two golden-section seeds and at most 27 steps (each
@@ -418,13 +424,13 @@ class TestOptimizeTranscal:
         fit = bench.METHODS[method].fit
 
         def with_row(row):
-            return np.vstack([logits, [row]]), np.r_[labels, 0], np.r_[weights, 1.0], 15, None
+            return np.vstack([logits, [row]]), np.r_[labels, 0], np.r_[weights, 1.0], 15
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = fit(*with_row([1e308, -1e308, 0.0]))
         assert repr(got) == repr(fit(*with_row([1e5, -1e5, 0.0])))
-        without = fit(logits, labels, weights, 15, None)
+        without = fit(logits, labels, weights, 15)
         assert not got.describe()["degenerate"]
         assert abs(got.temperature - without.temperature) <= 1e-6 * without.temperature
 
@@ -532,7 +538,8 @@ class TestOneLambdaPerPass:
         sol = optimize_transcal(logits, labels, weights, mode=mode, bins=bins)
         assert sol.diagnostics["grid_evaluations"] == 50
         for t, v in sol.trace:
-            assert v == transcal_objective(logits, labels, weights, t, sol.lambda_star, mode=mode, bins=bins)
+            args = (logits, labels, weights, t, sol.lambda_star)
+            assert v == transcal_objective(*args, mode=mode, bins=bins)
 
     @settings(derandomize=True, max_examples=20, deadline=None)
     @given(
@@ -561,9 +568,9 @@ class TestOneLambdaPerPass:
         logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
         if kish_ess(weights) < 2.0:
             with pytest.raises(DegeneracyError, match="Kish effective sample size"):
-                TransCalState(logits, labels, weights, 15)
+                _split(logits, labels, weights, 15)
             return
-        state = TransCalState(logits, labels, weights, 15)
+        state = TransCalState(*_split(logits, labels, weights, 15))
         constant = bool(np.all(state.correct == state.correct[0]))
         assert constant or not all_correct
 
@@ -636,7 +643,7 @@ class TestBatchedTemperatures:
         logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
         if raises_below_two_samples(logits, labels, weights, bins=bins):
             return
-        state = TransCalState(logits, labels, weights, bins)
+        state = TransCalState(*_split(logits, labels, weights, bins))
         lam = 1.0 if frozen else 0.6
         rng = np.random.default_rng(seed)
         t = np.exp(rng.uniform(math.log(T_MIN), math.log(T_MAX), size))
@@ -669,7 +676,7 @@ class TestBatchedTemperatures:
                 # the search's footprint is logits.size elements per temperature
                 patch.setattr(transcal, "_BATCH_ELEMENTS", batch * logits.size)
                 fits[batch] = repr(
-                    optimize_transcal(logits, labels, weights, mode=mode, freeze_lambda=frozen)
+                    fresh(optimize_transcal, logits, labels, weights, mode=mode, freeze_lambda=frozen)
                 )
         assert all(fit == fits[1] for fit in fits.values())
 
@@ -682,8 +689,30 @@ VARIANTS = {
 
 
 class TestSharedState:
-    """Fits on one ``TransCalState`` read temperatures the others scored;
-    each solution must equal a fresh fit's, trace included, in any order."""
+    """Fits on one split in a row read temperatures the others scored, through
+    the module's one state slot; each solution must equal a fresh fit's, trace
+    included, in any order and after any other split."""
+
+    @staticmethod
+    def assert_same_fit(got, want):
+        assert got.t_star == want.t_star
+        assert got.lambda_star == want.lambda_star
+        assert got.objective_value == want.objective_value
+        assert got.coefficients == want.coefficients
+        assert got.diagnostics == want.diagnostics
+        assert got.trace == want.trace
+
+    @staticmethod
+    def counting_passes(patch) -> list[int]:
+        """Patch ``TransCalState.estimates`` to record the batch size of every pass."""
+        estimates, scored = TransCalState.estimates, []
+
+        def counted(state, lam, t):
+            scored.append(t.shape[0])
+            return estimates(state, lam, t)
+
+        patch.setattr(TransCalState, "estimates", counted)
+        return scored
 
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(
@@ -699,22 +728,16 @@ class TestSharedState:
         logits, labels, weights = generated_task(seed, n, k, zero_every_other, False)
         if raises_below_two_samples(logits, labels, weights, bins=bins):
             return
-        fresh = {
-            name: optimize_transcal(logits, labels, weights, mode, bins, frozen)
+        fits = {
+            name: fresh(optimize_transcal, logits, labels, weights, mode, bins, frozen)
             for name, (mode, frozen) in VARIANTS.items()
         }
         for order in itertools.permutations(VARIANTS):
-            state = TransCalState(logits, labels, weights, bins)
+            transcal._shared = None
             for name in order:
                 mode, frozen = VARIANTS[name]
-                got = optimize_transcal(logits, labels, weights, mode, bins, frozen, state=state)
-                want = fresh[name]
-                assert got.t_star == want.t_star
-                assert got.lambda_star == want.lambda_star
-                assert got.objective_value == want.objective_value
-                assert got.coefficients == want.coefficients
-                assert got.diagnostics == want.diagnostics
-                assert got.trace == want.trace
+                got = optimize_transcal(logits, labels, weights, mode, bins, frozen)
+                self.assert_same_fit(got, fits[name])
 
     @settings(derandomize=True, max_examples=6, deadline=None)
     @given(
@@ -726,7 +749,7 @@ class TestSharedState:
     )
     @example(seed=2, n=400, k=3, zero_every_other=False, sigma=1.5)
     def test_what_gets_scored_does_not_depend_on_the_order(self, seed, n, k, zero_every_other, sigma):
-        """Every pass forms both estimates, so the variants on one state score
+        """Every pass forms both estimates, so the variants on one split score
         each (lambda, t) their searches visit exactly once, in every order."""
         logits, labels, _ = generated_task(seed, n, k, zero_every_other, False)
         weights = np.random.default_rng(seed).lognormal(0.0, sigma, size=n)
@@ -734,54 +757,155 @@ class TestSharedState:
             weights[::2] = 0.0
         if raises_below_two_samples(logits, labels, weights):
             return
-        estimates = TransCalState.estimates
         for order in itertools.permutations(VARIANTS):
-            scored, visited = [], set()
-
-            def counted(state, lam, t):
-                scored.append(t.shape[0])
-                return estimates(state, lam, t)
-
+            visited = set()
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(TransCalState, "estimates", counted)
-                state = TransCalState(logits, labels, weights, 15)
+                scored = self.counting_passes(patch)
+                transcal._shared = None
                 for name in order:
                     mode, frozen = VARIANTS[name]
-                    sol = optimize_transcal(logits, labels, weights, mode, 15, frozen, state=state)
+                    sol = optimize_transcal(logits, labels, weights, mode, 15, frozen)
                     visited.update((sol.lambda_star, t) for t, _ in sol.trace)
             assert sum(scored) == len(visited)
 
-    def test_a_state_serves_only_the_inputs_it_was_built_from(self):
+    def test_a_bit_equal_copy_of_the_split_scores_nothing(self, monkeypatch):
         logits, labels, weights = sampled_task(np.random.default_rng(89), n=60, k=3)
-        state = TransCalState(logits, labels, weights, 15)
+        scored = self.counting_passes(monkeypatch)
+        first = optimize_transcal(logits, labels, weights)
+        assert sum(scored) == len(first.trace)
+        scored.clear()
+        again = optimize_transcal(logits.copy(), labels.tolist(), list(weights), bins=15)
+        assert scored == []
+        self.assert_same_fit(again, first)
+
+    def test_the_slot_serves_only_a_bit_equal_split(self):
+        """Another bin count, correctness or weight vector, even one that only
+        flips the sign of a zero weight, gets a state of its own, and the fit
+        on it is a fresh fit's."""
+        logits, labels, weights = sampled_task(np.random.default_rng(89), n=60, k=3)
+        weights[0] = 0.0
+        optimize_transcal(logits, labels, weights)
+        kept = transcal._shared
+        wrong = (np.argmax(logits, axis=1) + 1) % 3
+        signed = weights.copy()
+        signed[0] = -0.0
         for args, bins in (
-            ((logits.copy(), labels, weights), 15),
-            ((logits, labels.copy(), weights), 15),
-            ((logits, labels, weights.copy()), 15),
+            ((logits, wrong, weights), 15),
+            ((logits, labels, signed), 15),
             ((logits, labels, weights), 7),
         ):
-            with pytest.raises(ValueError, match="state was built from other inputs"):
-                optimize_transcal(*args, bins=bins, state=state)
-        assert optimize_transcal(logits, labels, weights, state=state) == optimize_transcal(
-            logits, labels, weights
-        )
+            transcal._shared = kept
+            got = optimize_transcal(*args, bins=bins)
+            assert transcal._shared is not kept
+            self.assert_same_fit(got, fresh(optimize_transcal, *args, bins=bins))
+        # adding a constant to a row leaves its shifted logits, and so the state, as they were
+        transcal._shared = kept
+        optimize_transcal(logits + 0.0, labels, weights)
+        assert transcal._shared is kept
 
-    def test_a_state_validates_its_inputs_when_it_is_built(self, monkeypatch):
-        """Building a state raises what a fit without one raises, and
-        ``run_single`` builds one only when a method needs weights."""
+    def test_arrays_changed_in_place_miss_the_slot(self, monkeypatch):
+        """The state compares a split against its own copies, so logits or
+        weights changed in place after a fit are scored afresh."""
+        logits, labels, weights = sampled_task(np.random.default_rng(91), n=80, k=3)
+        optimize_transcal(logits, labels, weights)
+        logits[3, 1] += 0.5
+        scored = self.counting_passes(monkeypatch)
+        got = optimize_transcal(logits, labels, weights)
+        assert sum(scored) == len(got.trace)
+        self.assert_same_fit(got, fresh(optimize_transcal, logits, labels, weights))
+        scored.clear()
+        weights[::5] *= 3.0
+        got = optimize_transcal(logits, labels, weights, freeze_lambda=True)
+        assert sum(scored) == len(got.trace)
+        self.assert_same_fit(got, fresh(optimize_transcal, logits, labels, weights, freeze_lambda=True))
+
+    def test_an_invalid_split_after_a_valid_one_raises_its_own_error(self):
+        logits, labels, weights = sampled_task(np.random.default_rng(93), n=60, k=3)
+        nan_logits = logits.copy()
+        nan_logits[0, 0] = np.nan
+        for args, bins in (
+            ((logits, labels, np.zeros(60)), 15),
+            ((logits, labels, weights[:59]), 15),
+            ((logits, labels, weights), 0),
+            ((nan_logits, labels, weights), 15),
+            ((logits, labels + 3, weights), 15),
+            ((logits, labels, None), 15),
+        ):
+            with pytest.raises((ValueError, DegeneracyError)) as alone:
+                fresh(optimize_transcal, *args, bins=bins)
+            valid = optimize_transcal(logits, labels, weights)
+            kept = transcal._shared
+            for call in (optimize_transcal, lambda *a, bins: transcal_objective(*a, 1.0, 0.5, bins=bins)):
+                with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+                    call(*args, bins=bins)
+                assert transcal._shared is kept
+            self.assert_same_fit(optimize_transcal(logits, labels, weights), valid)
+
+    def test_splits_a_b_a_equal_fresh_fits(self):
+        """Only the last split is kept: returning to split A after B rebuilds
+        its state, and every fit is a fresh fit's, trace included."""
+        rng = np.random.default_rng(95)
+        splits = {name: sampled_task(rng, n=120, k=4) for name in "AB"}
+        fits = {
+            (split, name): fresh(optimize_transcal, *splits[split], mode, 15, frozen)
+            for split in splits
+            for name, (mode, frozen) in VARIANTS.items()
+        }
+        transcal._shared = None
+        for split in "ABA":
+            for name, (mode, frozen) in VARIANTS.items():
+                self.assert_same_fit(optimize_transcal(*splits[split], mode, 15, frozen), fits[split, name])
+
+    def test_threads_on_two_splits_get_fresh_fits(self):
+        """No lock guards the slot: threads fitting two splits at once replace
+        each other's states, and every fit must still be a fresh fit's."""
+        rng = np.random.default_rng(99)
+        splits = [sampled_task(rng, n=80, k=3) for _ in range(2)]
+        fits = {
+            (i, name): repr(fresh(optimize_transcal, *splits[i], mode, 15, frozen))
+            for i in range(2)
+            for name, (mode, frozen) in VARIANTS.items()
+        }
+        got = []
+
+        def work(first):
+            for step in range(6):
+                i = (first + step) % 2
+                for name, (mode, frozen) in VARIANTS.items():
+                    got.append(((i, name), repr(optimize_transcal(*splits[i], mode, 15, frozen))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(j % 2,)) for j in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 4 * 6 * len(VARIANTS)
+        assert all(fit == fits[key] for key, fit in got)
+
+    def test_the_shared_state_validates_the_split(self, monkeypatch):
+        """``_shared_state`` raises what a fit raises, and ``run_single`` builds
+        one state per split, only when a method needs weights."""
         logits, labels, _ = sampled_task(np.random.default_rng(97), n=60, k=3)
         for weights, bins in ((np.zeros(60), 15), (None, 15), (np.ones(60), 0)):
-            with pytest.raises((ValueError, DegeneracyError)) as without_state:
+            with pytest.raises((ValueError, DegeneracyError)) as fitted:
                 optimize_transcal(logits, labels, weights, bins=bins)
-            with pytest.raises(type(without_state.value), match=re.escape(str(without_state.value))):
-                TransCalState(logits, labels, weights, bins)
+            with pytest.raises(type(fitted.value), match=re.escape(str(fitted.value))):
+                _shared_state(logits, labels, weights, bins)
         built = []
 
-        def counted(*args):
-            built.append(args)
-            return TransCalState(*args)
+        class Counted(TransCalState):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
 
-        monkeypatch.setattr(bench, "TransCalState", counted)
+        monkeypatch.setattr(transcal, "TransCalState", Counted)
+        transcal._shared = None
         scenario = ShiftScenario.axis_aligned(dimension=2, num_classes=2, shift_magnitude=0.5)
         bench.run_single(scenario, 200, 200, seed=0, methods=("uncalibrated", "temp", "oracle"))
         assert built == []
