@@ -42,7 +42,11 @@ in-process (whichever ``shiftcal`` the import path finds) for:
   variants on the K = 3 split, then the K = 10 split, then the K = 3 split
   again, so that the fits of one split share a search state and the
   return to the first split rebuilds the one the second split replaced;
-  the ``repr`` of each result, search trace included, goes to
+* ``fit_cpcs_temperature`` and the three transcal variants on a generated
+  K = 10 split of 3000 validation rows, whose transcal grid and cpcs scan
+  each take several batches of the working-set budget (the splits above
+  fit in one);
+* the ``repr`` of each in-process result, search trace included, goes to
   ``fits/<name>.txt``;
 * a list of bad inputs, each printed with its exit code and stderr.
 
@@ -85,6 +89,10 @@ TASKS = (
     ("k3f32", ["--dimension", "4", "--classes", "3", "--n-source", "600", "--n-target", "400",
                "--format", "f32"], ".f32"),
 )
+
+TRANSCAL_VARIANTS = (("transcal", EstimatorMode.CV_SERIAL, False),
+                     ("transcal-no-bias", EstimatorMode.CV_SERIAL, True),
+                     ("transcal-no-variance", EstimatorMode.PLAIN_IWECE, False))
 
 
 def run(out: Path, argv: list) -> tuple[int, str]:
@@ -252,12 +260,20 @@ def fit_runs(out: Path) -> list[str]:
         d = out / task
         split = (load_matrix(d / "source_val_logits.csv"), load_labels(d / "source_val_labels.csv"),
                  load_matrix(d / "true_weights.csv")[:, 0])
-        for method, mode, freeze in (("transcal", EstimatorMode.CV_SERIAL, False),
-                                     ("transcal-no-bias", EstimatorMode.CV_SERIAL, True),
-                                     ("transcal-no-variance", EstimatorMode.PLAIN_IWECE, False)):
+        for method, mode, freeze in TRANSCAL_VARIANTS:
             record_transcal(f"split{step}-{task}-{method}", optimize_transcal(*split, mode, 15, freeze))
     fit = fit_cpcs_temperature(*multimodal_task(2937))
     record("multimodal-2937-cpcs", fit, f"t={fit.t!r} degenerate={fit.degenerate!r}")
+    # 2**17 budget elements over 3000 rows * K = 10 give batches of 4 temperatures:
+    # 13 for the transcal grid and 3 for the cpcs scan
+    scenario = shiftcal.ShiftScenario.axis_aligned(10, 10, spacing=2.0, shift_magnitude=1.0,
+                                                   distortion_temperature=2.0)
+    task = shiftcal.generate(scenario, 6000, 10, 3, 0.5)
+    split = (task.source_val_logits, task.source_val_labels, task.true_weights)
+    fit = fit_cpcs_temperature(*split)
+    record("k10batches-cpcs", fit, f"t={fit.t!r} degenerate={fit.degenerate!r}")
+    for method, mode, freeze in TRANSCAL_VARIANTS:
+        record_transcal(f"k10batches-{method}", optimize_transcal(*split, mode, 15, freeze))
     return lines
 
 

@@ -8,22 +8,9 @@ magnitude, target variance scale and distortion temperature so the
 no-shift column doubles as a sanity check: there the closed-form weights
 are exactly one.
 
-The three transcal variants fit the same validation logits, labels and
-weights, so they share one search state without being handed it:
-``transcal`` keeps the state of the last split it fitted
-(``transcal._shared_state``) and gives it to the next fit on a bit-equal
-split. ``run_single`` reads the split's Renyi diagnostic from that state
-when a method needs weights, which validates the split before any fit.
-Every scoring pass forms both the plain and the corrected estimates, so
-``transcal-no-variance``, at ``transcal``'s lambda, reads every
-temperature ``transcal`` scored and the other way round;
-``transcal-no-bias`` fits at lambda = 1 and, when the weights' lambda is 1
-as well, reads them too. Each fit scores only the temperatures the state
-lacks at its lambda. Only the last split is remembered, which is enough
-here: every transcal fit of a run is on its validation split. The
-sharing is exact, every value of a scoring pass depending only on its
-own temperature, and needs no lock: a fit keeps the state it read from
-the slot (see the ``transcal`` module docstring).
+The three transcal variants fit the same validation split, so they share
+its scored temperatures without being handed anything; the ``transcal``
+module docstring says how.
 """
 
 from __future__ import annotations
@@ -51,7 +38,7 @@ from .scaling import (
     softmax_with_temperature,
 )
 from .synthshift import GeneratedTask, ShiftScenario, generate
-from .transcal import EstimatorMode, _shared_state, optimize_transcal
+from .transcal import EstimatorMode, optimize_transcal, renyi_diagnostic
 
 __all__ = [
     "ALL_METHODS",
@@ -73,9 +60,8 @@ class Method:
     ``fit(logits, labels, weights, bins)`` and returns a result whose
     ``describe()`` gives the fit's report fields and whose ``temperature``
     tells ``apply_fit`` how to apply it. The transcal variants fitted on
-    one split in a row share their search state by themselves: ``transcal``
-    remembers the last split's only, and a fit holds on to the state it
-    read, so no lock is needed. ``needs_weights`` methods need importance
+    one split in a row share their scores by themselves (see the
+    ``transcal`` module docstring). ``needs_weights`` methods need importance
     weights for the fitting rows; the others ignore ``weights``. An
     ``on_target`` method fits on labelled target data.
     """
@@ -213,11 +199,10 @@ def run_single(
         classifier, weights = estimate_task_weights(
             task.source_train, task.target, task.source_val, seed
         )
-        state = _shared_state(task.source_val_logits, task.source_val_labels, weights, bins)
         record["weights"] = {
             "max": float(weights.max()),
             "mean": float(weights.mean()),
-            "renyi_2": state.renyi_raw["1.0"],
+            "renyi_2": renyi_diagnostic(weights, 1.0),
             "classifier_converged": bool(classifier.converged),
         }
     record["methods"] = {m: _fit_entry(m, task, weights, bins) for m in methods}

@@ -32,11 +32,32 @@ __all__ = [
 PROB_CLAMP = 1e-12
 ROW_SUM_TOL = 1e-9
 # float64 elements a stacked temporary may hold at once: the package's one working-set
-# budget. Passes that stack one block per temperature or per row (transcal's grid, the
-# cpcs scan, synthshift's distance stacks) split their work so that a block stays near
-# it. 2**17 (1 MiB) beat 2**15 for the transcal grid at K = 10, n = 3000 and at
+# budget, read by ``_in_batches`` alone. Passes that stack one block per temperature or
+# per row (transcal's grid, the cpcs scan, synthshift's distance stacks) run through it.
+# 2**17 (1 MiB) beat 2**15 for the transcal grid at K = 10, n = 3000 and at
 # K = 3, n = 1000 on a 2-core host, and 2**16 to 2**19 were within noise of each other
 _BATCH_ELEMENTS = 2**17
+
+
+def _in_batches(fn, x: np.ndarray, footprint: int) -> np.ndarray:
+    """``fn(x)``, computed on consecutive slices of ``max(1, _BATCH_ELEMENTS // footprint)``
+    entries of ``x`` for an ``fn`` that touches ``footprint`` float64 elements per entry.
+
+    Each slice's results are written into their rows of one output array,
+    so the stacked temporaries stay within the working-set budget. Row i of
+    ``fn``'s result must depend on entry i of ``x`` alone; then the slices
+    change no bit. A first slice that covers ``x`` is returned as ``fn``
+    gave it.
+    """
+    step = max(1, _BATCH_ELEMENTS // footprint)
+    block = fn(x[:step])
+    if x.shape[0] <= step:
+        return block
+    out = np.empty(x.shape[:1] + block.shape[1:], dtype=block.dtype)
+    out[:step] = block
+    for i in range(step, x.shape[0], step):
+        out[i : i + step] = fn(x[i : i + step])
+    return out
 
 
 def _num_bins(bins: int) -> int:
@@ -187,22 +208,6 @@ def _bin_sums(idx, num_bins: int, *values) -> list[np.ndarray]:
     return [np.bincount(idx, weights=v, minlength=num_bins) for v in values]
 
 
-def _bin_statistics(
-    idx, weights, weighted_correct, weighted_confidences, num_bins: int
-) -> tuple[np.ndarray, ...]:
-    """Weighted (mass, accuracy, mean confidence) of each bin, given 0-based bins ``idx``.
-
-    ``weighted_correct`` and ``weighted_confidences`` are the per-sample
-    products of the weights with correctness and with confidence.
-    Accuracy and confidence are NaN in bins with no mass.
-    """
-    mass, acc_sum, conf_sum = _bin_sums(idx, num_bins, weights, weighted_correct, weighted_confidences)
-    occupied = mass > 0.0
-    accuracy = np.divide(acc_sum, mass, out=np.full(num_bins, np.nan), where=occupied)
-    confidence = np.divide(conf_sum, mass, out=np.full(num_bins, np.nan), where=occupied)
-    return mass, accuracy, confidence
-
-
 def reliability_bins(
     probs: ProbabilitySet,
     labels: np.ndarray,
@@ -242,9 +247,12 @@ def _reliability_bins(
     """``reliability_bins`` on labels, bin count and weights that are already validated."""
     correct = (probs.predictions == labels).astype(np.float64)
     idx = bin_indices(probs.confidences, num_bins)
-    mass, accuracy, confidence = _bin_statistics(
-        idx, weights, weights * correct, weights * probs.confidences, num_bins
+    mass, acc_sum, conf_sum = _bin_sums(
+        idx, num_bins, weights, weights * correct, weights * probs.confidences
     )
+    occupied = mass > 0.0
+    accuracy = np.divide(acc_sum, mass, out=np.full(num_bins, np.nan), where=occupied)
+    confidence = np.divide(conf_sum, mass, out=np.full(num_bins, np.nan), where=occupied)
 
     total = 0.0
     for m in range(num_bins):

@@ -12,7 +12,7 @@ pass over the rows gives both derivatives.
 - The importance-weighted Brier score (``cpcs``) is not convex in beta and
   can have several local minima. ``fit_cpcs_temperature`` scores a
   12-point log grid over [T_MIN, T_MAX] in batches of temperatures sized
-  by the working-set budget ``metrics._BATCH_ELEMENTS``, solves between
+  by the working-set budget (``metrics._in_batches``), solves between
   the neighbours of every local minimum of that grid, and returns the
   best of the grid points and the roots, so its temperature is never
   worse than a scanned one.
@@ -50,9 +50,9 @@ import numpy as np
 
 from .errors import DegeneracyError
 from .metrics import (
-    _BATCH_ELEMENTS,
     ProbabilitySet,
     _brier_rows,
+    _in_batches,
     _row_max,
     _row_sums,
     check_array,
@@ -333,20 +333,19 @@ def _weighted_brier(shifted: np.ndarray, labels: np.ndarray, weights: np.ndarray
     """sum(w_i * bs_i) / sum(w_i) at each temperature in ``t``, with bs_i the
     Brier score of row i under softmax(shifted / t).
 
-    Temperatures are scored in consecutive batches of
-    ``_BATCH_ELEMENTS // shifted.size`` (at least 1), so a batch's (B, n, K)
-    stack stays within the working-set budget; each value depends only on
-    its own temperature, so the batch changes no bit.
+    Temperatures are scored through ``metrics._in_batches``, so a batch's
+    (B, n, K) stack stays within the working-set budget; each value depends
+    only on its own temperature, so the batch changes no bit.
     """
-    batch = max(1, _BATCH_ELEMENTS // shifted.size)
-    values = []
-    for i in range(0, t.shape[0], batch):
+
+    def batch(t: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            p, sums = _softmax_terms(shifted / t[i : i + batch, None, None])
+            p, sums = _softmax_terms(shifted / t[:, None, None])
         p /= sums
         # one dot per temperature: a matrix-vector product could sum in another order
-        values += [np.dot(weights, row) for row in _brier_rows(p, labels)]
-    return np.array(values) / float(weights.sum())
+        return np.array([np.dot(weights, row) for row in _brier_rows(p, labels)])
+
+    return _in_batches(batch, t, shifted.size) / float(weights.sum())
 
 
 def _brier_derivatives(

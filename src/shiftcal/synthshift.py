@@ -12,7 +12,7 @@ q(x)/p(x) available in closed form for oracle comparisons.
 
 Densities and posteriors stack the differences from each point to each
 class mean, a (rows, K, d) array, so they run on blocks of rows sized by
-the package's working-set budget ``metrics._BATCH_ELEMENTS``: a split's
+the package's working-set budget (``metrics._in_batches``): a split's
 working set is O(n (K + d)) plus that budget, not O(n K d), and every
 value is the one a single block would give. The blocks fill one array
 per split, and ``generate`` scales each split's posterior into its logits
@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .metrics import _BATCH_ELEMENTS, _row_max, _row_sums
+from .metrics import _in_batches, _row_max, _row_sums
 
 __all__ = [
     "GeneratedTask",
@@ -131,27 +132,7 @@ class ShiftScenario:
     def num_classes(self) -> int:
         return int(self.class_means.shape[0])
 
-    def _by_row_blocks(self, rows, x: np.ndarray, *args) -> np.ndarray:
-        """``rows(x, *args)`` computed on consecutive blocks of at most
-        ``_BATCH_ELEMENTS // (K * d)`` rows of ``x`` (at least 1), each
-        written into its rows of one output array.
-
-        ``rows`` stacks a (rows, K, d) array of differences to the means, so
-        a block keeps that stack within the working-set budget and a split's
-        temporaries stay O(n (K + d)). Each output row depends only on its
-        own input row, so the blocks change no bit.
-        """
-        step = max(1, _BATCH_ELEMENTS // self.class_means.size)
-        block = rows(x[:step], *args)
-        if x.shape[0] <= step:
-            return block
-        out = np.empty(x.shape[:1] + block.shape[1:])
-        out[:step] = block
-        for i in range(step, x.shape[0], step):
-            out[i : i + step] = rows(x[i : i + step], *args)
-        return out
-
-    def _log_mixture(self, x: np.ndarray, means: np.ndarray, variance: float) -> np.ndarray:
+    def _log_mixture(self, means: np.ndarray, variance: float, x: np.ndarray) -> np.ndarray:
         d = self.dimension
         sq = _row_sums((x[:, None, :] - means[None, :, :]) ** 2)[..., 0]
         log_comp = -sq / (2.0 * variance) - 0.5 * d * math.log(2.0 * math.pi * variance)
@@ -159,18 +140,17 @@ class ShiftScenario:
         return m[:, 0] + np.log(_row_sums(np.exp(log_comp - m))[:, 0]) - math.log(self.num_classes)
 
     def log_density_source(self, x: np.ndarray) -> np.ndarray:
-        x = _as_points(x, self.dimension)
-        return self._by_row_blocks(self._log_mixture, x, self.class_means, self.class_variance)
+        rows = partial(self._log_mixture, self.class_means, self.class_variance)
+        return _in_batches(rows, _as_points(x, self.dimension), self.class_means.size)
 
     def log_density_target(self, x: np.ndarray) -> np.ndarray:
-        x = _as_points(x, self.dimension)
-        return self._by_row_blocks(
-            self._log_mixture, x, self.class_means + self.shift, self.variance_scale * self.class_variance
-        )
+        means, variance = self.class_means + self.shift, self.variance_scale * self.class_variance
+        rows = partial(self._log_mixture, means, variance)
+        return _in_batches(rows, _as_points(x, self.dimension), self.class_means.size)
 
     def log_posterior(self, x: np.ndarray) -> np.ndarray:
         """Log of the shared labeling conditional p(y | x), rows normalized."""
-        return self._by_row_blocks(self._log_posterior_rows, _as_points(x, self.dimension))
+        return _in_batches(self._log_posterior_rows, _as_points(x, self.dimension), self.class_means.size)
 
     def _log_posterior_rows(self, x: np.ndarray) -> np.ndarray:
         sq = _row_sums((x[:, None, :] - self.class_means[None, :, :]) ** 2)[..., 0]
@@ -214,12 +194,16 @@ def _as_points(x, dimension: int) -> np.ndarray:
         x = x.reshape(1, -1) if x.shape[0] == dimension else x.reshape(-1, 1)
     if x.ndim != 2 or x.shape[1] != dimension:
         raise ValueError(f"points must have dimension {dimension}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        rows = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        more = " ..." if rows.size > 5 else ""
+        raise ValueError(f"points must be finite, got non-finite rows {rows[:5].tolist()}{more}")
     return x
 
 
 def sample_labels(scenario: ShiftScenario, features, seed) -> np.ndarray:
     """Draw labels from the shared conditional, reproducibly for a given seed."""
-    return _draw_labels(scenario.log_posterior(_as_points(features, scenario.dimension)), seed)
+    return _draw_labels(scenario.log_posterior(features), seed)
 
 
 def _draw_labels(log_posterior: np.ndarray, seed) -> np.ndarray:
@@ -301,7 +285,6 @@ def generate(
 
 def true_log_weight(scenario: ShiftScenario, x) -> np.ndarray:
     """Closed-form log density ratio log q(x) - log p(x)."""
-    x = _as_points(x, scenario.dimension)
     return scenario.log_density_target(x) - scenario.log_density_source(x)
 
 

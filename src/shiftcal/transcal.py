@@ -26,10 +26,10 @@ refines it to SEARCH_TOL in t, and the returned temperature is never
 worse than any grid point. The objective is piecewise smooth at best
 (argmax, binning, absolute values), so the search is derivative-free.
 
-The engine evaluates the grid in consecutive batches of as many
-temperatures as keep a batch's elements near ``metrics._BATCH_ELEMENTS``,
-the working-set budget every stacked pass of the package shares, and
-each golden-section step as one temperature: numpy call overhead, not
+The engine scores the grid through ``metrics._in_batches``, in
+consecutive batches of as many temperatures as keep a batch's elements
+within the working-set budget every stacked pass of the package shares,
+and each golden-section step as one temperature: numpy call overhead, not
 arithmetic, dominates one temperature at a few hundred rows, and a batch
 that outgrows the cache loses again. It returns a ``_Search``, its own
 record of what it evaluated and what it found.
@@ -47,7 +47,7 @@ once per fit. The batch changes no value: elementwise operations do
 not depend on position, every reduction runs over the last axis, and
 ``bincount`` adds each bin's samples in sample order whatever its offset.
 
-S1 to S3, and so the gaps, are the sums ``metrics._bin_statistics``
+S1 to S3, and so the gaps, are the sums ``metrics._reliability_bins``
 forms. The estimate and covariance are sums over bins of those sums,
 where ``apply_control_variate`` on the self-normalized samples, the
 sample-level reference, sums over samples, so the two agree to rounding.
@@ -93,7 +93,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metrics import _BATCH_ELEMENTS, _bin_sums, _num_bins, bin_indices, check_array, check_weights
+from .metrics import _bin_sums, _in_batches, _num_bins, bin_indices, check_array, check_weights
 from .scaling import (
     SEARCH_TOL,
     T_MAX,
@@ -329,32 +329,31 @@ def _minimize_temperature(objective, footprint: int) -> _Search:
     """Grid bracket plus golden-section refinement of a vectorized objective over t.
 
     ``objective`` maps a 1-d array of temperatures to a 1-d array of values,
-    and touches ``footprint`` float64 elements per temperature. The grid is
-    evaluated in consecutive batches of ``_BATCH_ELEMENTS // footprint``
-    temperatures (at least 1), each golden-section step as one temperature.
-    The result is the best of all evaluated points, so its value is never
-    above any grid value. Ties prefer the smaller temperature; NaN loses to any number.
+    and touches ``footprint`` float64 elements per temperature. The whole grid
+    is scored first, through ``metrics._in_batches``, then each golden-section
+    step as one temperature. The result is the best of all evaluated points,
+    so its value is never above any grid value. Ties prefer the smaller
+    temperature; NaN loses to any number.
     """
     grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _GRID_SIZE))
-    batch = max(1, _BATCH_ELEMENTS // footprint)
     evaluations: list[tuple[float, float]] = []
     best = 0  # the position in ``evaluations`` of the best pair so far
 
-    def evaluate(t: np.ndarray) -> list[float]:
+    def record(t: list[float], values: list[float]) -> None:
         nonlocal best
-        values = objective(t).tolist()
-        for t_new, v_new in zip(t.tolist(), values):
+        for t_new, v_new in zip(t, values):
             evaluations.append((t_new, v_new))
             best_t, best_v = evaluations[best]
             if (v_new, t_new) < (best_v, best_t) or math.isnan(v_new) < math.isnan(best_v):
                 best = len(evaluations) - 1
-        return values
 
     def at(t_log: float) -> float:
-        return evaluate(np.array([math.exp(t_log)]))[0]
+        t = math.exp(t_log)
+        value = objective(np.array([t])).item()
+        record([t], [value])
+        return value
 
-    for i in range(0, _GRID_SIZE, batch):
-        evaluate(grid[i : i + batch])
+    record(grid.tolist(), _in_batches(objective, grid, footprint).tolist())
     a, b = math.log(grid[max(best - 1, 0)]), math.log(grid[min(best + 1, _GRID_SIZE - 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)

@@ -319,6 +319,33 @@ class TestRowSums:
             assert np.array_equal(_row_sums(x), x.sum(axis=-1, keepdims=True), equal_nan=True), k
 
 
+class TestInBatches:
+    @pytest.mark.parametrize(
+        "n,footprint,calls",
+        [
+            (5, 1000, 1),  # x shorter than a step of 8
+            (24, 1000, 3),  # an exact multiple of the step
+            (25, 1000, 4),  # a ragged tail
+            (4, 9000, 4),  # a footprint above the budget: one entry per step
+        ],
+    )
+    def test_equals_the_unbatched_call(self, monkeypatch, n, footprint, calls):
+        """Each case equals ``fn(x)`` bit for bit, in the number of calls to ``fn`` it sets."""
+        monkeypatch.setattr(metrics, "_BATCH_ELEMENTS", 8000)
+        x = np.random.default_rng(n).standard_normal((n, 3)) * 10.0
+        seen = []
+
+        def fn(block):
+            seen.append(block.shape[0])
+            return np.exp(block) / block.sum(axis=1, keepdims=True)
+
+        want = fn(x)
+        seen.clear()
+        got = metrics._in_batches(fn, x, footprint)
+        assert len(seen) == calls and sum(seen) == n
+        assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestRowMax:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(

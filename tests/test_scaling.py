@@ -24,7 +24,7 @@ from shiftcal import (
     nll,
     softmax_with_temperature,
 )
-from shiftcal import scaling, transcal
+from shiftcal import metrics, scaling
 from shiftcal.bench import default_grid
 from shiftcal.metrics import _BATCH_ELEMENTS, ROW_SUM_TOL, _brier_rows
 from shiftcal.newton import GRADIENT_TOLERANCE
@@ -219,7 +219,7 @@ class TestBatchedGrid:
         for batch in (1, 3, 7, 50):
             with pytest.MonkeyPatch.context() as patch:
                 # a footprint of one element per temperature makes the batch _BATCH_ELEMENTS
-                patch.setattr(transcal, "_BATCH_ELEMENTS", batch)
+                patch.setattr(metrics, "_BATCH_ELEMENTS", batch)
                 searches.append(_minimize_temperature(build(), 1))
         assert all(search == searches[0] for search in searches)
 
@@ -730,7 +730,7 @@ class TestBatchedScan:
         w = rng.lognormal(0.0, 1.0, size=300)
         want = fit_cpcs_temperature(logits, labels, w)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scaling, "_BATCH_ELEMENTS", budget)
+            patch.setattr(metrics, "_BATCH_ELEMENTS", budget)
             assert fit_cpcs_temperature(logits, labels, w) == want
 
     def test_fit_memory_stays_below_the_unbatched_scan(self):

@@ -131,6 +131,26 @@ class TestDensitiesAndWeights:
         with pytest.raises(ValueError):
             scn2.log_density_source([0.1, 0.2, 0.3])
 
+    def test_non_finite_points_are_rejected(self):
+        scn = ShiftScenario.axis_aligned(4, 3, 2.0, 1.0)
+        x = np.array([[0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0]])
+        calls = (
+            lambda x: sample_labels(scn, x, 0),
+            lambda x: true_weight(scn, x),
+            lambda x: true_log_weight(scn, x),
+            scn.log_posterior,
+            scn.log_density_source,
+            scn.log_density_target,
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"points must be finite, got non-finite rows \[1, 2\]"):
+                call(x)
+            assert np.all(np.isfinite(call(x[:1])))
+        one_dimensional = ShiftScenario.axis_aligned(dimension=1, num_classes=1)
+        for points in (np.nan, [0.5, -np.inf]):
+            with pytest.raises(ValueError, match="points must be finite"):
+                one_dimensional.log_density_source(points)
+
 
 class TestLabelStreams:
     def test_stream_seeds(self):

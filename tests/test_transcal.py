@@ -23,7 +23,7 @@ from shiftcal import (
     softmax_with_temperature,
     transcal_objective,
 )
-from shiftcal import bench, transcal
+from shiftcal import bench, metrics, transcal
 from shiftcal.metrics import bin_indices
 from shiftcal.scaling import T_MAX, T_MIN, _softmax_terms
 from shiftcal.transcal import TransCalState, _minimize_temperature, _shared_state, _split
@@ -674,7 +674,7 @@ class TestBatchedTemperatures:
         for batch in (1, 3, 7, 50):
             with pytest.MonkeyPatch.context() as patch:
                 # the search's footprint is logits.size elements per temperature
-                patch.setattr(transcal, "_BATCH_ELEMENTS", batch * logits.size)
+                patch.setattr(metrics, "_BATCH_ELEMENTS", batch * logits.size)
                 fits[batch] = repr(
                     fresh(optimize_transcal, logits, labels, weights, mode=mode, freeze_lambda=frozen)
                 )
@@ -889,8 +889,8 @@ class TestSharedState:
         assert all(fit == fits[key] for key, fit in got)
 
     def test_the_shared_state_validates_the_split(self, monkeypatch):
-        """``_shared_state`` raises what a fit raises, and ``run_single`` builds
-        one state per split, only when a method needs weights."""
+        """``_shared_state`` raises what a fit raises, and the transcal fits of
+        one ``run_single`` build one state between them."""
         logits, labels, _ = sampled_task(np.random.default_rng(97), n=60, k=3)
         for weights, bins in ((np.zeros(60), 15), (None, 15), (np.ones(60), 0)):
             with pytest.raises((ValueError, DegeneracyError)) as fitted:
@@ -911,6 +911,17 @@ class TestSharedState:
         assert built == []
         bench.run_single(scenario, 200, 200, seed=0, methods=("uncalibrated", "transcal", "transcal-no-bias"))
         assert len(built) == 1
+
+    def test_a_run_without_transcal_leaves_the_slot_empty(self):
+        """Only transcal fits fill the slot: ``run_single`` reads the weights'
+        Renyi diagnostic with ``renyi_diagnostic``, the value a state holds."""
+        scenario = ShiftScenario.axis_aligned(dimension=2, num_classes=2, shift_magnitude=0.5)
+        record = bench.run_single(scenario, 200, 200, seed=0, methods=("cpcs",))
+        assert transcal._shared is None
+        task = generate(scenario, 200, 200, 0)
+        weights = bench.estimate_task_weights(task.source_train, task.target, task.source_val, 0)[1]
+        state = _shared_state(task.source_val_logits, task.source_val_labels, weights, 15)
+        assert record["weights"]["renyi_2"] == state.renyi_raw["1.0"]
 
 
 class TestRenyiDiagnostic:
