@@ -30,7 +30,9 @@ in-process (whichever ``shiftcal`` the import path finds) for:
   and 15 bins, with the true weights and (K = 3) the half-zero weights,
   once more with control variates on K = 3 labels set to the predicted
   class, so that constant correctness is flagged, plus
-  ``fit_temperature_nll`` and ``fit_cpcs_temperature``, and (K = 3)
+  ``fit_temperature_nll``, ``fit_cpcs_temperature`` and
+  ``transcal_objective`` with the true weights in both modes at lambda 0,
+  0.5 and 1, each at T_MIN, T_MAX and two temperatures between them, and (K = 3)
   ``fit_temperature_nll`` on those all-correct labels, on rows of tied
   logits, on the split's first row repeated and labelled with its
   prediction, and on that first row alone, ``fit_cpcs_temperature`` on the
@@ -54,11 +56,12 @@ An uncaught exception is recorded as ``exit 1: <Type>: <message>``, the
 way the console script fails, so a tree that crashes still gets a digest.
 
 It prints ``sha256  relative/path`` for every file under OUT_DIR, then the
-temperature, lambda and value of each in-process fit, then one line per bad
-input. OUT_DIR is replaced by ``OUT_DIR`` in stderr, but
-reports that record file paths still hold it, so two trees compare only
-when both runs use the same OUT_DIR path. To check that a change leaves
-the reports unchanged, run it on both trees and diff::
+temperature, lambda and value of each in-process fit and the four values of
+each ``transcal_objective`` setting, then one line per bad input. OUT_DIR is
+replaced by ``OUT_DIR`` in stderr, but reports that record file paths still
+hold it, so two trees compare only when both runs use the same OUT_DIR path.
+To check that a change leaves the reports unchanged, run it on both trees
+and diff::
 
     PYTHONPATH=../base/src python scripts/report_digests.py /tmp/digests > base.txt
     rm -rf /tmp/digests
@@ -79,8 +82,8 @@ import numpy as np
 import shiftcal
 from shiftcal import bench, cli
 from shiftcal.matrixio import load_labels, load_matrix, save_labels, save_matrix
-from shiftcal.scaling import fit_cpcs_temperature, fit_temperature_nll
-from shiftcal.transcal import EstimatorMode, optimize_transcal, serial_control_variate
+from shiftcal.scaling import T_MAX, T_MIN, fit_cpcs_temperature, fit_temperature_nll
+from shiftcal.transcal import EstimatorMode, optimize_transcal, serial_control_variate, transcal_objective
 
 # name, gen-synth flags, matrix suffix
 TASKS = (
@@ -89,6 +92,9 @@ TASKS = (
     ("k3f32", ["--dimension", "4", "--classes", "3", "--n-source", "600", "--n-target", "400",
                "--format", "f32"], ".f32"),
 )
+
+# the search's bounds and two temperatures inside them
+OBJECTIVE_TEMPERATURES = (T_MIN, 0.7, 2.5, T_MAX)
 
 TRANSCAL_VARIANTS = (("transcal", EstimatorMode.CV_SERIAL, False),
                      ("transcal-no-bias", EstimatorMode.CV_SERIAL, True),
@@ -234,6 +240,11 @@ def fit_runs(out: Path) -> list[str]:
                         sol = optimize_transcal(logits, labels, weights, mode, bins, freeze)
                         name = f"{task}-{weights_name}-bins{bins}-{mode.value}{'-frozen' if freeze else ''}"
                         record_transcal(name, sol)
+        for mode in EstimatorMode:
+            for lam in (0.0, 0.5, 1.0):
+                values = [transcal_objective(logits, labels, true_weights, t, lam, mode)
+                          for t in OBJECTIVE_TEMPERATURES]
+                lines.append(f"fit {task}-true-objective-{mode.value}-lambda{lam:g}: values={values!r}")
         if task == "k3":
             all_correct = np.argmax(logits, axis=1)
             record_transcal("k3-true-bins15-cv_serial-all-correct",

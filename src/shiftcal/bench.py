@@ -170,6 +170,13 @@ def _fit_entry(method: str, task: GeneratedTask, weights: np.ndarray | None, bin
     }
 
 
+def _listed_once(noun: str, values) -> None:
+    """Raise ValueError naming the first entry of the sequence ``values`` that repeats an earlier one."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{noun} {value!r} is listed more than once")
+
+
 def run_single(
     scenario: ShiftScenario,
     n_source: int,
@@ -182,11 +189,10 @@ def run_single(
 
     ``methods`` must name each method at most once.
     """
-    for i, method in enumerate(methods):
+    for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {ALL_METHODS}")
-        if method in methods[:i]:
-            raise ValueError(f"method {method!r} is listed more than once")
+    _listed_once("method", methods)
     task = generate(scenario, n_source, n_target, seed)
     weights = None
     record: dict = {
@@ -227,6 +233,8 @@ def run_grid(
     scenarios = default_grid() if scenarios is None else scenarios
     if len(seeds) == 0 or len(scenarios) == 0 or len(methods) == 0:
         raise ValueError("the benchmark needs at least one seed, one scenario and one method")
+    _listed_once("scenario", [name for name, _ in scenarios])
+    _listed_once("seed", seeds)
     records = []
     by_scenario: dict = {}
     for name, scenario in scenarios:

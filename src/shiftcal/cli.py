@@ -272,6 +272,7 @@ def _cmd_diagnose(args) -> int:
         raise ValueError(f"--histogram-bins must be at least 1, got {args.histogram_bins}")
     if not args.alphas:
         raise ValueError("--alphas must list at least one order")
+    benchmod._listed_once("order", args.alphas)
     values = _load_weights(args.weights)
     top = float(values.max())
     # histogram edges span [0, max] exactly; degenerate all-zero vectors use [0, 1]

@@ -33,7 +33,7 @@ PROB_CLAMP = 1e-12
 ROW_SUM_TOL = 1e-9
 # float64 elements a stacked temporary may hold at once: the package's one working-set
 # budget, read by ``_in_batches`` alone. Passes that stack one block per temperature or
-# per row (transcal's grid, the cpcs scan, synthshift's distance stacks) run through it.
+# per row (transcal's scores, the cpcs scan, synthshift's distance stacks) run through it.
 # 2**17 (1 MiB) beat 2**15 for the transcal grid at K = 10, n = 3000 and at
 # K = 3, n = 1000 on a 2-core host, and 2**16 to 2**19 were within noise of each other
 _BATCH_ELEMENTS = 2**17
@@ -61,7 +61,7 @@ def _in_batches(fn, x: np.ndarray, footprint: int) -> np.ndarray:
 
 
 def _num_bins(bins: int) -> int:
-    if not isinstance(bins, (int, np.integer)) or bins < 1:
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
         raise ValueError(f"bins must be a positive integer, got {bins!r}")
     return int(bins)
 
@@ -155,6 +155,9 @@ def check_labels(labels: np.ndarray, num_classes: int, n: int) -> np.ndarray:
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     if not np.issubdtype(labels.dtype, np.integer):
+        # NaN, inf and floats beyond int64 have no integer to cast to
+        if labels.dtype.kind == "f" and not np.all(np.abs(labels) < np.float64(2.0**63)):
+            raise ValueError("labels must be integers")
         as_int = labels.astype(np.int64, copy=True)
         if not np.all(as_int == labels):
             raise ValueError("labels must be integers")

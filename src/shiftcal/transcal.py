@@ -26,54 +26,44 @@ refines it to SEARCH_TOL in t, and the returned temperature is never
 worse than any grid point. The objective is piecewise smooth at best
 (argmax, binning, absolute values), so the search is derivative-free.
 
-The engine scores the grid through ``metrics._in_batches``, in
-consecutive batches of as many temperatures as keep a batch's elements
-within the working-set budget every stacked pass of the package shares,
-and each golden-section step as one temperature: numpy call overhead, not
-arithmetic, dominates one temperature at a few hundred rows, and a batch
-that outgrows the cache loses again. It returns a ``_Search``, its own
-record of what it evaluated and what it found.
-
-Each pass scores a batch of B temperatures, the batch
-``_minimize_temperature`` hands the objective. A contribution is
-u_i = w~_i * gap_m for the sample's confidence bin m, so every sum the
-estimate and the correction need is a per-bin sum times gap_m. A pass
-therefore reduces the samples once, with ``bincount`` over bin indices
-offset by temperature, to three per-bin sums S1, S2 and S3 of w~,
-w~ * correctness and w~ * confidence, which give gap_m = |S2/S1 - S3/S1|.
-Everything after that works on (B, bins) arrays (see
-``TransCalState.estimates``); what does not depend on t is computed
-once per fit. The batch changes no value: elementwise operations do
-not depend on position, every reduction runs over the last axis, and
-``bincount`` adds each bin's samples in sample order whatever its offset.
-
-S1 to S3, and so the gaps, are the sums ``metrics._reliability_bins``
-forms. The estimate and covariance are sums over bins of those sums,
+The engine only searches: it asks the objective for the whole grid in
+one call, then for each golden-section step, and returns a ``_Search``,
+its record of what it evaluated and found. ``TransCalState.scores``
+splits what it must score into passes through ``metrics._in_batches``,
+batches of as many temperatures as keep a pass within the working-set
+budget all stacked passes share: numpy call overhead, not arithmetic,
+dominates one temperature at a few hundred rows, and a batch that
+outgrows the cache loses again. A pass (``TransCalState.estimates``)
+reduces the samples once, with one ``bincount`` per sum over bin indices
+offset by temperature, to the per-bin sums ``metrics._reliability_bins``
+forms, and returns one row of four numbers per temperature; what does
+not depend on t is computed once per fit. The batch changes no value:
+elementwise operations ignore position, every reduction runs over the
+last axis, and ``bincount`` adds each bin's samples in sample order
+whatever its offset. The estimate and covariance are sums over bins,
 where ``apply_control_variate`` on the self-normalized samples, the
 sample-level reference, sums over samples, so the two agree to rounding.
 
 A ``TransCalState`` holds one validated fitting split: its shifted
 logits (``scaling._shifted``), correctness, weights and bin count, and,
-per lambda, the per-sample terms and a memo of every scored temperature.
-Every pass forms the plain and the corrected estimates, at
-O(B * (bins + n)) beyond the softmax, and a mode only picks which one a
-fit reads. The module keeps the state of the last split a fit ran on,
-and ``_shared_state`` hands it to the next fit whose validated split
-matches it bit for bit. So variants fitted on one split in a row share
-their scores without being handed anything: each scores only the
-temperatures no fit at its lambda has scored, whatever their order.
-``transcal`` and ``transcal-no-variance`` share theirs, and so does
-``transcal-no-bias`` when the rule's lambda is 1. Only the last split is
-remembered, so at most one kept state is alive, and fits that alternate
-between splits rebuild it each time. The kept state, an O(n * K) copy
-of the split plus its memo, stays in memory until a fit on another
-split replaces it. ``transcal_objective`` builds a state of its own for
-each call and keeps nothing. The search engine reports the value at t*
-and every (t, value) pair it evaluated, and a fit reads its coefficients
-at t* from the memo, so t* is never scored again. Sharing is exact for
-the reasons batching is: each value of a pass depends only on its own
-temperature, and a trace records a value read from the memo as it
-records a scored one.
+per lambda, the per-sample terms and a memo of every scored row. Every
+pass forms the plain and the corrected estimates, at O(B * (bins + n))
+beyond the softmax, and a mode only picks the column a fit reads. The
+module keeps the state of the last split a fit ran on, and
+``_shared_state`` hands it to the next fit whose validated split matches
+it bit for bit. So variants fitted on one split in a row share their
+scores without being handed anything: each scores only the temperatures
+no fit at its lambda has scored, whatever their order. ``transcal`` and
+``transcal-no-variance`` share theirs, and so does ``transcal-no-bias``
+when the rule's lambda is 1. Only the last split is remembered: fits
+that alternate between splits rebuild its state each time, and the kept
+state, an O(n * K) copy of the split plus its memo, stays in memory
+until a fit on another split replaces it. ``transcal_objective`` builds
+a state of its own for each call and keeps nothing. A fit reads eta and
+Cov at t* from the memo's row, so t* is never scored again. Sharing is
+exact for the reasons batching is: each value of a pass depends only on
+its own temperature, and a trace records a value read from the memo as
+it records a scored one.
 
 No lock guards the slot. A call reads it once and works on the state it
 got, whatever the slot holds afterwards, and a state's caches only ever
@@ -88,7 +78,6 @@ import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -325,15 +314,15 @@ class _Search(NamedTuple):
     evaluations: list[tuple[float, float]]
 
 
-def _minimize_temperature(objective, footprint: int) -> _Search:
+def _minimize_temperature(objective) -> _Search:
     """Grid bracket plus golden-section refinement of a vectorized objective over t.
 
-    ``objective`` maps a 1-d array of temperatures to a 1-d array of values,
-    and touches ``footprint`` float64 elements per temperature. The whole grid
-    is scored first, through ``metrics._in_batches``, then each golden-section
-    step as one temperature. The result is the best of all evaluated points,
-    so its value is never above any grid value. Ties prefer the smaller
-    temperature; NaN loses to any number.
+    ``objective`` maps a 1-d array of temperatures to a 1-d array of values.
+    The whole grid is scored in one call, then each golden-section step as
+    one temperature; how a call is split into passes is the objective's
+    business. The result is the best of all evaluated points, so its value
+    is never above any grid value. Ties prefer the smaller temperature; NaN
+    loses to any number.
     """
     grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _GRID_SIZE))
     evaluations: list[tuple[float, float]] = []
@@ -353,7 +342,7 @@ def _minimize_temperature(objective, footprint: int) -> _Search:
         record([t], [value])
         return value
 
-    record(grid.tolist(), _in_batches(objective, grid, footprint).tolist())
+    record(grid.tolist(), objective(grid).tolist())
     a, b = math.log(grid[max(best - 1, 0)]), math.log(grid[min(best + 1, _GRID_SIZE - 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
@@ -403,8 +392,8 @@ class TransCalState:
     included, and keeps the raw weights' Renyi diagnostics (computed once,
     at first use) and, per lambda (1 for the frozen fits, the
     ``_ess_lambda`` rule's for the others), the per-sample ``terms`` and
-    ``memo``, which maps each scored temperature to ``(arrays, b)``: entry b
-    of every (B,) array of the ``estimates`` pass that scored it.
+    ``memo``, which maps each scored temperature to its row of the
+    ``estimates`` pass that scored it: plain, corrected, eta and Cov.
     ``_shared_state`` keeps the last fitted split's; the module docstring
     says why sharing is exact.
     """
@@ -416,7 +405,7 @@ class TransCalState:
         self.num_bins = num_bins
         self.correct_variate = _variate(correct)
         self._terms: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self.memo: defaultdict[float, dict[float, tuple[tuple, int]]] = defaultdict(dict)
+        self.memo: defaultdict[float, dict[float, list[float]]] = defaultdict(dict)
 
     def holds(self, shifted: np.ndarray, correct: np.ndarray, weights: np.ndarray, num_bins: int) -> bool:
         """Whether the state was built from these arrays and bin count, bit for bit."""
@@ -447,9 +436,9 @@ class TransCalState:
         with np.errstate(over="ignore"):
             return 1.0 / _softmax_terms(self.shifted / t[:, None, None])[1][..., 0]
 
-    def estimates(self, lam: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The plain and corrected estimates at ``lam`` and each temperature in ``t``,
-        and the correctness variate's eta and Cov behind the corrected ones, as (B,) arrays.
+    def estimates(self, lam: float, t: np.ndarray) -> np.ndarray:
+        """One (B, 4) row per temperature in ``t``: the plain and corrected estimates
+        at ``lam``, and the correctness variate's eta and Cov behind the corrected one.
 
         A sample in confidence bin m contributes u_i = w~_i * gap_m, with
         gap_m = |A_m - C_m| the gap between the bin's w~-weighted accuracy
@@ -486,27 +475,23 @@ class TransCalState:
         correctness = self.correct_variate
         cov = (gap * (correct_sum - correctness.mean * mass)).sum(axis=-1) / n
         corrected, eta = _stage(plain, cov, correctness, _mean(conf))
-        return plain, corrected, eta, cov
+        return np.array((plain, corrected, eta, cov)).T
 
     def scores(self, lam: float, mode: EstimatorMode, t: np.ndarray) -> np.ndarray:
         """The mode's estimate at ``lam`` and each temperature in ``t``.
 
-        The temperatures the memo lacks are scored in one pass, and every
-        value is then read from the memo; the kernel is batch-invariant, so
-        a remembered value is the one a fresh pass would give, bit for bit.
+        The temperatures the memo lacks are scored through
+        ``metrics._in_batches``, each row is remembered, and every value is
+        then read from the memo; the kernel is batch-invariant, so a
+        remembered value is the one a fresh pass would give, bit for bit.
         """
         memo, keys = self.memo[lam], t.tolist()
         missing = [key for key in keys if key not in memo]
         if missing:
-            arrays = self.estimates(lam, np.array(missing))
-            memo.update(zip(missing, zip(repeat(arrays), range(len(missing)))))
-        cv = mode is EstimatorMode.CV_SERIAL
-        return np.array([entry[cv][b] for entry, b in map(memo.__getitem__, keys)])
-
-    def coefficients(self, lam: float, t: float) -> ControlVariateCoefficients:
-        """The correctness variate's coefficients at a temperature the memo holds."""
-        (*_, eta, cov), b = self.memo[lam][t]
-        return _coefficients(eta[b], cov[b], self.correct_variate.var)
+            rows = _in_batches(partial(self.estimates, lam), np.array(missing), self.shifted.size)
+            memo.update(zip(missing, rows.tolist()))
+        column = int(mode is EstimatorMode.CV_SERIAL)
+        return np.array([memo[key][column] for key in keys])
 
 
 # the state of the last split a transcal fit ran on; see ``_shared_state``
@@ -575,14 +560,16 @@ def optimize_transcal(
 
     Fits on one split in a row share their scored temperatures through
     ``_shared_state``, which changes no result; the last fitted split's
-    state stays in memory until a fit on another split replaces it. Weights without usable mass
-    (all zero, an overflowing sum or sum of squares, or a Kish effective
-    sample size below 2) raise DegeneracyError.
+    state stays in memory until a fit on another split replaces it.
+    Weights without usable mass (all zero, an overflowing sum or sum of
+    squares, or a Kish effective sample size below 2) raise DegeneracyError.
     """
     mode = EstimatorMode(mode)
     state = _shared_state(logits, labels, weights, bins)
     lam = 1.0 if freeze_lambda else state.rule_lambda
-    search = _minimize_temperature(partial(state.scores, lam, mode), state.shifted.size)
+    search = _minimize_temperature(partial(state.scores, lam, mode))
+    *_, eta, cov = state.memo[lam][search.t]  # the search scored t*
+    cv = None if mode is EstimatorMode.PLAIN_IWECE else _coefficients(eta, cov, state.correct_variate.var)
     diagnostics = {
         "max_weight_raw": float(state.weights.max()),
         # the max of w^lambda before self-normalization, which never exceeds max(w, 1)
@@ -598,7 +585,7 @@ def optimize_transcal(
         lambda_star=lam,
         objective_value=search.value,
         mode=mode,
-        coefficients=None if mode is EstimatorMode.PLAIN_IWECE else state.coefficients(lam, search.t),
+        coefficients=cv,
         trace=search.evaluations,
         diagnostics=diagnostics,
     )

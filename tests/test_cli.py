@@ -522,6 +522,14 @@ class TestDiagnose:
         )
         assert set(read_json(out)["renyi"]) == {"1.0", "3.0"}
 
+    def test_an_order_listed_twice_exits_two(self, task_dir, tmp_path, capsys):
+        """1 and 1.0 are one order, which the report would key once as "1.0"."""
+        out = tmp_path / "diag.json"
+        code = run("diagnose", "--weights", task_dir / "true_weights.csv", "--alphas", "1,1.0,2", "--out", out)
+        assert code == 2
+        assert "order 1.0 is listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_small_grid_runs_and_repeats(self, tmp_path):
@@ -565,6 +573,30 @@ class TestBench:
         assert run("bench", "--methods", methods, *self.SMALL_GRID, "--out", out) == 2
         assert "method 'temp' is listed more than once" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--seeds", "0,0", "seed 0"),
+            ("--shifts", "0,1,1.0", "scenario 'shift1_scale1_t1'"),
+            ("--t-trues", "1,2,1", "scenario 'shift0_scale1_t1'"),
+        ],
+    )
+    def test_a_seed_or_scenario_listed_twice_exits_two(self, tmp_path, capsys, flag, value, named):
+        """A repeated seed or grid value would be run twice and counted twice in the means."""
+        grid = {"--seeds": "0", "--shifts": "0", "--scales": "1", "--t-trues": "1", flag: value}
+        out = tmp_path / "b.json"
+        args = [item for pair in grid.items() for item in pair]
+        assert run("bench", *args, "--methods", "temp", "--n-source", 50, "--n-target", 50, "--out", out) == 2
+        assert f"{named} is listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_grid_rejects_a_repeated_seed_or_scenario_name(self):
+        scenarios = bench.default_grid(shifts=(0.0,), scales=(1.0,), temperatures=(1.0,))
+        with pytest.raises(ValueError, match="seed 3 is listed more than once"):
+            bench.run_grid(scenarios=scenarios, seeds=(3, 1, 3), n_source=50, n_target=50, methods=("temp",))
+        with pytest.raises(ValueError, match="scenario 'shift0_scale1_t1' is listed more than once"):
+            bench.run_grid(scenarios=scenarios * 2, seeds=(0,), n_source=50, n_target=50, methods=("temp",))
 
     @pytest.mark.parametrize("flag", ["--seeds", "--shifts", "--scales", "--t-trues", "--methods"])
     def test_empty_grid_argument_exits_two(self, tmp_path, flag):

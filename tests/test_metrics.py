@@ -83,6 +83,19 @@ class TestBinIndices:
         with pytest.raises(ValueError):
             bin_indices(np.array([0.5]), -3)
 
+    def test_a_bool_is_not_a_bin_count(self):
+        """``isinstance(True, int)`` holds, but True is not one bin."""
+        probs = softmax_with_temperature(LOGITS, 1.0)
+        calls = (
+            lambda: bin_indices(np.array([0.5]), True),
+            lambda: metric_report(probs, LABELS, True),
+            lambda: ece(probs, LABELS, bins=True),
+            lambda: optimize_transcal(LOGITS, LABELS, UNIT, bins=True),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="bins must be a positive integer, got True"):
+                call()
+
 
 LOGITS = np.array([[2.0, 0.5, -1.0], [0.0, 1.0, 0.5], [1.5, 1.5, 0.0], [-0.5, 0.0, 2.0]])
 LABELS = np.array([0, 1, 0, 2])
@@ -247,6 +260,22 @@ class TestEce:
             ece(p, np.array([2]))
         with pytest.raises(ValueError):
             ece(p, np.array([-1]))
+
+
+class TestCheckLabels:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e20])
+    def test_float_labels_without_an_int64_value_are_not_integers(self, bad):
+        """NaN, inf and floats beyond int64 are rejected before the cast to
+        int64, which would warn first (an error under this suite's filter);
+        integral labels of every float width and bools still pass."""
+        labels = np.array([0.0, bad, 2.0])
+        with pytest.raises(ValueError, match="labels must be integers"):
+            check_labels(labels, 3, 3)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            fit_temperature_nll(np.eye(3), labels)
+        for dtype in (np.float16, np.float32, np.float64, bool):
+            got = check_labels(np.array([0, 1, 1], dtype=dtype), 2, 3)
+            assert got.dtype == np.int64 and got.tolist() == [0, 1, 1]
 
 
 class TestReliabilityBins:

@@ -35,7 +35,7 @@ from shiftcal.scaling import (
     TemperatureParam,
     _temperature,
 )
-from shiftcal.transcal import _GRID_SIZE, EstimatorMode, TransCalState, _minimize_temperature, _split
+from shiftcal.transcal import _GRID_SIZE, TransCalState, _minimize_temperature, _split
 
 from oracles import kish_ess
 
@@ -162,68 +162,6 @@ class TestPrecomputedRowMax:
                 assert value == weighted_brier(logits, labels, w, t)
 
 
-def temperature_batch(rng, size):
-    """``size`` log-uniform temperatures in [T_MIN, T_MAX], the bounds included."""
-    t = np.exp(rng.uniform(math.log(T_MIN), math.log(T_MAX), size))
-    t[0], t[-1] = T_MIN, T_MAX
-    return t
-
-
-def transcal_objective_builder(seed, n, k):
-    """A function building, on a generated task, the objective ``optimize_transcal``
-    hands the engine, each time on a fresh state so that no value comes from
-    another call's memo; None where the weights do not reach a Kish effective
-    sample size of 2."""
-    rng = np.random.default_rng(seed)
-    logits = random_logits(rng, n, k)
-    logits[0] *= 300.0
-    labels = rng.integers(0, k, size=n)
-    w = rng.lognormal(0.0, 1.0, size=n)
-    if kish_ess(w) < 2.0:
-        return None
-    mode = (EstimatorMode.CV_SERIAL, EstimatorMode.PLAIN_IWECE)[seed % 2]
-
-    def build():
-        state = TransCalState(*_split(logits, labels, w, 15))
-        return partial(state.scores, state.rule_lambda, mode)
-
-    return build
-
-
-class TestBatchedGrid:
-    """The engine evaluates the grid in batches of temperatures. A batch
-    must give every temperature's one-at-a-time value bit for bit, and the
-    search result must not depend on the batch size."""
-
-    @settings(derandomize=True, max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 300),
-        k=st.integers(2, 10),
-        size=st.sampled_from((2, 7, 50)),
-    )
-    def test_a_batch_equals_one_temperature_at_a_time(self, seed, n, k, size):
-        t = temperature_batch(np.random.default_rng(seed), size)
-        build = transcal_objective_builder(seed, n, k)
-        if build is not None:
-            want = np.array([build()(t[i : i + 1])[0] for i in range(size)])
-            assert np.array_equal(build()(t), want)
-
-    @settings(derandomize=True, max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), k=st.integers(2, 10))
-    def test_the_search_does_not_depend_on_the_batch(self, seed, n, k):
-        build = transcal_objective_builder(seed, n, k)
-        if build is None:
-            return
-        searches = []
-        for batch in (1, 3, 7, 50):
-            with pytest.MonkeyPatch.context() as patch:
-                # a footprint of one element per temperature makes the batch _BATCH_ELEMENTS
-                patch.setattr(metrics, "_BATCH_ELEMENTS", batch)
-                searches.append(_minimize_temperature(build(), 1))
-        assert all(search == searches[0] for search in searches)
-
-
 def sampled_task(seed, n, k, scale, t_true):
     """Gaussian logits times ``scale`` and labels drawn from softmax(logits / t_true)."""
     rng = np.random.default_rng(seed)
@@ -299,7 +237,7 @@ class TestNllNewton:
         def objective(t):
             return np.array([public_nll(logits, labels, ti) for ti in t])
 
-        search = _minimize_temperature(objective, 1)
+        search = _minimize_temperature(objective)
         assert abs(param.t - search.t) <= SEARCH_TOL
         reference = public_nll(logits, labels, search.t)
         assert public_nll(logits, labels, param.t) <= reference + 1e-12 * reference
@@ -391,9 +329,8 @@ class TestSearchRecord:
     evaluated, in order, and a best pair it picked from them."""
 
     @pytest.mark.parametrize("nan_at", [None, 0, 10])
-    @pytest.mark.parametrize("footprint", [1, 2**15 // 7, 2**15])
     @pytest.mark.parametrize("step", [0.0, 0.05, 1.0])
-    def test_the_record_is_what_the_objective_saw(self, step, footprint, nan_at):
+    def test_the_record_is_what_the_objective_saw(self, step, nan_at):
         """On a quantized parabola in log t with its minimum at t = 2, ties
         everywhere when ``step`` > 0, and a NaN at grid point ``nan_at``:
         the value is the least non-NaN one seen, at the smallest t among
@@ -411,7 +348,7 @@ class TestSearchRecord:
             seen.extend(zip(t.tolist(), v.tolist()))
             return v
 
-        search = _minimize_temperature(objective, footprint)
+        search = _minimize_temperature(objective)
         assert np.array_equal(search.evaluations, seen, equal_nan=True)  # NaN != NaN in a list
         assert [i for i, (_, v) in enumerate(seen) if math.isnan(v)] == [nan_at] * (nan_at is not None)
         finite = [(v, t) for t, v in seen if not math.isnan(v)]
@@ -723,15 +660,31 @@ class TestBatchedScan:
         alone = np.concatenate([scaling._weighted_brier(shifted, labels, w, grid[i : i + 1]) for i in range(grid.size)])
         assert np.array_equal(values, alone)
 
-    @pytest.mark.parametrize("budget", [1, 2 * 300 * 4, 5 * 300 * 4 + 1])
-    def test_any_budget_gives_the_same_fit(self, budget):
+    @pytest.mark.parametrize("budget, batch", [(1, 1), (2 * 300 * 4, 2), (5 * 300 * 4 + 1, 5)])
+    def test_any_budget_gives_the_same_fit(self, budget, batch):
+        """The scan and the roots' confirming pass each take ceil(size / batch)
+        softmax passes of at most ``batch`` temperatures."""
         rng = np.random.default_rng(7)
         logits, labels = sampled_task(7, 300, 4, 2.0, 1.5)
         w = rng.lognormal(0.0, 1.0, size=300)
         want = fit_cpcs_temperature(logits, labels, w)
+        stacks = []
+        softmax_terms = scaling._softmax_terms
+
+        def record(z):
+            stacks.append(z.shape[0])
+            return softmax_terms(z)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(metrics, "_BATCH_ELEMENTS", budget)
+            patch.setattr(scaling, "_softmax_terms", record)
             assert fit_cpcs_temperature(logits, labels, w) == want
+
+        def passes(size):
+            return [min(batch, size - i) for i in range(0, size, batch)]
+
+        roots = sum(stacks) - scaling._SCAN_SIZE
+        assert roots > 0 and stacks == passes(scaling._SCAN_SIZE) + passes(roots)
 
     def test_fit_memory_stays_below_the_unbatched_scan(self):
         """At K = 10, n = 3000 one (12, n, K) scan stack would hold 2.9 MB."""

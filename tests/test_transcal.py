@@ -354,10 +354,7 @@ class TestOptimizeTranscal:
         for mode in EstimatorMode:
             sol = optimize_transcal(logits, labels, weights, mode=mode, freeze_lambda=True)
             want = _minimize_temperature(
-                lambda ts: np.array(
-                    [transcal_objective(logits, labels, weights, t, 1.0, mode=mode) for t in ts]
-                ),
-                1,
+                lambda ts: np.array([transcal_objective(logits, labels, weights, t, 1.0, mode=mode) for t in ts])
             ).t
             assert sol.t_star.t == want
 
@@ -495,6 +492,18 @@ def generated_task(seed, n, k, zero_every_other, all_correct):
     return logits, labels, weights
 
 
+def counting_passes(patch) -> list[int]:
+    """Patch ``TransCalState.estimates`` to record the batch size of every pass."""
+    estimates, scored = TransCalState.estimates, []
+
+    def counted(state, lam, t):
+        scored.append(t.shape[0])
+        return estimates(state, lam, t)
+
+    patch.setattr(TransCalState, "estimates", counted)
+    return scored
+
+
 def raises_below_two_samples(logits, labels, weights, **kwargs) -> bool:
     """Whether the weights' Kish ESS is below 2, after checking that the fit then raises."""
     if kish_ess(weights) >= 2.0:
@@ -582,7 +591,8 @@ class TestOneLambdaPerPass:
         want, _, coeffs = apply_control_variate(u, correct, float(conf.mean()))
         modes = (EstimatorMode.PLAIN_IWECE, EstimatorMode.CV_SERIAL)
         plain, value = (state.scores(lam, mode, np.array([t]))[0] for mode in modes)
-        got = state.coefficients(lam, t)
+        # the coefficients a fit reports, from the memo's row as ``optimize_transcal`` reads them
+        got = transcal._coefficients(*state.memo[lam][t][2:], state.correct_variate.var)
         assert close(plain, u.mean())
         assert close(value, want)
         assert got.var_t == coeffs.var_t
@@ -621,11 +631,12 @@ class TestOneLambdaPerPass:
 
 
 class TestBatchedTemperatures:
-    """The search hands the objective a batch of temperatures at once;
-    every value and moment must be the one-temperature one, bit for bit,
-    and no search result may depend on the batch size."""
+    """The search asks for a batch of temperatures at once, and the state
+    scores it in passes of several; every value and moment must be the
+    one-temperature one, bit for bit, and no search result may depend on
+    the batch size."""
 
-    @settings(derandomize=True, max_examples=12, deadline=None)
+    @settings(derandomize=True, max_examples=15, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 300),
@@ -635,24 +646,40 @@ class TestBatchedTemperatures:
         frozen=st.booleans(),
         size=st.sampled_from((2, 7, 50)),
         bins=st.sampled_from((1, 7, 15)),
+        mode=st.sampled_from(EstimatorMode),
+        scaled_row=st.booleans(),
     )
-    @example(seed=4, n=300, k=4, zero_every_other=True, all_correct=True, frozen=False, size=50, bins=15)
+    @example(
+        seed=4, n=300, k=4, zero_every_other=True, all_correct=True, frozen=False, size=50, bins=15,
+        mode=EstimatorMode.CV_SERIAL, scaled_row=False,
+    )
+    @example(
+        seed=5, n=300, k=10, zero_every_other=False, all_correct=False, frozen=False, size=50, bins=15,
+        mode=EstimatorMode.PLAIN_IWECE, scaled_row=True,
+    )
     def test_a_batch_equals_one_temperature_at_a_time(
-        self, seed, n, k, zero_every_other, all_correct, frozen, size, bins
+        self, seed, n, k, zero_every_other, all_correct, frozen, size, bins, mode, scaled_row
     ):
+        """A pass's (B, 4) rows equal one-temperature passes, and the mode's
+        scores of a batch equal each temperature scored on a fresh state,
+        also with a first logit row scaled by 300, whose softmax saturates
+        at most temperatures."""
         logits, labels, weights = generated_task(seed, n, k, zero_every_other, all_correct)
+        if scaled_row:
+            logits[0] *= 300.0
         if raises_below_two_samples(logits, labels, weights, bins=bins):
             return
-        state = TransCalState(*_split(logits, labels, weights, bins))
+        split = _split(logits, labels, weights, bins)
+        state = TransCalState(*split)
         lam = 1.0 if frozen else 0.6
         rng = np.random.default_rng(seed)
         t = np.exp(rng.uniform(math.log(T_MIN), math.log(T_MAX), size))
         t[0], t[-1] = T_MIN, T_MAX
         batch = state.estimates(lam, t)
-        singles = [state.estimates(lam, t[i : i + 1]) for i in range(size)]
-        assert len(batch) == 4  # plain, corrected, and the correctness variate's eta and Cov
-        for j, array in enumerate(batch):
-            assert np.array_equal(array, np.concatenate([single[j] for single in singles]))
+        assert batch.shape == (size, 4)  # plain, corrected, and the correctness variate's eta and Cov
+        assert np.array_equal(batch, np.concatenate([state.estimates(lam, t[i : i + 1]) for i in range(size)]))
+        alone = [TransCalState(*split).scores(lam, mode, t[i : i + 1])[0] for i in range(size)]
+        assert np.array_equal(state.scores(lam, mode, t), alone)
 
     @settings(derandomize=True, max_examples=6, deadline=None)
     @given(
@@ -673,11 +700,15 @@ class TestBatchedTemperatures:
         fits = {}
         for batch in (1, 3, 7, 50):
             with pytest.MonkeyPatch.context() as patch:
-                # the search's footprint is logits.size elements per temperature
+                # the state's footprint is logits.size elements per temperature
                 patch.setattr(metrics, "_BATCH_ELEMENTS", batch * logits.size)
-                fits[batch] = repr(
-                    fresh(optimize_transcal, logits, labels, weights, mode=mode, freeze_lambda=frozen)
-                )
+                scored = counting_passes(patch)
+                sol = fresh(optimize_transcal, logits, labels, weights, mode=mode, freeze_lambda=frozen)
+            # ceil(50 / batch) passes score the grid, then one pass each golden-section step
+            grid = [min(batch, 50 - i) for i in range(0, 50, batch)]
+            assert scored == grid + [1] * (len(scored) - len(grid))
+            assert sum(scored) == len({t for t, _ in sol.trace})
+            fits[batch] = repr(sol)
         assert all(fit == fits[1] for fit in fits.values())
 
 
@@ -701,18 +732,6 @@ class TestSharedState:
         assert got.coefficients == want.coefficients
         assert got.diagnostics == want.diagnostics
         assert got.trace == want.trace
-
-    @staticmethod
-    def counting_passes(patch) -> list[int]:
-        """Patch ``TransCalState.estimates`` to record the batch size of every pass."""
-        estimates, scored = TransCalState.estimates, []
-
-        def counted(state, lam, t):
-            scored.append(t.shape[0])
-            return estimates(state, lam, t)
-
-        patch.setattr(TransCalState, "estimates", counted)
-        return scored
 
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(
@@ -760,7 +779,7 @@ class TestSharedState:
         for order in itertools.permutations(VARIANTS):
             visited = set()
             with pytest.MonkeyPatch.context() as patch:
-                scored = self.counting_passes(patch)
+                scored = counting_passes(patch)
                 transcal._shared = None
                 for name in order:
                     mode, frozen = VARIANTS[name]
@@ -770,7 +789,7 @@ class TestSharedState:
 
     def test_a_bit_equal_copy_of_the_split_scores_nothing(self, monkeypatch):
         logits, labels, weights = sampled_task(np.random.default_rng(89), n=60, k=3)
-        scored = self.counting_passes(monkeypatch)
+        scored = counting_passes(monkeypatch)
         first = optimize_transcal(logits, labels, weights)
         assert sum(scored) == len(first.trace)
         scored.clear()
@@ -809,7 +828,7 @@ class TestSharedState:
         logits, labels, weights = sampled_task(np.random.default_rng(91), n=80, k=3)
         optimize_transcal(logits, labels, weights)
         logits[3, 1] += 0.5
-        scored = self.counting_passes(monkeypatch)
+        scored = counting_passes(monkeypatch)
         got = optimize_transcal(logits, labels, weights)
         assert sum(scored) == len(got.trace)
         self.assert_same_fit(got, fresh(optimize_transcal, logits, labels, weights))
