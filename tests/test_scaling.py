@@ -329,26 +329,33 @@ class TestSearchRecord:
     evaluated, in order, and a best pair it picked from them."""
 
     @pytest.mark.parametrize("nan_at", [None, 0, 10])
+    @pytest.mark.parametrize("footprint", [1, 2**15 // 7, 2**15])
     @pytest.mark.parametrize("step", [0.0, 0.05, 1.0])
-    def test_the_record_is_what_the_objective_saw(self, step, nan_at):
+    def test_the_record_is_what_the_objective_saw(self, step, footprint, nan_at):
         """On a quantized parabola in log t with its minimum at t = 2, ties
         everywhere when ``step`` > 0, and a NaN at grid point ``nan_at``:
         the value is the least non-NaN one seen, at the smallest t among
         ties, and ``refined`` says whether it is below every grid value,
-        which no value is below a NaN one."""
-        seen = []
+        which no value is below a NaN one. The objective scores its batch in
+        passes through ``metrics._in_batches``, as ``TransCalState.scores``
+        does, with ``footprint`` elements per temperature."""
+        seen, passes = [], []
         grid = np.exp(np.linspace(math.log(T_MIN), math.log(T_MAX), _GRID_SIZE))
 
-        def objective(t):
+        def scored(t):
             v = (np.log(t) - math.log(2.0)) ** 2
             if step:
                 v = np.floor(v / step) * step
             if nan_at is not None:
                 v[t == grid[nan_at]] = math.nan
             seen.extend(zip(t.tolist(), v.tolist()))
+            passes.append(t.size)
             return v
 
-        search = _minimize_temperature(objective)
+        search = _minimize_temperature(partial(metrics._in_batches, scored, footprint=footprint))
+        batch = max(1, _BATCH_ELEMENTS // footprint)
+        on_grid = [min(batch, _GRID_SIZE - i) for i in range(0, _GRID_SIZE, batch)]
+        assert passes == on_grid + [1] * (len(passes) - len(on_grid))
         assert np.array_equal(search.evaluations, seen, equal_nan=True)  # NaN != NaN in a list
         assert [i for i, (_, v) in enumerate(seen) if math.isnan(v)] == [nan_at] * (nan_at is not None)
         finite = [(v, t) for t, v in seen if not math.isnan(v)]
@@ -660,10 +667,12 @@ class TestBatchedScan:
         alone = np.concatenate([scaling._weighted_brier(shifted, labels, w, grid[i : i + 1]) for i in range(grid.size)])
         assert np.array_equal(values, alone)
 
-    @pytest.mark.parametrize("budget, batch", [(1, 1), (2 * 300 * 4, 2), (5 * 300 * 4 + 1, 5)])
-    def test_any_budget_gives_the_same_fit(self, budget, batch):
+    @pytest.mark.parametrize("budget", [1, 2 * 300 * 4, 5 * 300 * 4 + 1])
+    def test_any_budget_gives_the_same_fit(self, budget):
         """The scan and the roots' confirming pass each take ceil(size / batch)
-        softmax passes of at most ``batch`` temperatures."""
+        softmax passes of at most ``batch`` = max(1, budget // (n K))
+        temperatures: 1, 2 and 5 here."""
+        batch = max(1, budget // (300 * 4))
         rng = np.random.default_rng(7)
         logits, labels = sampled_task(7, 300, 4, 2.0, 1.5)
         w = rng.lognormal(0.0, 1.0, size=300)
